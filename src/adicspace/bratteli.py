@@ -158,13 +158,18 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
             except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
                 raise BadInput(f"malformed edge in E_{n}: {exc}") from exc
         edges.append(parsed)
+    if not isinstance(raw_orders, dict):
+        raise BadInput("orders must be an object mapping \"level/vertex\" to edge ids")
     orders = {}
     for key, ids in raw_orders.items():
         try:
             lvl, v = key.split("/")
-            orders[(int(lvl), int(v))] = [str(i) for i in ids]
+            lvl, v = int(lvl), int(v)
         except ValueError as exc:
             raise BadInput(f"malformed order key {key!r}") from exc
+        if not isinstance(ids, list) or not all(isinstance(i, (str, int)) for i in ids):
+            raise BadInput(f"order {key!r} must be a list of edge ids")
+        orders[(lvl, v)] = [str(i) for i in ids]
     # Missing order entries are rejected via BadOrder with a clear message.
     for n in range(len(edges)):
         if n + 1 >= len(levels):

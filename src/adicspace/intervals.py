@@ -104,6 +104,9 @@ class RatInterval:
         return NotImplemented
 
     def __hash__(self):
+        # A point interval equals its rational, so it must hash like one.
+        if self.lo == self.hi:
+            return hash(self.lo)
         return hash((self.lo, self.hi))
 
     def __repr__(self):

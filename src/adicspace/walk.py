@@ -7,13 +7,17 @@ the walk commutes with the Z-shift of the position coordinate.
 
 The simulator draws from a counter-based generator: three chained rounds of
 the SplitMix64 finalizer over (seed, trial, step).  Trajectories are thus
-indexed by (seed, trial), independent, and reproducible in any order.
-Sampling compares a uniform draw u/2^64 against exact cumulative
-probabilities, so the per-step sampling bias is below 2^-64.
+indexed by (seed, trial), independent, and reproducible in any order.  The
+(seed, trial) prefix of the counter is fixed along a trajectory, so it is
+computed once per trial and each step costs one round.  Sampling is pure
+integer comparison: a 64-bit draw u selects the first outcome whose
+cumulative probability cum satisfies u < ceil(cum * 2^64), which holds
+exactly when u/2^64 < cum, so the per-step sampling bias is below 2^-64.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -30,13 +34,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-def _draw(seed: int, trial: int, step: int) -> int:
-    """64-bit output of the (seed, trial, step) counter."""
-    z = _mix64(seed ^ 0x9E3779B97F4A7C15)
-    z = _mix64(z + trial)
-    return _mix64(z + step)
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class DisplacementHistogram:
         total = Fraction(0)
         for row in self.masses.values():
             for c in row.values():
-                total = total + c if not isinstance(c, RatInterval) else c + total
+                total = total + c
         return total
 
 
@@ -120,36 +117,31 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
     start = start or WalkState(0, 0, 0)
     if n < start.level:
         raise RangeError("target level before start level")
-    # Per (level, vertex): outcome list [(displacement, vertex)] and exact
-    # cumulative thresholds scaled to 2^64 for integer comparison.
-    tables = {}
+    # tables[lvl - start.level][v]: outcome list [(displacement, vertex)] and
+    # integer thresholds ceil(cum * 2^64) of the exact cumulative probabilities.
+    tables = []
     for lvl in range(start.level, n):
         m = space.matrices[lvl]
+        level_tables = []
         for v in range(m.cols):
-            outcomes, cum, acc = [], [], Fraction(0)
+            outcomes, thresholds, acc = [], [], Fraction(0)
             for j in range(m.rows):
                 for exp, c in m.entries[j][v].items():
                     if isinstance(c, RatInterval):
                         raise BadInput("simulate needs exact rational probabilities")
                     outcomes.append((exp, j))
                     acc += c
-                    cum.append(acc)
-            tables[(lvl, v)] = (outcomes, cum)
-    two64 = 1 << 64
+                    thresholds.append(-((-acc.numerator << 64) // acc.denominator))
+            level_tables.append((outcomes, thresholds, len(outcomes) - 1))
+        tables.append(level_tables)
     masses: Dict[int, Dict[int, int]] = {}
+    base = _mix64(seed ^ 0x9E3779B97F4A7C15)
     for trial in range(trials):
+        z = _mix64(base + trial)
         pos, vtx = start.position, start.vertex
-        for step, lvl in enumerate(range(start.level, n)):
-            u = Fraction(_draw(seed, trial, step), two64)
-            outcomes, cum = tables[(lvl, vtx)]
-            lo, hi = 0, len(cum) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if u < cum[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            exp, vtx = outcomes[lo]
+        for step, level_tables in enumerate(tables):
+            outcomes, thresholds, last = level_tables[vtx]
+            exp, vtx = outcomes[min(bisect_right(thresholds, _mix64(z + step)), last)]
             pos += exp
         row = masses.setdefault(vtx, {})
         row[pos] = row.get(pos, 0) + 1

@@ -161,3 +161,14 @@ def test_budget_env_var(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+
+
+def test_validate_rejects_malformed_orders(tmp_path, capsys):
+    spec = B.diagram_to_json(B.odometer_diagram(2))
+    for orders in (list(spec["orders"].values()), {"1/0": "e0_0"}, {"1/0": [["e0_0"]]}):
+        spec["orders"] = orders
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["code"] == "BadInput"

@@ -58,3 +58,10 @@ def test_zero_and_sign_predicates():
     assert is_exact_zero(Fraction(0))
     assert is_nonnegative(RatInterval(0, 2))
     assert not is_nonnegative(RatInterval(-1, 2))
+
+
+def test_point_interval_hashes_like_its_rational():
+    for q in (0, 1, -3, 2 ** 70, Fraction(1), Fraction(-5, 7), Fraction(1, 3 ** 40)):
+        r = RatInterval(q)
+        assert r == q and hash(r) == hash(q)
+    assert len({RatInterval(Fraction(1, 2)), Fraction(1, 2)}) == 1

@@ -202,3 +202,54 @@ def test_exact_distribution_enclosure_mode():
     assert isinstance(total, RatInterval) and total.contains(1)
     # displacements into the first vertex stay below q(3)
     assert all(0 <= disp < cf.q(3) for disp in hist.masses[0])
+
+
+# Recorded from the Fraction-threshold sampler that preceded the integer one;
+# both must give the same bytes for the same seed.
+MORSE6_COUNTS = {
+    0: [37, 26, 41, 22, 38, 33, 28, 24, 30, 31, 35, 33, 34, 29, 29, 42,
+        31, 27, 37, 29, 26, 37, 24, 35, 31, 20, 29, 23, 35, 32, 31, 25],
+    1: [32, 32, 34, 28, 29, 50, 42, 38, 32, 48, 31, 27, 30, 29, 33, 40,
+        27, 35, 28, 28, 26, 24, 28, 24, 30, 33, 33, 34, 32, 28, 19, 32],
+}
+
+
+def test_simulate_bytes_pinned_morse():
+    sp = space_for(B.morse_diagram(6))
+    got = W.histogram_to_json(W.simulate(sp, 6, 2000, seed=12345))
+    assert got == {
+        "kind": "empirical",
+        "masses": {str(j): {str(d): str(c) for d, c in enumerate(counts)}
+                   for j, counts in MORSE6_COUNTS.items()},
+        "trials": 2000,
+    }
+
+
+def test_simulate_bytes_pinned_random_diagram_nonzero_start():
+    d = random_diagram(random.Random(2024), depth=5)
+    sp = space_for(d)
+    assert sp.dims == (1, 4, 2, 3, 2, 4)
+    got = W.histogram_to_json(W.simulate(sp, 5, 500, seed=77, start=W.WalkState(-3, 3, 1)))
+    assert got == {
+        "kind": "empirical",
+        "masses": {
+            "0": {"7": "18", "10": "18", "21": "5", "24": "4"},
+            "1": {"7": "5", "10": "7", "13": "39", "16": "18", "27": "38", "30": "35"},
+            "2": {"7": "14", "10": "11"},
+            "3": {"-1": "63", "2": "58", "13": "68", "16": "70", "27": "18", "30": "11"},
+        },
+        "trials": 500,
+    }
+
+
+def test_integer_threshold_matches_fraction_comparison():
+    # u < ceil(p * 2^64) exactly when u / 2^64 < p, for every 64-bit u
+    rng = random.Random(1729)
+    two64 = 1 << 64
+    for _ in range(2000):
+        den = rng.choice([rng.randint(1, 50), rng.randint(1, 10 ** 30), 3 ** rng.randint(1, 60)])
+        p = Fraction(rng.randint(1, den), den)
+        t = -((-p.numerator << 64) // p.denominator)
+        for u in (t - 1, t, t + 1):
+            if 0 <= u < two64:
+                assert (u < t) == (Fraction(u, two64) < p)
