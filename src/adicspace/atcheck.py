@@ -2,11 +2,12 @@
 
 The circulant family has M_n = (1/2)(I + x^(2^n) P) with P the k-cycle.
 Because every factor is circulant, a product is determined by its class
-vector (a_0, ..., a_{k-1}) with entry (r, c) = a_{(r-c) mod k}; the product
-over the block index set {8Mj, ..., 8Mj+4M : j < N} collects one monomial
-per subset of the block digits, and the digit count mod k selects the
-class.  All of this is exact; sizes beyond the monomial budget are
-rejected, never approximated.
+vector (a_0, ..., a_{k-1}) with entry (r, c) = a_{(r-c) mod k}.  The
+product over the block index set I = {8Mj, ..., 8Mj+4M : j < N} is built
+from subsets: each subset S of I gives one monomial with the bits of S as
+exponent (M >= 1 keeps the indices distinct), coefficient 2^-|I| and
+class |S| mod k.  All of this is exact; sizes beyond the monomial budget
+are rejected, never approximated.
 
 The explicit k = 4 rank-one candidate pairs a column (phi_0..phi_3) whose
 monomials carry one optional digit at the bottom of each block with a row
@@ -20,12 +21,14 @@ weighted-median descent provides a baseline candidate for comparison.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Tuple
 
 from .errors import BadInput, BudgetExceeded, DimensionMismatch
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, sum_coeffs
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -56,16 +59,19 @@ def circulant_classes(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
     """Class vector of the product over the block index set, exact."""
     if k < 1:
         raise BadInput("k must be >= 1")
+    if M < 1:
+        raise BadInput("M must be >= 1")
     _check_budget(k, M, N, budget)
-    half = Fraction(1, 2)
-    classes = [LaurentPoly.one()] + [LaurentPoly.zero()] * (k - 1)
-    for i in block_indices(M, N):
-        shift = 1 << i
-        classes = [
-            (classes[p] + classes[(p - 1) % k].shift(shift)).scale(half)
-            for p in range(k)
-        ]
-    return classes
+    indices = block_indices(M, N)
+    exps = [0]  # exps[s] is the exponent of the subset that the bits of s pick from indices
+    for i in indices:
+        bit = 1 << i
+        exps += [e | bit for e in exps]
+    coeff = Fraction(1, 1 << len(indices))
+    terms = [dict() for _ in range(k)]
+    for s, e in enumerate(exps):
+        terms[s.bit_count() % k][e] = coeff
+    return [LaurentPoly(t) for t in terms]
 
 
 def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
@@ -132,26 +138,31 @@ def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Fraction:
     """Entrywise l1 distance between the matrix and the column-row product."""
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")
-    total = Fraction(0)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            total += (a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()
-    return total
+    return sum_coeffs((a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()
+                      for i in range(a.rows) for j in range(a.cols))
 
 
 # -- alternating weighted-median descent ---------------------------------------
 
 
 def _weighted_median(points: List[Tuple[Fraction, Fraction]]) -> Fraction:
-    """Lower weighted median: the l1 minimizer of sum w |v - x|."""
-    points.sort(key=lambda vw: vw[0])
-    total = sum(w for _, w in points)
-    acc = Fraction(0)
-    for v, w in points:
+    """Lower weighted median: the l1 minimizer of sum w |v - x|.
+
+    It sorts and sums ints: the values times the lcm of their denominators
+    and the weights times the lcm of theirs, which leaves the median as it is.
+    """
+    vden = math.lcm(*(v.denominator for v, _ in points))
+    wden = math.lcm(*(w.denominator for _, w in points))
+    scaled = sorted(((v.numerator * (vden // v.denominator),
+                      w.numerator * (wden // w.denominator), v) for v, w in points),
+                    key=itemgetter(0))
+    total = sum(w for _, w, _ in scaled)
+    acc = 0
+    for _, w, v in scaled:
         acc += w
         if 2 * acc >= total:
             return v
-    return points[-1][0]
+    return scaled[-1][2]
 
 
 def _optimize_vector(targets, partners, vector):

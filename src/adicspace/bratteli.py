@@ -32,6 +32,7 @@ from typing import Optional
 
 from .errors import BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber, MissingRoot
 from .intervals import RatInterval
+from .laurent import sum_coeffs
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,7 @@ class OrderedBratteliDiagram:
             for v in range(kn):
                 if not self.out_edges[(n, v)]:
                     raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
-                total = Fraction(0)
-                for e in self.out_edges[(n, v)]:
-                    total = total + e.p if not isinstance(e.p, RatInterval) else e.p + total
+                total = sum_coeffs(e.p for e in self.out_edges[(n, v)])
                 if isinstance(total, RatInterval):
                     if not total.contains(1):
                         raise BadMeasure(f"source sums at vertex {n}/{v} exclude 1")
@@ -144,6 +143,12 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
         raw_orders = spec.get("orders", {})
     except (KeyError, TypeError) as exc:
         raise BadInput(f"malformed diagram spec: {exc}") from exc
+    if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
+        raise BadInput("levels must be a list of vertex lists")
+    if not isinstance(raw_edges, list) or not all(
+            isinstance(level, list) and all(isinstance(e, dict) for e in level)
+            for level in raw_edges):
+        raise BadInput("edges must be a list of lists of edge objects")
     if not levels or not levels[0]:
         raise MissingRoot("empty level list")
     edges = []

@@ -212,11 +212,10 @@ def cmd_at(args) -> int:
         if args.k != 4:
             raise UsageError("the explicit construction is the k = 4 case")
         cand = atcheck.explicit_candidate(args.M, args.N, budget)
-        phis, gs = atcheck.explicit_rank_one(args.M, args.N, budget)
-        gsum = gs[0] + gs[1] + gs[2] + gs[3]
+        gsum = cand.row[0] + cand.row[1] + cand.row[2] + cand.row[3]
         body["explicit"] = {
             "error": str(atcheck.approximation_error(a, cand)),
-            "phi_masses": [str(p.one_norm()) for p in phis],
+            "phi_masses": [str(p.one_norm()) for p in cand.column],
             "g_norm": str(gsum.one_norm()),
         }
     if args.greedy:

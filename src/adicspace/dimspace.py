@@ -19,7 +19,7 @@ from .bratteli import OrderedBratteliDiagram
 from .errors import DimensionMismatch, RangeError
 from .intervals import RatInterval
 from .labeling import EdgeLabeling
-from .laurent import LaurentMatrix, LaurentPoly, mat_mul, weighted_one_norm
+from .laurent import LaurentMatrix, LaurentPoly, mat_mul, sum_coeffs, weighted_one_norm
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,6 @@ def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> Dimensi
             rows.append(row)
         mats.append(LaurentMatrix(rows))
     return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))
-
-
-def from_matrices(mats: Sequence[LaurentMatrix]) -> DimensionSpace:
-    for a, b in zip(mats, mats[1:]):
-        if b.cols != a.rows:
-            raise DimensionMismatch("consecutive matrices do not chain")
-    dims = tuple([mats[0].cols] + [m.rows for m in mats])
-    return DimensionSpace(matrices=tuple(mats), dims=dims)
 
 
 def partial_product(space: DimensionSpace, start: int, stop: int) -> LaurentMatrix:
@@ -87,11 +79,7 @@ def check_harmonic(space: DimensionSpace, mus: Sequence[Sequence]) -> HarmonicRe
         nxt = mus[n + 1]
         row = []
         for j in range(m.cols):
-            acc = Fraction(0)
-            for i in range(m.rows):
-                term = ones[i][j] * nxt[i] if isinstance(ones[i][j], RatInterval) else nxt[i] * ones[i][j]
-                acc = acc + term if not isinstance(term, RatInterval) else term + acc
-            res = acc - mus[n][j]
+            res = sum_coeffs(nxt[i] * ones[i][j] for i in range(m.rows)) - mus[n][j]
             row.append(res)
             if isinstance(res, RatInterval):
                 ok = ok and res.contains(0)
@@ -105,12 +93,7 @@ def state_eval(f: Sequence[LaurentPoly], mu: Sequence) -> object:
     """The bounded state: sum over coordinates of mu_i times the coefficient sum."""
     if len(f) != len(mu):
         raise DimensionMismatch(f"vector length {len(f)} != state length {len(mu)}")
-    acc = Fraction(0)
-    for fi, mi in zip(f, mu):
-        val = fi.eval_at_one()
-        term = val * mi if isinstance(val, RatInterval) else mi * val
-        acc = acc + term if not isinstance(term, RatInterval) else term + acc
-    return acc
+    return sum_coeffs(mi * fi.eval_at_one() for fi, mi in zip(f, mu))
 
 
 def push_forward(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int) -> List[LaurentPoly]:

@@ -6,6 +6,10 @@ circulant products).  Coefficients are ``Fraction`` in the default exact
 mode, or :class:`adicspace.intervals.RatInterval` in certified-enclosure
 mode; the two kinds mix freely inside one polynomial.
 
+Every coefficient sum goes through :func:`sum_coeffs`, which adds the
+numerators of rational terms as ints per denominator and then the interval
+terms: the exact sum, in any order, without a gcd per ``Fraction`` addition.
+
 Canonical form: zero coefficients are never stored, so ``==`` on the term
 maps is semantic equality.  Iteration and serialization are ordered by
 exponent, making every derived report deterministic.
@@ -88,18 +92,11 @@ class LaurentPoly:
 
     def eval_at_one(self):
         """Sum of all coefficients (the image under x -> 1)."""
-        total = Fraction(0)
-        for c in self._terms.values():
-            total = total + c if not isinstance(c, RatInterval) else c + total
-        return total
+        return sum_coeffs(self._terms.values())
 
     def one_norm(self):
         """Sum of absolute values of the coefficients."""
-        total = Fraction(0)
-        for c in self._terms.values():
-            a = abs(c)
-            total = total + a if not isinstance(a, RatInterval) else a + total
-        return total
+        return sum_coeffs(map(abs, self._terms.values()))
 
     # -- ring operations ----------------------------------------------------
 
@@ -281,10 +278,20 @@ class LaurentMatrix:
 
 
 def sum_coeffs(values: Iterable):
-    total = Fraction(0)
+    """Exact sum of int, Fraction and RatInterval values; Fraction(0) when empty.
+
+    The result is a ``Fraction``, or a ``RatInterval`` when any term is one.
+    """
+    numerators: dict = {}
+    intervals = []
     for v in values:
-        total = total + v if not isinstance(v, RatInterval) else v + total
-    return total
+        if isinstance(v, RatInterval):
+            intervals.append(v)
+        else:
+            den = v.denominator
+            numerators[den] = numerators.get(den, 0) + v.numerator
+    total = sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0))
+    return sum(intervals, total)
 
 
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:
@@ -307,9 +314,4 @@ def weighted_one_norm(f: Sequence[LaurentPoly], w: Sequence) -> object:
     """Sum over coordinates of (weight * sum of |coefficients|)."""
     if len(f) != len(w):
         raise DimensionMismatch(f"vector length {len(f)} != weights length {len(w)}")
-    total = Fraction(0)
-    for fi, wi in zip(f, w):
-        norm = fi.one_norm()
-        term = norm * wi if isinstance(norm, RatInterval) else wi * norm
-        total = total + term if not isinstance(term, RatInterval) else term + total
-    return total
+    return sum_coeffs(wi * fi.one_norm() for fi, wi in zip(f, w))

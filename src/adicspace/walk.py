@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 from .dimspace import DimensionSpace, partial_product
 from .errors import BadInput, DepthExceeded, RangeError
 from .intervals import RatInterval
+from .laurent import sum_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -60,11 +61,7 @@ class DisplacementHistogram:
         }
 
     def total_mass(self):
-        total = Fraction(0)
-        for row in self.masses.values():
-            for c in row.values():
-                total = total + c
-        return total
+        return sum_coeffs(c for row in self.masses.values() for c in row.values())
 
 
 def step_distribution(space: DimensionSpace, s: WalkState) -> List[Tuple[WalkState, object]]:

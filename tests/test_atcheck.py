@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,6 +23,28 @@ def g_norm_counting_oracle(M, N):
         total += (comb(N, s) * 2 ** (4 * M * (N - s))
                   * 2 ** (N + 2) * Fraction(1, 2 ** (3 * M * s)) * (1 - eps) ** (N - s))
     return total / 2 ** ((4 * M + 1) * N)
+
+
+def shift_scale_classes(k, M, N):
+    """Reference: multiply the class vector by (1/2)(I + x^(2^i) P) one index at a time."""
+    classes = [LaurentPoly.one()] + [LaurentPoly.zero()] * (k - 1)
+    for i in AT.block_indices(M, N):
+        classes = [(classes[p] + classes[(p - 1) % k].shift(1 << i)).scale(Fraction(1, 2))
+                   for p in range(k)]
+    return classes
+
+
+def test_circulant_classes_match_shift_scale_recurrence():
+    for k in range(1, 6):
+        for M, N in ((1, 1), (1, 2), (2, 1)):
+            assert AT.circulant_classes(k, M, N) == shift_scale_classes(k, M, N), (k, M, N)
+
+
+def test_circulant_classes_reject_bad_sizes():
+    with pytest.raises(BadInput):
+        AT.circulant_classes(0, 1, 1)
+    with pytest.raises(BadInput):
+        AT.circulant_classes(4, 0, 2)  # M = 0 repeats the index 0 in every block
 
 
 def test_circulant_product_k1_is_dyadic_telescoping():
@@ -155,3 +178,26 @@ def test_greedy_rejects_zero_iters():
     a = AT.circulant_product(2, 1, 1)
     with pytest.raises(BadInput):
         AT.greedy_rank_one(a, 0)
+
+
+def fraction_sort_median(points):
+    """Reference lower weighted median: sort the Fractions themselves."""
+    points = sorted(points, key=lambda vw: vw[0])
+    total = sum(w for _, w in points)
+    acc = Fraction(0)
+    for v, w in points:
+        acc += w
+        if 2 * acc >= total:
+            return v
+    return points[-1][0]
+
+
+def test_weighted_median_matches_fraction_sort():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        # few distinct values, so ties are common; mixed and non-dyadic denominators
+        pool = [Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3, 4, 6, 7, 16)))
+                for _ in range(rng.randrange(1, 5))]
+        points = [(rng.choice(pool), Fraction(rng.randrange(1, 20), rng.choice((1, 3, 5, 8))))
+                  for _ in range(rng.randrange(1, 14))]
+        assert AT._weighted_median(list(points)) == fraction_sort_median(points)

@@ -172,3 +172,13 @@ def test_validate_rejects_malformed_orders(tmp_path, capsys):
         code, out, err = run_cli(capsys, "validate", str(bad))
         assert code == 1 and err == ""
         assert json.loads(out)["error"]["code"] == "BadInput"
+
+
+def test_validate_rejects_malformed_levels_and_edges(tmp_path, capsys):
+    for spec in ({"levels": 5, "edges": []}, {"levels": [["r"]], "edges": 5},
+                 {"levels": [["r"]], "edges": [5]}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert code == 1 and err == ""
+        assert json.loads(out)["error"]["code"] == "BadInput"

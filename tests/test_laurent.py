@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
 from adicspace.laurent import (LaurentMatrix, LaurentPoly, lp_arith, mat_mul,
-                               weighted_one_norm)
+                               sum_coeffs, weighted_one_norm)
 
 HALF = Fraction(1, 2)
 
@@ -179,3 +179,40 @@ def test_norm_submultiplicative_under_stochastic_scalar(f, g):
     fp = LaurentPoly({e: abs(c) for e, c in f.items()})
     gp = LaurentPoly({e: abs(c) for e, c in g.items()})
     assert (fp * gp).one_norm() == fp.one_norm() * gp.one_norm()
+
+
+# -- exact coefficient sum ----------------------------------------------------------
+
+def naive_fold(values):
+    """Left fold from Fraction(0), reordering so an interval term goes first."""
+    total = Fraction(0)
+    for v in values:
+        total = total + v if not isinstance(v, RatInterval) else v + total
+    return total
+
+
+sum_fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=30)
+intervals_st = st.tuples(sum_fractions_st, sum_fractions_st).map(
+    lambda ab: RatInterval(min(ab), max(ab)))
+mixed_st = st.lists(st.one_of(st.integers(min_value=-9, max_value=9), sum_fractions_st,
+                              intervals_st), max_size=12)
+
+
+@given(mixed_st, st.integers(min_value=0, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_sum_coeffs_matches_naive_fold(values, cancel):
+    # appending negations of a prefix makes terms cancel, possibly to zero
+    values = values + [-v for v in values[:cancel]]
+    got, want = sum_coeffs(values), naive_fold(values)
+    assert type(got) is type(want)
+    assert got == want
+    assert sum_coeffs(iter(values)) == want
+
+
+def test_sum_coeffs_edge_cases():
+    assert sum_coeffs([]) == 0 and type(sum_coeffs([])) is Fraction
+    assert type(sum_coeffs([3, -3])) is Fraction
+    thirds = [Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)]
+    assert sum_coeffs(thirds) == 0
+    iv = RatInterval(Fraction(1, 7), Fraction(2, 7))
+    assert sum_coeffs([Fraction(1, 3), iv, 2]) == RatInterval(Fraction(52, 21), Fraction(55, 21))
