@@ -124,13 +124,9 @@ def g_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
     return [f.scale(norm) for f in f_polys(M, N, budget)]
 
 
-def explicit_rank_one(M: int, N: int, budget: int = DEFAULT_BUDGET):
-    """The explicit k = 4 construction: (phi columns, g rows)."""
-    return phi_polys(M, N), g_polys(M, N, budget)
-
-
 def explicit_candidate(M: int, N: int, budget: int = DEFAULT_BUDGET) -> RankOneCandidate:
-    phis, gs = explicit_rank_one(M, N, budget)
+    """The explicit k = 4 construction: phi columns, rows (g_0, g_3, g_2, g_1)."""
+    phis, gs = phi_polys(M, N), g_polys(M, N, budget)
     return RankOneCandidate(column=tuple(phis), row=(gs[0], gs[3], gs[2], gs[1]))
 
 

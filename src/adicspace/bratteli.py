@@ -95,9 +95,6 @@ class OrderedBratteliDiagram:
     def k(self, n: int) -> int:
         return len(self.levels[n])
 
-    def edge_order_index(self, e: Edge) -> int:
-        return self.in_edges[(e.level + 1, e.dst)].index(e)
-
     def _validate(self):
         if len(self.levels) != len(self.edges) + 1:
             raise BadInput("need exactly one more vertex level than edge level")
@@ -112,19 +109,13 @@ class OrderedBratteliDiagram:
                 seen_ids.add(e.id)
                 if not (0 <= e.src < kn and 0 <= e.dst < kn1):
                     raise BadInput(f"edge {e.id!r} endpoints out of range")
-                if isinstance(e.p, RatInterval):
-                    if e.p.lo <= 0:
-                        raise BadMeasure(f"edge {e.id!r} probability not certainly positive")
-                elif e.p <= 0:
+                if RatInterval.coerce(e.p).lo <= 0:
                     raise BadMeasure(f"edge {e.id!r} has p <= 0")
             for v in range(kn):
                 if not self.out_edges[(n, v)]:
                     raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
                 total = sum_coeffs(e.p for e in self.out_edges[(n, v)])
-                if isinstance(total, RatInterval):
-                    if not total.contains(1):
-                        raise BadMeasure(f"source sums at vertex {n}/{v} exclude 1")
-                elif total != 1:
+                if not RatInterval.coerce(total).contains(1):
                     raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
             for v in range(kn1):
                 incoming = [e for e in level_edges if e.dst == v]
@@ -202,22 +193,20 @@ def diagram_to_json(d: OrderedBratteliDiagram) -> dict:
 
 def minimal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
     """The adic-minimal path from the root into the given vertex."""
-    edges = []
-    v = vertex
-    for n in range(level - 1, -1, -1):
-        e = d.in_edges[(n + 1, v)][0]
-        edges.append(e)
-        v = e.src
-    return FinitePath(tuple(reversed(edges)))
+    return _extreme_path_into(d, level, vertex, 0)
 
 
 def maximal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
+    """The adic-maximal path from the root into the given vertex."""
+    return _extreme_path_into(d, level, vertex, -1)
+
+
+def _extreme_path_into(d, level, vertex, end):
+    """The path through the in-edge at position ``end`` (0 or -1) of every fiber."""
     edges = []
-    v = vertex
-    for n in range(level - 1, -1, -1):
-        e = d.in_edges[(n + 1, v)][-1]
-        edges.append(e)
-        v = e.src
+    for n in range(level, 0, -1):
+        edges.append(d.in_edges[(n, vertex)][end])
+        vertex = edges[-1].src
     return FinitePath(tuple(reversed(edges)))
 
 
@@ -231,12 +220,8 @@ def enumerate_paths(d: OrderedBratteliDiagram, n: int, v: Optional[int] = None) 
     """
     if n >= d.depth:
         raise DepthExceeded(f"level {n} >= depth {d.depth}")
-    if v is not None:
-        return [FinitePath(p) for p in _paths_into(d, n + 1, v)]
-    out = []
-    for vtx in range(d.k(n + 1)):
-        out.extend(FinitePath(p) for p in _paths_into(d, n + 1, vtx))
-    return out
+    vertices = range(d.k(n + 1)) if v is None else (v,)
+    return [FinitePath(p) for vtx in vertices for p in _paths_into(d, n + 1, vtx)]
 
 
 def _paths_into(d, level, vertex):
@@ -272,27 +257,25 @@ def successor(d: OrderedBratteliDiagram, p: FinitePath) -> Optional[FinitePath]:
 
     Returns None when p is the adic-maximal path into its terminal vertex.
     """
-    check_path(d, p)
-    for m, e in enumerate(p.edges):
-        fiber = d.in_edges[(e.level + 1, e.dst)]
-        idx = fiber.index(e)
-        if idx + 1 < len(fiber):
-            nxt = fiber[idx + 1]
-            prefix = minimal_path_into(d, m, nxt.src).edges if m > 0 else ()
-            return FinitePath(prefix + (nxt,) + p.edges[m + 1 :])
-    return None
+    return _adic_neighbor(d, p, +1)
 
 
 def predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> Optional[FinitePath]:
     """Inverse of :func:`successor`; None on the adic-minimal path."""
+    return _adic_neighbor(d, p, -1)
+
+
+def _adic_neighbor(d, p, step):
+    """The path one adic step away: ``step`` +1 is T, -1 is T^-1; None past the end."""
     check_path(d, p)
+    end = 0 if step > 0 else -1
     for m, e in enumerate(p.edges):
         fiber = d.in_edges[(e.level + 1, e.dst)]
-        idx = fiber.index(e)
-        if idx > 0:
-            prv = fiber[idx - 1]
-            prefix = maximal_path_into(d, m, prv.src).edges if m > 0 else ()
-            return FinitePath(prefix + (prv,) + p.edges[m + 1 :])
+        idx = fiber.index(e) + step
+        if 0 <= idx < len(fiber):
+            nxt = fiber[idx]
+            prefix = _extreme_path_into(d, m, nxt.src, end).edges
+            return FinitePath(prefix + (nxt,) + p.edges[m + 1 :])
     return None
 
 
@@ -301,7 +284,7 @@ def cylinder_measure(d: OrderedBratteliDiagram, p: FinitePath):
     check_path(d, p)
     total = Fraction(1)
     for e in p.edges:
-        total = total * e.p if not isinstance(e.p, RatInterval) else e.p * total
+        total = total * e.p
     return total
 
 

@@ -32,8 +32,12 @@ def _load_diagram(args) -> tuple:
     if getattr(args, "preset", None):
         depth = args.depth or 8
         name = args.preset
-        if name.startswith("circulant"):
-            k = int(name.split(":", 1)[1]) if ":" in name else (args.k or 4)
+        kind, colon, size = name.partition(":")
+        if kind == "circulant":
+            try:
+                k = int(size if colon else args.k or 4)
+            except ValueError:
+                raise UsageError(f"preset {name!r} needs an integer size, as in circulant:4") from None
             d = bratteli.circulant_diagram(k, depth)
         elif name in PRESETS:
             d = PRESETS[name](depth)

@@ -81,10 +81,7 @@ def check_harmonic(space: DimensionSpace, mus: Sequence[Sequence]) -> HarmonicRe
         for j in range(m.cols):
             res = sum_coeffs(nxt[i] * ones[i][j] for i in range(m.rows)) - mus[n][j]
             row.append(res)
-            if isinstance(res, RatInterval):
-                ok = ok and res.contains(0)
-            else:
-                ok = ok and res == 0
+            ok = ok and RatInterval.coerce(res).contains(0)
         residuals.append(tuple(row))
     return HarmonicReport(residuals=tuple(residuals), ok=ok)
 
@@ -127,15 +124,6 @@ def stochastic_report(space: DimensionSpace) -> dict:
         for row in m.entries:
             for entry in row:
                 for _, c in entry.items():
-                    if isinstance(c, RatInterval):
-                        positive = positive and c.lo > 0
-                    else:
-                        positive = positive and c > 0
-    ok = True
-    for row in sums:
-        for s in row:
-            if isinstance(s, RatInterval):
-                ok = ok and s.contains(1)
-            else:
-                ok = ok and s == 1
+                    positive = positive and RatInterval.coerce(c).lo > 0
+    ok = all(RatInterval.coerce(s).contains(1) for row in sums for s in row)
     return {"column_sums": sums, "stochastic": ok, "entries_positive": positive}

@@ -51,6 +51,13 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    @staticmethod
+    def _of(terms: dict) -> "LaurentPoly":
+        """Wrap a term map that is already canonical: int exponents, no zero coefficient."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -114,14 +121,10 @@ class LaurentPoly:
                     del terms[exp]
                 else:
                     terms[exp] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return LaurentPoly._of(terms)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {e: -c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -142,9 +145,7 @@ class LaurentPoly:
                 terms[e] = p if acc is None else acc + p
         for e in [e for e, c in terms.items() if is_exact_zero(c)]:
             del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return LaurentPoly._of(terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatInterval)):
@@ -155,13 +156,12 @@ class LaurentPoly:
         c = _norm_coeff(c)
         if is_exact_zero(c):
             return LaurentPoly.zero()
-        return LaurentPoly({e: c * v for e, v in self._terms.items()})
+        # A nonzero scalar times a nonzero coefficient is never an exact zero.
+        return LaurentPoly._of({e: c * v for e, v in self._terms.items()})
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x**k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {e + k: c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
 
     # -- equality / display --------------------------------------------------
 
@@ -199,17 +199,6 @@ class LaurentPoly:
             else:
                 terms[int(e)] = Fraction(c)
         return LaurentPoly(terms)
-
-
-def lp_arith(op: str, f: LaurentPoly, g) -> LaurentPoly:
-    """Dispatch form of the ring operations: op in {"add", "mul", "scale"}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")
 
 
 class LaurentMatrix:

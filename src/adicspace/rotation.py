@@ -293,14 +293,12 @@ def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
     for i in range(2):
         for j in range(2):
             gap = gap + (m.entries[i][j] - approx[i][j]).one_norm()
-    first = (m.entries[0][0] - approx[0][0]).one_norm()
-    corner = m.entries[1][0].one_norm()
+    first = RatInterval.coerce((m.entries[0][0] - approx[0][0]).one_norm())
+    corner = RatInterval.coerce(m.entries[1][0].one_norm())
     two_ratio = 2 * (alpha_n(cf, n + 1) / alpha_n(cf, n - 1))
     tail = None
     if n + 2 <= cf.depth:
         tail = Fraction(2, cf.a(n + 1) * cf.a(n + 2))
-    first = first if isinstance(first, RatInterval) else RatInterval.point(first)
-    corner = corner if isinstance(corner, RatInterval) else RatInterval.point(corner)
     return GapReport(n=n, gap=RatInterval.coerce(gap), first_entry_component=first,
                      corner_component=corner, two_alpha_ratio=two_ratio, tail_bound=tail)
 

@@ -1,7 +1,13 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from adicspace.bratteli import Edge, OrderedBratteliDiagram
+
+# Child interpreters (``python -m adicspace.cli``) import this checkout too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def random_diagram(rng: random.Random, depth: int = 5, max_vertices: int = 4,

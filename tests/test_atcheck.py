@@ -103,7 +103,7 @@ def test_g_norm_expansion_matches_counting_oracle():
 
 
 def test_cross_class_products_land_in_their_class():
-    phis, gs = AT.explicit_rank_one(1, 1)
+    phis, gs = AT.phi_polys(1, 1), AT.g_polys(1, 1)
     for i, phi in enumerate(phis):
         for j, g in enumerate(gs):
             for e, _ in (phi * g).items():
@@ -114,7 +114,7 @@ def test_regrouping_identity():
     # with per-class supports disjoint, the per-entry error sum collapses
     for M, N in ((1, 1), (1, 2)):
         a = AT.circulant_product(4, M, N)
-        phis, gs = AT.explicit_rank_one(M, N)
+        phis, gs = AT.phi_polys(M, N), AT.g_polys(M, N)
         cand = AT.explicit_candidate(M, N)
         total = AT.approximation_error(a, cand)
         gsum = gs[0] + gs[1] + gs[2] + gs[3]

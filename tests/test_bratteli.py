@@ -7,6 +7,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace.errors import (BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
                               MissingRoot)
+from adicspace.intervals import RatInterval
 from conftest import random_diagram
 
 
@@ -32,6 +33,12 @@ def test_validate_rejects_bad_measure():
         B.validate_diagram(odometer_spec(p0="1/3", p1="1/3"))
     with pytest.raises(BadMeasure):
         B.validate_diagram(odometer_spec(p0="0", p1="1"))
+    # enclosure mode: p must be certainly positive and the source sum must enclose 1
+    narrow = RatInterval(Fraction(1, 4), Fraction(1, 3))
+    for p0, p1 in ((RatInterval(0, 1), RatInterval(1, 2)), (narrow, narrow)):
+        edges = [[B.Edge("e0", 0, 0, 0, p0), B.Edge("e1", 0, 0, 0, p1)]]
+        with pytest.raises(BadMeasure):
+            B.OrderedBratteliDiagram([["r"], ["v"]], edges, {(1, 0): ["e0", "e1"]})
 
 
 def test_validate_rejects_missing_root():
@@ -123,20 +130,29 @@ def test_successor_keeps_terminal_vertex():
             p = B.successor(d, p)
 
 
+def walk(d, p, step):
+    visited = [p]
+    while (p := step(d, p)) is not None:
+        visited.append(p)
+    return [x.ids() for x in visited]
+
+
 def test_successor_cycles_through_enumeration():
+    from adicspace import rotation as R
+
     rng = random.Random(3)
-    for _ in range(10):
-        d = random_diagram(rng, depth=3)
-        for v in range(d.k(3)):
-            expected = B.enumerate_paths(d, 2, v=v)
-            assert len(expected) == B.count_paths_into(d, 3, v)
-            p = B.minimal_path_into(d, 3, v)
-            visited = [p]
-            while (q := B.successor(d, p)) is not None:
-                visited.append(q)
-                p = q
-            assert [x.ids() for x in visited] == [x.ids() for x in expected]
-            assert p == B.maximal_path_into(d, 3, v)
+    diagrams = [random_diagram(rng, depth=3) for _ in range(10)]
+    cf = R.CFExpansion([n + 1 for n in range(1, 11)])
+    diagrams.append(R.rotation_diagram(cf, 4)[0])  # interval probabilities
+    for d in diagrams:
+        n = d.depth
+        for v in range(d.k(n)):
+            expected = [x.ids() for x in B.enumerate_paths(d, n - 1, v=v)]
+            assert len(expected) == B.count_paths_into(d, n, v)
+            lo, hi = B.minimal_path_into(d, n, v), B.maximal_path_into(d, n, v)
+            assert walk(d, lo, B.successor) == expected
+            assert walk(d, hi, B.predecessor) == expected[::-1]
+            assert B.predecessor(d, lo) is None and B.successor(d, hi) is None
 
 
 def test_predecessor_inverts_successor():

@@ -88,6 +88,16 @@ def test_missing_input_is_usage_error(capsys):
     assert json.loads(err)["error"]["code"] == "UsageError"
 
 
+def test_circulant_preset_size(capsys):
+    for preset in ("circulant:x", "circulant:", "circulantx"):
+        code, _, err = run_cli(capsys, "validate", "--preset", preset, "--depth", "3")
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "UsageError"
+    code, out, err = run_cli(capsys, "validate", "--preset", "circulant:1", "--depth", "3")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "BadInput"
+
+
 def test_unknown_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "adicspace.cli", "frobnicate"],
                           capture_output=True, text=True)

@@ -7,7 +7,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import dimspace as D
 from adicspace.errors import DimensionMismatch, RangeError
-from adicspace.labeling import label_edges
+from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
 
@@ -89,10 +89,32 @@ def test_circulant_partial_product_subset_oracle():
             assert prod.entries[r][c] == LaurentPoly(classes[(r - c) % k])
 
 
+def test_path_measure_oracle_on_random_diagrams():
+    # entry (j, 0) of M_{n-1} ... M_0 is the sum over the paths p into j of
+    # mu(p) x^{bsum(p)}: the matrices against the paths, by separate routes
+    rng = random.Random(29)
+    for _ in range(8):
+        d = random_diagram(rng, depth=4)
+        lab = label_edges(d)
+        sp = D.build_matrices(d, lab)
+        for n in range(1, d.depth + 1):
+            prod = D.partial_product(sp, 0, n)
+            for j in range(d.k(n)):
+                expected = LaurentPoly.zero()
+                for p in B.enumerate_paths(d, n - 1, v=j):
+                    expected = expected + LaurentPoly.monomial(B.cylinder_measure(d, p),
+                                                               path_bsum(lab, p))
+                assert prod.entries[j][0] == expected
+
+
 def test_generated_matrices_are_stochastic_and_positive():
+    from adicspace import rotation as R
+
     rng = random.Random(17)
-    for _ in range(10):
-        sp = space_for(random_diagram(rng, depth=4))
+    spaces = [space_for(random_diagram(rng, depth=4)) for _ in range(10)]
+    cf = R.CFExpansion([n + 1 for n in range(1, 11)])
+    spaces.append(D.build_matrices(*R.rotation_diagram(cf, 4)))  # interval probabilities
+    for sp in spaces:
         rep = D.stochastic_report(sp)
         assert rep["stochastic"] and rep["entries_positive"]
 

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
-from adicspace.laurent import (LaurentMatrix, LaurentPoly, lp_arith, mat_mul,
-                               sum_coeffs, weighted_one_norm)
+from adicspace.laurent import LaurentMatrix, LaurentPoly, mat_mul, sum_coeffs, weighted_one_norm
 
 HALF = Fraction(1, 2)
 
@@ -38,9 +37,6 @@ def test_dyadic_telescoping_step():
 def test_multiplicative_identity():
     f = poly((-3, "2/7"), (5, -2))
     assert f * LaurentPoly.one() == f
-    assert lp_arith("mul", f, LaurentPoly.one()) == f
-    assert lp_arith("add", f, LaurentPoly.zero()) == f
-    assert lp_arith("scale", f, Fraction(3)) == f.scale(3)
 
 
 def test_cancellation_drops_terms():
