@@ -146,6 +146,9 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     for n, level in enumerate(raw_edges):
         parsed = []
         for e in level:
+            if isinstance(e.get("p"), (float, bool)):
+                raise BadInput(f"edge {e.get('id')!r} in E_{n}: p must be a \"num/den\" string "
+                               f"or an integer, not {e['p']!r}")
             try:
                 parsed.append(
                     Edge(id=str(e["id"]), level=n, src=int(e["src"]), dst=int(e["dst"]),

@@ -184,7 +184,7 @@ def cmd_stack(args) -> int:
         "height": tower.height,
         "width": str(tower.width),
         "total_space": str(tower.total_space),
-        "intervals": [[str(lo), str(hi)] for lo, hi in tower.intervals],
+        "intervals": tower.interval_strings,
     }
     if args.map is not None:
         x = Fraction(args.map)
@@ -302,6 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -316,6 +327,8 @@ def main(argv=None) -> int:
     except AdicspaceError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": exc.message}}))
         return 1
+    except BrokenPipeError:
+        raise  # an OSError, but not bad input: main handles it
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"error": {"code": "BadInput", "message": str(exc)}}))
         return 1

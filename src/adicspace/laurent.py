@@ -247,8 +247,10 @@ class LaurentMatrix:
         return [[e.eval_at_one() for e in row] for row in self.entries]
 
     def column_sums_at_one(self) -> list:
-        ones = self.eval_at_one()
-        return [sum_coeffs(ones[i][j] for i in range(self.rows)) for j in range(self.cols)]
+        # a circulant product holds each class polynomial k times: evaluate each object once
+        distinct = {id(e): e for row in self.entries for e in row}
+        ones = {key: e.eval_at_one() for key, e in distinct.items()}
+        return [sum_coeffs(ones[id(row[j])] for row in self.entries) for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):

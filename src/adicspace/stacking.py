@@ -15,6 +15,19 @@ a certified enclosure for it.  No rescaling is applied to the stored
 endpoints, so the stage maps stay exact translations; comparisons against
 the rotation angle fold translations mod 1.
 
+Every level of the stage-n tower has width 1/D, D = a(1) ... a(n), and the
+S = height levels tile [0, L_n) = [0, S/D).  So a tower is stored as
+integers: level i is the slot [starts[i], starts[i] + 1) in units of 1/D,
+and the starts are a permutation of range(S).  Cutting multiplies every
+start by a(n+1) and adds the sub-column index; spacers take the next free
+slots.  Locating a point finds its slot floor(x D) and the level whose
+start is that slot, and a translation mod 1 is (starts[i+1] - starts[i]
+mod D) / D.  The rotation comparison walks no grid: of the G points
+g L / G, slot s holds the ceil((s+1) G / S) - ceil(s G / S) with
+s G <= g S < (s+1) G.  The ``Fraction`` views ``intervals``, ``width`` and
+``total_space``, and the report strings ``interval_strings``, are derived
+once per tower on first use.
+
 The skyscraper has base the product odometer on prod {1..a(n)} and height
 function h(x) = cocycle increment of the odometer under the slot labeling
 b(k at slot n) = (k-1) q(n-1); on the cylinder where the first n-1 digits
@@ -25,8 +38,9 @@ itinerary mirror test below checks.
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -40,21 +54,46 @@ Word = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class Tower:
-    """A stack of disjoint equal-width intervals with exact endpoints.
+    """A stack of disjoint levels of width 1/``denominator`` tiling [0, L).
 
+    Level i is the slot [starts[i], starts[i] + 1) in units of
+    1/``denominator``; the starts are a permutation of ``range(height)``.
     ``labels[i]`` is the depth-``stage`` digit word of the cylinder that
     level i carves, or None for a spacer level.
     """
 
     stage: int
-    intervals: Tuple[Tuple[Fraction, Fraction], ...]
+    starts: Tuple[int, ...]
     labels: Tuple[Optional[Word], ...]
-    width: Fraction
-    total_space: Fraction  # the space is [0, total_space)
+    denominator: int
 
     @property
     def height(self) -> int:
-        return len(self.intervals)
+        return len(self.starts)
+
+    @cached_property
+    def width(self) -> Fraction:
+        return Fraction(1, self.denominator)
+
+    @cached_property
+    def total_space(self) -> Fraction:
+        """The space is [0, total_space)."""
+        return Fraction(self.height, self.denominator)
+
+    @cached_property
+    def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        ends = [Fraction(s, self.denominator) for s in range(self.height + 1)]
+        return tuple((ends[s], ends[s + 1]) for s in self.starts)
+
+    @cached_property
+    def interval_strings(self) -> Tuple[Tuple[str, str], ...]:
+        """``intervals`` as ``str(Fraction)`` pairs, written from the integers."""
+        d = self.denominator
+        ends = []
+        for s in range(self.height + 1):
+            g = math.gcd(s, d)
+            ends.append(str(s // g) if g == d else f"{s // g}/{d // g}")
+        return tuple((ends[s], ends[s + 1]) for s in self.starts)
 
 
 def build_tower(cf: CFExpansion, stage: int) -> Tower:
@@ -62,39 +101,34 @@ def build_tower(cf: CFExpansion, stage: int) -> Tower:
         raise BadInput("stage must be >= 1")
     if stage > cf.depth:
         raise InsufficientDepth(f"stage {stage} needs {stage} partial quotients")
-    width = Fraction(1, cf.a(1))
-    intervals = [(k * width, (k + 1) * width) for k in range(cf.a(1))]
-    labels: List[Optional[Word]] = [(k + 1,) for k in range(cf.a(1))]
-    next_free = Fraction(1)
+    den = cf.a(1)
+    starts = list(range(den))
+    labels: List[Optional[Word]] = [(k + 1,) for k in range(den)]
     for n in range(1, stage):
+        # slot s becomes slots s*cuts .. s*cuts + cuts - 1 in units of 1/(den*cuts);
+        # spacers take the fresh slots above the current space, bottom first
         cuts = cf.a(n + 1)
-        new_width = width / cuts
         spacers = cf.q(n - 2)
-        new_intervals, new_labels = [], []
+        next_free = len(starts) * cuts
+        new_starts: List[int] = []
+        new_labels: List[Optional[Word]] = []
         for k in range(cuts):
-            for (lo, _hi), word in zip(intervals, labels):
-                new_intervals.append((lo + k * new_width, lo + (k + 1) * new_width))
-                new_labels.append(word + (k + 1,) if word is not None else None)
-            for _ in range(spacers):
-                new_intervals.append((next_free, next_free + new_width))
-                new_labels.append(None)
-                next_free += new_width
-        intervals, labels, width = new_intervals, new_labels, new_width
-    return Tower(stage=stage, intervals=tuple(intervals), labels=tuple(labels),
-                 width=width, total_space=next_free)
-
-
-def level_translations(t: Tower) -> List[Fraction]:
-    """Translation moving level i onto level i+1, for i < height - 1."""
-    return [t.intervals[i + 1][0] - t.intervals[i][0] for i in range(t.height - 1)]
+            new_starts += [s * cuts + k for s in starts]
+            new_starts += range(next_free, next_free + spacers)
+            new_labels += [w + (k + 1,) if w is not None else None for w in labels]
+            new_labels += [None] * spacers
+            next_free += spacers
+        starts, labels, den = new_starts, new_labels, den * cuts
+    return Tower(stage=stage, starts=tuple(starts), labels=tuple(labels), denominator=den)
 
 
 def locate(t: Tower, x: Fraction) -> int:
     """Index of the level containing x, or PointOutsideTower."""
-    for i, (lo, hi) in enumerate(t.intervals):
-        if lo <= x < hi:
-            return i
-    raise PointOutsideTower(f"{x} is not inside any level")
+    q = Fraction(x)
+    slot = q.numerator * t.denominator // q.denominator
+    if not 0 <= slot < t.height:
+        raise PointOutsideTower(f"{x} is not inside any level")
+    return t.starts.index(slot)
 
 
 def tower_map(t: Tower, x: Fraction) -> Fraction:
@@ -103,7 +137,7 @@ def tower_map(t: Tower, x: Fraction) -> Fraction:
     i = locate(t, x)
     if i == t.height - 1:
         raise TopLevel(f"{x} lies on the top level")
-    return x + (t.intervals[i + 1][0] - t.intervals[i][0])
+    return x + Fraction(t.starts[i + 1] - t.starts[i], t.denominator)
 
 
 def limit_space_enclosure(cf: CFExpansion, rule: GrowthRule) -> RatInterval:
@@ -252,35 +286,29 @@ def compare_with_rotation(t: Tower, cf: CFExpansion, grid: int,
 
     A grid point is in tolerance when the circle distance of its level's
     translation to the angle enclosure is certified <= tolerance; points on
-    the top level are excluded from the denominator.
+    the top level are excluded from the denominator.  The grid is never
+    walked: point g sits at g L / G, which is slot floor(g S / G) for S =
+    height, so slot s holds the ceil((s+1) G / S) - ceil(s G / S) points
+    with s G <= g S < (s+1) G.
     """
     if grid < 1:
         raise BadInput("grid must be >= 1")
     alpha = cf.alpha()
-    translations = level_translations(t)
-    # Equispaced points over [0, total_space); map each to its level index.
-    index = sorted((lo, hi, i) for i, (lo, hi) in enumerate(t.intervals))
-    los = [lo for lo, _, _ in index]
-    per_level = [0] * t.height
-    step = t.total_space / grid
-    for g in range(grid):
-        x = g * step
-        pos = bisect.bisect_right(los, x) - 1
-        lo, hi, i = index[pos]
-        if not (lo <= x < hi):
-            raise PointOutsideTower(f"grid point {x} escaped the levels")
-        per_level[i] += 1
-    by_value = {}
-    top = t.height - 1
-    counted = sum(c for i, c in enumerate(per_level) if i != top)
-    for i, delta in enumerate(translations):
-        v = delta % 1
-        mass, levels = by_value.get(v, (0, 0))
-        by_value[v] = (mass + per_level[i], levels + 1)
+    den, starts = t.denominator, t.starts
+    first = [-(-s * grid // t.height) for s in range(t.height + 1)]  # ceil(s G / S)
+    # translation mod 1 of level i -> i+1, keyed by its numerator over den
+    by_key = {}
+    for lo, hi in zip(starts, starts[1:]):
+        key = (hi - lo) % den
+        mass, levels = by_key.get(key, (0, 0))
+        by_key[key] = (mass + first[lo + 1] - first[lo], levels + 1)
+    top = starts[-1]
+    counted = grid - (first[top + 1] - first[top])
     stats = []
     in_mass = 0
-    for v in sorted(by_value):
-        mass, levels = by_value[v]
+    for key in sorted(by_key):
+        mass, levels = by_key[key]
+        v = Fraction(key, den)
         dist = circle_distance(v, alpha)
         if dist.hi <= tolerance:
             in_mass += mass

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -192,3 +194,56 @@ def test_validate_rejects_malformed_levels_and_edges(tmp_path, capsys):
         code, out, err = run_cli(capsys, "validate", str(bad))
         assert code == 1 and err == ""
         assert json.loads(out)["error"]["code"] == "BadInput"
+
+
+CF_STACK = ",".join(str(a) for a in range(2, 14))
+
+
+def test_stack_report_bytes_are_pinned(capsys):
+    # stdout sha256 recorded before towers were stored as integer slots
+    pins = {
+        ("--stage", "5", "--compare", "--grid", "5000"):
+            "068e981776817c9b96f99f1e4c86cf3f33d7865178460a8ac3675a97676f5f0b",
+        ("--stage", "4", "--map", "1/3"):
+            "0d003d21c6bb51115c68b94d6972f8a5e267fbf3137989bd291785b6ae22abad",
+    }
+    for flags, digest in pins.items():
+        code, out, _ = run_cli(capsys, "stack", "--cf", CF_STACK, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # a report and an error report, each with stdout block-buffered and unbuffered
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["validate", "--preset", "circulant", "--depth", "2"],
+                 ["stack", "--cf", "2,3", "--stage", "9"]):
+        for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # no reader: the first write hits a broken pipe
+            try:
+                proc = subprocess.run([sys.executable, "-m", "adicspace.cli", *argv],
+                                      stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                      env=env)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 1, argv
+            assert "Traceback" not in proc.stderr and proc.stderr == "", argv
+
+
+def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
+    spec = {"levels": [["r"], ["a"]],
+            "edges": [[{"id": "e0", "src": 0, "dst": 0, "p": 1}]],
+            "orders": {"1/0": ["e0"]}}
+    path = tmp_path / "d.json"
+    for p, ok in ((1, True), ("1", True), ("2/2", True), (1.0, False), (0.1, False),
+                  (True, False)):
+        spec["edges"][0][0]["p"] = p
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        if ok:
+            assert code == 0 and json.loads(out)["ok"], p
+        else:
+            assert code == 1 and err == "", p
+            error = json.loads(out)["error"]
+            assert error["code"] == "BadInput" and "'e0'" in error["message"], p

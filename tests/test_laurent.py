@@ -212,3 +212,28 @@ def test_sum_coeffs_edge_cases():
     assert sum_coeffs(thirds) == 0
     iv = RatInterval(Fraction(1, 7), Fraction(2, 7))
     assert sum_coeffs([Fraction(1, 3), iv, 2]) == RatInterval(Fraction(52, 21), Fraction(55, 21))
+
+
+def _column_sums_per_entry(a):
+    """Column sums at x = 1 with one evaluation per matrix position."""
+    return [sum_coeffs(a.entries[i][j].eval_at_one() for i in range(a.rows))
+            for j in range(a.cols)]
+
+
+def test_column_sums_at_one_shared_and_distinct_entries():
+    from adicspace.atcheck import circulant_product
+
+    shared = circulant_product(4, 1, 1)
+    assert len({id(e) for row in shared.entries for e in row}) == 4
+    assert shared.column_sums_at_one() == _column_sums_per_entry(shared)
+    f = poly((0, "1/3"), (2, "-5/7"))
+    interval = LaurentPoly({1: RatInterval(Fraction(1, 4), Fraction(1, 3))})
+    distinct = LaurentMatrix([
+        [f, poly((-1, 2)), LaurentPoly.zero()],
+        [poly((0, "1/3"), (2, "-5/7")), f, interval],  # an equal copy beside f itself
+        [poly((4, "2/9"), (5, "1/9")), poly((3, -1), (7, "1/2")), f],
+    ])
+    sums = distinct.column_sums_at_one()
+    assert sums == _column_sums_per_entry(distinct)
+    assert sums[:2] == [Fraction(-3, 7), Fraction(47, 42)]
+    assert isinstance(sums[2], RatInterval)

@@ -235,3 +235,85 @@ def test_column_height_is_the_slot_label_cocycle():
                         for n, (a, b) in enumerate(zip(word, nxt), start=1))
         assert increment == S.column_height(cf, word)
         word = nxt
+
+
+# -- the integer slot representation against Fraction oracles ---------------------
+
+def brute_force_comparison(t, cf, grid, tolerance):
+    """Walk the points g L / G one by one against the Fraction levels."""
+    order = sorted(range(t.height), key=lambda i: t.intervals[i][0])
+    per_level = [0] * t.height
+    pos = 0
+    for g in range(grid):
+        x = g * t.total_space / grid
+        while not x < t.intervals[order[pos]][1]:
+            pos += 1
+        lo, hi = t.intervals[order[pos]]
+        assert lo <= x < hi
+        per_level[order[pos]] += 1
+    by_value = {}
+    for i in range(t.height - 1):
+        v = (t.intervals[i + 1][0] - t.intervals[i][0]) % 1
+        mass, levels = by_value.get(v, (0, 0))
+        by_value[v] = (mass + per_level[i], levels + 1)
+    alpha = cf.alpha()
+    stats, in_mass = [], 0
+    for v in sorted(by_value):
+        mass, levels = by_value[v]
+        dist = S.circle_distance(v, alpha)
+        if dist.hi <= tolerance:
+            in_mass += mass
+        stats.append(S.TranslationStat(v, levels, mass, dist))
+    return S.RotationComparison(stage=t.stage, grid=grid, counted=grid - per_level[-1],
+                                tolerance=tolerance, stats=tuple(stats), in_mass=in_mass)
+
+
+def test_closed_form_comparison_matches_grid_walk():
+    cf = cf_increasing()
+    tolerance = Fraction(1, 10)
+    for stage in range(1, 6):
+        t = S.build_tower(cf, stage)
+        for grid in sorted({1, 7, t.height - 1, t.height + 1, 2800} - {0}):
+            assert (S.compare_with_rotation(t, cf, grid, tolerance)
+                    == brute_force_comparison(t, cf, grid, tolerance)), (stage, grid)
+
+
+def test_integer_slots_tile_the_space():
+    cf = cf_increasing()
+    for stage in range(1, 7):
+        t = S.build_tower(cf, stage)
+        assert sorted(t.starts) == list(range(t.height))
+        assert t.total_space == t.height * t.width
+        assert t.width == Fraction(1, t.denominator)
+        assert all(lo == s * t.width and hi == lo + t.width
+                   for s, (lo, hi) in zip(t.starts, t.intervals))
+        assert t.interval_strings == tuple((str(lo), str(hi)) for lo, hi in t.intervals)
+
+
+def test_locate_and_map_match_linear_scan():
+    cf = cf_increasing()
+    rng = random.Random(2718)
+    for stage in range(1, 5):
+        t = S.build_tower(cf, stage)
+        top_lo, top_hi = t.intervals[-1]
+        points = [Fraction(0), -t.width / 2, t.total_space, t.total_space + 1, top_lo,
+                  top_lo + t.width / 3, top_hi - t.width / 7]
+        points += [t.intervals[rng.randrange(t.height)][0] for _ in range(50)]
+        for _ in range(300):
+            den = rng.randint(10 ** 5, 10 ** 6)
+            points.append(Fraction(rng.randint(-den // 4, den * 5 // 4), den) * t.total_space)
+        for x in points:
+            hits = [i for i, (lo, hi) in enumerate(t.intervals) if lo <= x < hi]
+            if not hits:
+                with pytest.raises(PointOutsideTower):
+                    S.locate(t, x)
+                with pytest.raises(PointOutsideTower):
+                    S.tower_map(t, x)
+                continue
+            (i,) = hits
+            assert S.locate(t, x) == i
+            if i == t.height - 1:
+                with pytest.raises(TopLevel):
+                    S.tower_map(t, x)
+            else:
+                assert S.tower_map(t, x) == x + t.intervals[i + 1][0] - t.intervals[i][0]
