@@ -32,7 +32,7 @@ from typing import Optional
 
 from .errors import BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber, MissingRoot
 from .intervals import RatInterval
-from .laurent import sum_coeffs
+from .laurent import parse_rational, sum_coeffs
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,13 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     for n, level in enumerate(raw_edges):
         parsed = []
         for e in level:
-            if isinstance(e.get("p"), (float, bool)):
-                raise BadInput(f"edge {e.get('id')!r} in E_{n}: p must be a \"num/den\" string "
-                               f"or an integer, not {e['p']!r}")
             try:
                 parsed.append(
                     Edge(id=str(e["id"]), level=n, src=int(e["src"]), dst=int(e["dst"]),
-                         p=Fraction(e["p"]))
+                         p=parse_rational(e["p"]))
                 )
             except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
-                raise BadInput(f"malformed edge in E_{n}: {exc}") from exc
+                raise BadInput(f"malformed edge {e.get('id')!r} in E_{n}: {exc}") from exc
         edges.append(parsed)
     if not isinstance(raw_orders, dict):
         raise BadInput("orders must be an object mapping \"level/vertex\" to edge ids")

@@ -14,12 +14,11 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
-from .errors import AdicspaceError, UsageError
-from .laurent import LaurentPoly
+from .errors import AdicspaceError, BadInput, UsageError
+from .laurent import LaurentPoly, parse_rational
 
 PRESETS = {
     "odometer": lambda depth: bratteli.odometer_diagram(depth),
@@ -67,7 +66,7 @@ def _report(args, body: dict, payload: bytes | None = None) -> int:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
+    if args.budget:
         return args.budget
     env = os.environ.get("ADICSPACE_BUDGET")
     return int(env) if env else atcheck.DEFAULT_BUDGET
@@ -105,7 +104,10 @@ def cmd_matrices(args) -> int:
                            "matrix": dimspace.partial_product(space, lo, hi).to_json()}
     if args.norm:
         with open(args.norm) as fh:
-            vec = [LaurentPoly.from_json(p) for p in json.load(fh)]
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise BadInput(f"--norm needs a JSON list of polynomial objects, not a {type(data).__name__}")
+        vec = [LaurentPoly.from_json(p) for p in data]
         horizon = args.horizon if args.horizon is not None else space.depth
         body["norm"] = {"horizon": horizon,
                         "value": str(dimspace.horizon_norm(space, vec, 0, horizon))}
@@ -187,10 +189,10 @@ def cmd_stack(args) -> int:
         "intervals": tower.interval_strings,
     }
     if args.map is not None:
-        x = Fraction(args.map)
+        x = parse_rational(args.map)
         body["map"] = {"x": str(x), "Tx": str(stacking.tower_map(tower, x))}
     if args.compare:
-        tol = Fraction(args.tolerance)
+        tol = parse_rational(args.tolerance)
         rep = stacking.compare_with_rotation(tower, cf, args.grid, tol)
         body["compare"] = {
             "grid": rep.grid,
@@ -242,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, help="preset depth")
             p.add_argument("--k", type=int, help="circulant size for --preset circulant")
         p.add_argument("--out", help="write the report to FILE instead of stdout")
-        p.add_argument("--budget", type=int, help="monomial budget cap")
-        p.add_argument("--seed", type=int, default=0, help="simulation seed")
 
     p = sub.add_parser("validate", help="validate a diagram")
     common(p)
@@ -264,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--level", type=int)
     p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(fn=cmd_walk)
 
@@ -296,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--explicit", action="store_true")
     p.add_argument("--greedy", type=int, default=0)
+    p.add_argument("--budget", type=int, help="monomial budget cap")
     p.set_defaults(fn=cmd_at)
 
     return ap
@@ -329,7 +331,7 @@ def _dispatch(argv) -> int:
         return 1
     except BrokenPipeError:
         raise  # an OSError, but not bad input: main handles it
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": {"code": "BadInput", "message": str(exc)}}))
         return 1
 

@@ -35,17 +35,12 @@ class DimensionSpace:
 def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> DimensionSpace:
     mats = []
     for n in range(d.depth):
-        rows = []
-        for i in range(d.k(n + 1)):
-            row = []
-            for j in range(d.k(n)):
-                acc = LaurentPoly.zero()
-                for e in d.out_edges[(n, j)]:
-                    if e.dst == i:
-                        acc = acc + LaurentPoly.monomial(e.p, labeling.b[e.id])
-                row.append(acc)
-            rows.append(row)
-        mats.append(LaurentMatrix(rows))
+        # one pass over E_n: edge e adds p(e) x^{b(e)} to the term map of entry (dst, src)
+        terms = [[{} for _ in range(d.k(n))] for _ in range(d.k(n + 1))]
+        for e in d.edges[n]:
+            entry, b = terms[e.dst][e.src], labeling.b[e.id]
+            entry[b] = entry[b] + e.p if b in entry else e.p
+        mats.append(LaurentMatrix([[LaurentPoly(t) for t in row] for row in terms]))
     return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))
 
 

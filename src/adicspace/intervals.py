@@ -113,16 +113,3 @@ class RatInterval:
         if self.lo == self.hi:
             return f"RatInterval({self.lo})"
         return f"RatInterval({self.lo}, {self.hi})"
-
-
-def is_exact_zero(c) -> bool:
-    """True when a coefficient (rational or interval) is identically zero."""
-    if isinstance(c, RatInterval):
-        return c.lo == 0 and c.hi == 0
-    return c == 0
-
-
-def is_nonnegative(c) -> bool:
-    if isinstance(c, RatInterval):
-        return c.lo >= 0
-    return c >= 0

@@ -6,22 +6,29 @@ circulant products).  Coefficients are ``Fraction`` in the default exact
 mode, or :class:`adicspace.intervals.RatInterval` in certified-enclosure
 mode; the two kinds mix freely inside one polynomial.
 
+Every product goes through one kernel, :func:`_sum_products`, which adds
+up f*g over (f, g) pairs in one term map and drops zeros once: ``f * g`` is
+one pair, and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
+
 Every coefficient sum goes through :func:`sum_coeffs`, which adds the
 numerators of rational terms as ints per denominator and then the interval
 terms: the exact sum, in any order, without a gcd per ``Fraction`` addition.
 
 Canonical form: zero coefficients are never stored, so ``==`` on the term
-maps is semantic equality.  Iteration and serialization are ordered by
-exponent, making every derived report deterministic.
+maps is semantic equality.  The zero rule is ``c == 0``, which is exact for
+both kinds: a ``RatInterval`` equals 0 only as [0, 0].  Iteration and
+serialization are ordered by exponent, making every derived report
+deterministic.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatch
-from .intervals import RatInterval, is_exact_zero, is_nonnegative
+from .errors import BadInput, DimensionMismatch
+from .intervals import RatInterval
 
 Coeff = Union[Fraction, int, RatInterval]
 
@@ -34,19 +41,26 @@ def _norm_coeff(c: Coeff):
     raise TypeError(f"unsupported coefficient {c!r}")
 
 
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
+def parse_rational(v) -> Fraction:
+    """An int or a "num/den" string; a float, bool, "0.5" or "1e9" is a ValueError."""
+    if type(v) is int or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
+        return Fraction(v)
+    raise ValueError(f'{v!r} is not a "num/den" string or an integer')
+
+
 class LaurentPoly:
     """An element of the Laurent polynomial algebra over the rationals."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                c = _norm_coeff(c)
-                if not is_exact_zero(c):
-                    clean[int(exp)] = c
-        object.__setattr__(self, "_terms", clean)
+        # `not c == 0`: a Fraction's `!=` reaches its __eq__ only through object.__ne__
+        object.__setattr__(self, "_terms", {int(exp): c for exp, v in terms.items()
+                                            for c in (_norm_coeff(v),) if not c == 0}
+                           if terms else {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -95,7 +109,7 @@ class LaurentPoly:
         return not self._terms
 
     def is_nonnegative(self) -> bool:
-        return all(is_nonnegative(c) for c in self._terms.values())
+        return all(RatInterval.coerce(c).lo >= 0 for c in self._terms.values())
 
     def eval_at_one(self):
         """Sum of all coefficients (the image under x -> 1)."""
@@ -117,7 +131,7 @@ class LaurentPoly:
                 terms[exp] = c
             else:
                 s = acc + c
-                if is_exact_zero(s):
+                if s == 0:
                     del terms[exp]
                 else:
                     terms[exp] = s
@@ -136,25 +150,13 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                acc = terms.get(e)
-                terms[e] = p if acc is None else acc + p
-        for e in [e for e, c in terms.items() if is_exact_zero(c)]:
-            del terms[e]
-        return LaurentPoly._of(terms)
+        return _sum_products(((self, other),))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatInterval)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # a scalar on the left: scale() commutes with it
 
     def scale(self, c: Coeff) -> "LaurentPoly":
         c = _norm_coeff(c)
-        if is_exact_zero(c):
+        if c == 0:
             return LaurentPoly.zero()
         # A nonzero scalar times a nonzero coefficient is never an exact zero.
         return LaurentPoly._of({e: c * v for e, v in self._terms.items()})
@@ -192,12 +194,18 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping[str, object]) -> "LaurentPoly":
+        """Inverse of :meth:`to_json`; a malformed term is a ``BadInput`` naming its exponent."""
+        if not isinstance(data, dict):
+            raise BadInput(f"a polynomial must be a JSON object, not a {type(data).__name__}")
         terms = {}
         for e, c in data.items():
-            if isinstance(c, list):
-                terms[int(e)] = RatInterval(Fraction(c[0]), Fraction(c[1]))
-            else:
-                terms[int(e)] = Fraction(c)
+            try:
+                if isinstance(c, list) and len(c) != 2:
+                    raise ValueError(f"an interval is a [lo, hi] pair, not {len(c)} items")
+                terms[int(e)] = (RatInterval(*map(parse_rational, c)) if isinstance(c, list)
+                                 else parse_rational(c))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise BadInput(f"term of exponent {e!r}: {exc}") from exc
         return LaurentPoly(terms)
 
 
@@ -225,23 +233,10 @@ class LaurentMatrix:
         one, zero = LaurentPoly.one(), LaurentPoly.zero()
         return LaurentMatrix([[one if i == j else zero for j in range(k)] for i in range(k)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return mat_mul(self, other)
-
     def mul_vector(self, f: Sequence[LaurentPoly]) -> list:
         if len(f) != self.cols:
             raise DimensionMismatch(f"vector length {len(f)} != cols {self.cols}")
-        out = []
-        for i in range(self.rows):
-            acc = LaurentPoly.zero()
-            for j in range(self.cols):
-                acc = acc + self.entries[i][j] * f[j]
-            out.append(acc)
-        return out
+        return [_sum_products(zip(row, f)) for row in self.entries]
 
     def eval_at_one(self) -> list:
         return [[e.eval_at_one() for e in row] for row in self.entries]
@@ -263,10 +258,6 @@ class LaurentMatrix:
     def to_json(self) -> list:
         return [[e.to_json() for e in row] for row in self.entries]
 
-    @staticmethod
-    def from_json(data) -> "LaurentMatrix":
-        return LaurentMatrix([[LaurentPoly.from_json(e) for e in row] for row in data])
-
 
 def sum_coeffs(values: Iterable):
     """Exact sum of int, Fraction and RatInterval values; Fraction(0) when empty.
@@ -285,20 +276,29 @@ def sum_coeffs(values: Iterable):
     return sum(intervals, total)
 
 
+def _sum_products(pairs) -> LaurentPoly:
+    """The sum of f * g over the (f, g) pairs, in one term map, zeros dropped once."""
+    terms: dict = {}
+    get = terms.get
+    for f, g in pairs:
+        g_terms = g._terms.items()
+        for e1, c1 in f._terms.items():
+            for e2, c2 in g_terms:
+                e = e1 + e2
+                p = c1 * c2
+                acc = get(e)
+                terms[e] = p if acc is None else acc + p
+    for e in [e for e, c in terms.items() if c == 0]:
+        del terms[e]
+    return LaurentPoly._of(terms)
+
+
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:
     """Exact product mb @ ma; mb is applied after ma."""
     if mb.cols != ma.rows:
         raise DimensionMismatch(f"inner dimensions {mb.cols} != {ma.rows}")
-    out = []
-    for i in range(mb.rows):
-        row = []
-        for j in range(ma.cols):
-            acc = LaurentPoly.zero()
-            for t in range(mb.cols):
-                acc = acc + mb.entries[i][t] * ma.entries[t][j]
-            row.append(acc)
-        out.append(row)
-    return LaurentMatrix(out)
+    cols = list(zip(*ma.entries))
+    return LaurentMatrix([[_sum_products(zip(row, col)) for col in cols] for row in mb.entries])
 
 
 def weighted_one_norm(f: Sequence[LaurentPoly], w: Sequence) -> object:

@@ -28,7 +28,7 @@ from .bratteli import Edge, OrderedBratteliDiagram
 from .errors import BadInput, InsufficientDepth, RangeError
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, tables_from_b
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, parse_rational, sum_coeffs
 
 
 class CFExpansion:
@@ -108,6 +108,11 @@ class GrowthRule:
     kind: str
     c: Fraction
     g: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        # a(n) >= c n (or c g^n) says nothing when c <= 0, and the tail bounds divide by c^2
+        if self.c <= 0:
+            raise BadInput(f"growth rule needs c > 0, got c = {self.c}")
 
     def holds_for(self, cf: CFExpansion) -> bool:
         if self.kind == "linear":
@@ -253,11 +258,13 @@ def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = Non
     if report.verdict != "CONVERGENT_CERTIFIED":
         warnings.warn("summability not certified; the rank-one identification is heuristic",
                       stacklevel=2)
-    out = []
-    for n in range(count):
-        a_next, q = cf.a(n + 1), cf.q(n)
-        out.append(LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)}))
-    return out
+    return [_rank_one_poly(cf, n) for n in range(count)]
+
+
+def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:
+    """P_n: mass 1/a(n+1) at each of the exponents 0, q(n), ..., (a(n+1)-1) q(n)."""
+    a_next, q = cf.a(n + 1), cf.q(n)
+    return LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)})
 
 
 @dataclass(frozen=True)
@@ -283,18 +290,11 @@ def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
     if n < 1:
         raise RangeError("rank_one_gap needs n >= 1")
     m = rotation_matrix(cf, n)
-    a_next, q = cf.a(n + 1), cf.q(n)
-    row = [
-        LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)}),
-        LaurentPoly.x(a_next * q),
-    ]
-    approx = [[row[0], row[1]], [LaurentPoly.zero(), LaurentPoly.zero()]]
-    gap = RatInterval(0)
-    for i in range(2):
-        for j in range(2):
-            gap = gap + (m.entries[i][j] - approx[i][j]).one_norm()
-    first = RatInterval.coerce((m.entries[0][0] - approx[0][0]).one_norm())
-    corner = RatInterval.coerce(m.entries[1][0].one_norm())
+    zero = LaurentPoly.zero()
+    approx = [[_rank_one_poly(cf, n), LaurentPoly.x(cf.a(n + 1) * cf.q(n))], [zero, zero]]
+    norms = [(m.entries[i][j] - approx[i][j]).one_norm() for i in range(2) for j in range(2)]
+    gap = sum_coeffs(norms)
+    first, corner = RatInterval.coerce(norms[0]), RatInterval.coerce(norms[2])
     two_ratio = 2 * (alpha_n(cf, n + 1) / alpha_n(cf, n - 1))
     tail = None
     if n + 2 <= cf.depth:
@@ -308,11 +308,11 @@ def parse_rule(text: str) -> GrowthRule:
     try:
         kind, _, params = text.partition(":")
         kv = dict(item.split("=") for item in params.split(",")) if params else {}
-        c = Fraction(kv.get("c", "1"))
-        g = Fraction(kv.get("g", "2"))
+        c = parse_rational(kv.get("c", "1"))
+        g = parse_rational(kv.get("g", "2"))
         rule = GrowthRule(kind=kind, c=c, g=g)
         if kind not in ("linear", "geometric"):
             raise ValueError(kind)
         return rule
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadInput(f"cannot parse growth rule {text!r}") from exc

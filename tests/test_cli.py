@@ -1,11 +1,18 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from adicspace import bratteli as B
+from adicspace import errors
 from adicspace.cli import main
 
 
@@ -213,6 +220,20 @@ def test_stack_report_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
+def test_product_and_rotation_report_bytes_are_pinned(capsys):
+    # stdout sha256 recorded before every Laurent product went through one kernel
+    pins = {
+        ("matrices", "--preset", "circulant:4", "--depth", "8", "--product", "0..8"):
+            "cdad6b47c5fbd784c7654c0fdd554d6fa11e5a45618998560b5624fd05133ed7",
+        ("rotation", "--cf", CF_STACK, "--matrices", "--polys", "--gaps"):
+            "4ce5c25bc3e5ef1b5ad6c70ef9771a5e45529096028a76aed503fec870bb3a99",
+    }
+    for argv, digest in pins.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # a report and an error report, each with stdout block-buffered and unbuffered
     buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -237,7 +258,7 @@ def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
             "orders": {"1/0": ["e0"]}}
     path = tmp_path / "d.json"
     for p, ok in ((1, True), ("1", True), ("2/2", True), (1.0, False), (0.1, False),
-                  (True, False)):
+                  (True, False), ("0.5", False), ("1e0", False), ("1/0", False)):
         spec["edges"][0][0]["p"] = p
         path.write_text(json.dumps(spec))
         code, out, err = run_cli(capsys, "validate", str(path))
@@ -247,3 +268,158 @@ def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
             assert code == 1 and err == "", p
             error = json.loads(out)["error"]
             assert error["code"] == "BadInput" and "'e0'" in error["message"], p
+
+
+def test_norm_vector_rejects_hostile_json(tmp_path, capsys):
+    vec = tmp_path / "vec.json"
+    # (vector JSON, text the message must contain)
+    cases = [('{"0": "1"}', "list"), ("5", "list"), ("[[1, 2]]", "object"),
+             ('[{"0": ["1"]}]', "'0'"), ('[{"0": ["1", "2", "3"]}]', "'0'"),
+             ('[{"3": 0.1}]', "'3'"), ('[{"-2": true}]', "'-2'"), ('[{"0": null}]', "'0'"),
+             ('[{"0": "1/0"}]', "'0'"), ('[{"0": "1e5"}]', "'0'"), ('[{"x": "1"}]', "'x'"),
+             ('[{"0": ["1/2", "1/3"]}]', "'0'")]
+    for text, named in cases:
+        vec.write_text(text)
+        code, out, err = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "2",
+                                 "--norm", str(vec))
+        assert code == 1 and err == "", text
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadInput" and named in error["message"], text
+    vec.write_text('[{"0": ["1/3", "1/2"], "1": -1}]')
+    code, out, _ = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "2",
+                           "--norm", str(vec))
+    assert code == 0 and "norm" in json.loads(out)
+
+
+def test_rational_flags_reject_zero_denominators_and_non_fractions(capsys):
+    for flags in (("--map", "1/0"), ("--compare", "--tolerance", "1/0"), ("--map", "0.5"),
+                  ("--map", "1e3"), ("--compare", "--tolerance", "0.1")):
+        code, out, err = run_cli(capsys, "stack", "--cf", "2,3", "--stage", "2", *flags)
+        assert code == 1 and err == "", flags
+        assert json.loads(out)["error"]["code"] == "BadInput", flags
+    for rule in ("linear:c=-1", "linear:c=0", "geometric:c=-1,g=2", "linear:c=1/0"):
+        code, out, err = run_cli(capsys, "rotation", "--cf", "1,1,1,1,1,1", "--rule", rule)
+        assert code == 1 and err == "", rule
+        assert json.loads(out)["error"]["code"] == "BadInput", rule
+
+
+def test_seed_and_budget_only_where_they_are_read():
+    for argv in (["validate", "--preset", "morse", "--depth", "2", "--seed", "1"],
+                 ["stack", "--cf", "2,3", "--stage", "2", "--budget", "5"],
+                 ["walk", "--preset", "morse", "--depth", "2", "--budget", "5"],
+                 ["at", "--M", "1", "--N", "1", "--seed", "1"]):
+        code, _, err = run_quietly(argv)
+        assert code == 2 and "unrecognized arguments" in err, argv
+
+
+# -- fuzzing cli.main with hostile input -------------------------------------------
+
+ERROR_CODES = {cls.code for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.AdicspaceError)}
+
+
+def run_quietly(argv):
+    """Exit code, stdout and stderr of main(argv); an argparse exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_coded_exit(argv):
+    """Exit 0, 1 or 2, with a report, an errors.py code or argparse usage; never a raise."""
+    code, out, err = run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert "tool" in json.loads(out)
+    elif code == 1:
+        assert json.loads(out)["error"]["code"] in ERROR_CODES, argv
+    elif err.startswith("{"):
+        assert json.loads(err)["error"]["code"] in ERROR_CODES, argv
+    else:
+        assert err.startswith("usage:"), argv
+
+
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 5) | st.floats(width=16)
+               | st.text("0123456789/-.e ", max_size=12))
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.text("0123/-abdegilnoprstv", max_size=6), kids, max_size=3),
+    max_leaves=8)
+DIAGRAM = B.diagram_to_json(B.circulant_diagram(2, 2))
+
+
+@st.composite
+def diagram_specs(draw):
+    """A top-level JSON value, or the circulant diagram with a few nodes replaced or removed."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(json_values)
+    spec = copy.deepcopy(DIAGRAM)
+    for _ in range(draw(st.integers(1, 3))):
+        node = spec
+        while True:
+            keys = list(range(len(node))) if isinstance(node, list) else sorted(node)
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (list, dict)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(json_values)
+            break
+        if not spec:
+            break
+    return spec
+
+
+coefficients = (json_leaves | st.lists(st.integers(-2, 2) | st.text("0123/-", max_size=3),
+                                       max_size=3))
+norm_vectors = st.lists(st.dictionaries(st.text("-0123x", max_size=3), coefficients,
+                                        max_size=3), max_size=2) | json_values
+rational_texts = (st.text("0123456789/-.e", max_size=12)
+                  | st.builds("{}/{}".format, st.integers(-3, 9), st.integers(-1, 9)))
+flag_values = st.one_of(
+    st.tuples(st.just("--map"), rational_texts),
+    st.tuples(st.just("--tolerance"), rational_texts),
+    st.tuples(st.just("--rule"), st.text("0123456789/-.e:=,cglinearmot", max_size=16)
+              | st.builds("{}:c={},g={}".format, st.sampled_from(["linear", "geometric", "x"]),
+                          rational_texts, rational_texts)),
+    st.tuples(st.just("--product"), st.text("0123456789.-", max_size=8)
+              | st.builds("{}..{}".format, st.integers(-2, 5), st.integers(-2, 5))))
+FLAG_COMMANDS = {
+    "--map": ["stack", "--cf", "2,3", "--stage", "2"],
+    "--tolerance": ["stack", "--cf", "2,3,4", "--stage", "2", "--compare", "--grid", "20"],
+    "--rule": ["rotation", "--cf", "1,2,3,4,5,6", "--polys", "--depth", "2"],
+    "--product": ["matrices", "--preset", "morse", "--depth", "3"],
+}
+
+
+@given(diagram_specs(), st.sampled_from([["validate"], ["label"], ["walk", "--exact"],
+                                         ["matrices", "--product", "0..2"]]))
+@settings(max_examples=60, deadline=None)
+def test_fuzz_diagram_json(tmp_path_factory, spec, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz-diagram.json"
+    path.write_text(json.dumps(spec))
+    assert_coded_exit(command + [str(path)])
+
+
+@given(norm_vectors, st.integers(-1, 3))
+@settings(max_examples=50, deadline=None)
+def test_fuzz_norm_vector_json(tmp_path_factory, vector, horizon):
+    path = tmp_path_factory.getbasetemp() / "fuzz-vector.json"
+    path.write_text(json.dumps(vector))
+    assert_coded_exit(["matrices", "--preset", "odometer", "--depth", "2", "--norm", str(path),
+                       "--horizon", str(horizon)])
+
+
+@given(flag_values)
+@settings(max_examples=80, deadline=None)
+def test_fuzz_rational_flags(flag_value):
+    flag, value = flag_value
+    assert_coded_exit(FLAG_COMMANDS[flag] + [f"{flag}={value}"])

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from adicspace.intervals import RatInterval, is_exact_zero, is_nonnegative
+from adicspace.intervals import RatInterval
+from adicspace.laurent import LaurentPoly
 
 
 def test_point_and_width():
@@ -53,11 +54,13 @@ def test_containment_and_strictness():
 
 
 def test_zero_and_sign_predicates():
-    assert is_exact_zero(RatInterval(0, 0))
-    assert not is_exact_zero(RatInterval(0, 1))
-    assert is_exact_zero(Fraction(0))
-    assert is_nonnegative(RatInterval(0, 2))
-    assert not is_nonnegative(RatInterval(-1, 2))
+    # the zero rule of the Laurent kernels is `c == 0`, exact for both coefficient kinds
+    assert RatInterval(0, 0) == 0
+    assert RatInterval(0, 1) != 0
+    assert Fraction(0) == 0
+    assert LaurentPoly({0: RatInterval(0, 2), 1: Fraction(1, 3)}).is_nonnegative()
+    assert not LaurentPoly({0: RatInterval(-1, 2)}).is_nonnegative()
+    assert not LaurentPoly({0: Fraction(-1, 3)}).is_nonnegative()
 
 
 def test_point_interval_hashes_like_its_rational():

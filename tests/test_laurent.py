@@ -44,6 +44,20 @@ def test_cancellation_drops_terms():
     g = poly((0, 1), (4, -1))
     assert (f + g) == poly((0, 2))
     assert (f - f).is_zero()
+    column = LaurentMatrix([[LaurentPoly.one()], [LaurentPoly.one()]])
+    # an interval entry that sums to RatInterval(0, 0) is dropped
+    point = LaurentPoly({3: RatInterval(Fraction(1, 2))})
+    m = LaurentMatrix([[point, poly((3, "-1/2"), (5, 1))]])
+    assert mat_mul(m, column).entries[0][0] == poly((5, 1))
+    # rational terms that sum to Fraction(0) are dropped, in mat_mul and in mul_vector
+    m = LaurentMatrix([[poly((0, "1/3"), (2, 1)), poly((0, "-1/3"), (2, -1))]])
+    assert mat_mul(m, column).entries[0][0].is_zero()
+    assert m.mul_vector([LaurentPoly.one(), LaurentPoly.one()])[0].is_zero()
+    # an interval that only contains 0 is not an exact zero, so it is kept
+    wide = LaurentPoly({0: RatInterval(Fraction(1, 3), Fraction(1, 2))})
+    m = LaurentMatrix([[wide, poly((0, "-2/5"))]])
+    assert mat_mul(m, column).entries[0][0] == LaurentPoly(
+        {0: RatInterval(Fraction(-1, 15), Fraction(1, 10))})
 
 
 def test_negative_exponents_and_shift():

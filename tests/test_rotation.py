@@ -243,3 +243,19 @@ def test_parse_rule():
     assert geo.g == 3
     with pytest.raises(BadInput):
         R.parse_rule("cubic:c=1")
+
+
+def test_growth_rule_needs_positive_c():
+    # a(n) >= c n with c <= 0 holds for every expansion, and 1/(c^2 start) needs c > 0:
+    # a(n) = 1 gives the divergent series sum 1/(a(n) a(n+1)), so nothing may certify it
+    ones = R.CFExpansion([1] * 6)
+    for kind, c in (("linear", -1), ("linear", 0), ("geometric", -1), ("geometric", 0)):
+        with pytest.raises(BadInput):
+            R.GrowthRule(kind, Fraction(c), Fraction(2))
+        with pytest.raises(BadInput):
+            R.parse_rule(f"{kind}:c={c}")
+    for text in ("linear:c=1/0", "linear:c=0.5", "linear:c=1e-3"):
+        with pytest.raises(BadInput):
+            R.parse_rule(text)
+    assert R.GrowthRule("linear", Fraction(1, 1000)).c > 0
+    assert R.summability_report(ones, R.parse_rule("linear:c=1/2")).verdict == "INCONCLUSIVE"
