@@ -67,11 +67,10 @@ def circulant_classes(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
     for i in indices:
         bit = 1 << i
         exps += [e | bit for e in exps]
-    coeff = Fraction(1, 1 << len(indices))
     terms = [dict() for _ in range(k)]
     for s, e in enumerate(exps):
-        terms[s.bit_count() % k][e] = coeff
-    return [LaurentPoly(t) for t in terms]
+        terms[s.bit_count() % k][e] = 1
+    return [LaurentPoly._from_ints(t, 1 << len(indices)) for t in terms]
 
 
 def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
@@ -84,27 +83,27 @@ def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
 
 def phi_polys(M: int, N: int) -> List[LaurentPoly]:
     """The four column polynomials: one optional bottom digit per block."""
-    coeff = Fraction(1, 2 ** N)
     terms = [dict() for _ in range(4)]
     for bits in itertools.product((0, 1), repeat=N):
         exp = sum(a << (8 * M * j) for j, a in enumerate(bits))
         cls = sum(bits) % 4
-        terms[cls][exp] = terms[cls].get(exp, Fraction(0)) + coeff
-    return [LaurentPoly(t) for t in terms]
+        terms[cls][exp] = terms[cls].get(exp, 0) + 1
+    return [LaurentPoly._from_ints(t, 2 ** N) for t in terms]
 
 
 def f_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
     """The four unnormalized row polynomials from the basic-monomial sums."""
     _check_budget(4, M, N, budget)
     full_low = sum(1 << i for i in range(4 * M))  # digits 0 .. 4M-1 of a block
-    half_cubed = Fraction(1, 2 ** (3 * M))
-    near_one = 1 - Fraction(1, 2 ** (7 * M))
+    # Over the denominator 2^(7MN), a monomial with f form-full blocks has the
+    # numerator 2^(N+2) (2^(-3M))^f (1 - 2^(-7M))^(N-f) 2^(7MN)
+    # = 2^(N+2+4Mf) (2^(7M) - 1)^(N-f).
+    numerators = [(2 ** (7 * M) - 1) ** (N - f) << (N + 2 + 4 * M * f) for f in range(N + 1)]
     # Per-block choices: (digit count, exponent within block, uses form-full)
     choices = [(4 * M, full_low, True)]
     for pattern in range(1 << (4 * M)):
         exp = pattern << 1  # digits 1 .. 4M only: the bottom digit stays clear
         choices.append((bin(pattern).count("1"), exp, False))
-    scale = Fraction(2 ** (N + 2))
     terms = [dict() for _ in range(4)]
     for combo in itertools.product(range(len(choices)), repeat=N):
         exp, count, fulls = 0, 0, 0
@@ -113,10 +112,9 @@ def f_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
             exp += block_exp << (8 * M * j)
             count += dc
             fulls += is_full
-        coeff = scale * half_cubed ** fulls * near_one ** (N - fulls)
         cls = count % 4
-        terms[cls][exp] = terms[cls].get(exp, Fraction(0)) + coeff
-    return [LaurentPoly(t) for t in terms]
+        terms[cls][exp] = terms[cls].get(exp, 0) + numerators[fulls]
+    return [LaurentPoly._from_ints(t, 1 << (7 * M * N)) for t in terms]
 
 
 def g_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:

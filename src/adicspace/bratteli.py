@@ -298,8 +298,14 @@ def maximal_path_count(d: OrderedBratteliDiagram, n: int) -> int:
 # -- bundled example families -------------------------------------------------
 
 
+def _check_depth(depth: int):
+    if depth < 1:
+        raise BadInput(f"a preset diagram needs depth >= 1, not {depth}")
+
+
 def odometer_diagram(depth: int) -> OrderedBratteliDiagram:
     """Dyadic odometer: one vertex per level, two edges e0 < e1, p = 1/2."""
+    _check_depth(depth)
     levels = [["v"] for _ in range(depth + 1)]
     edges, orders = [], {}
     for n in range(depth):
@@ -321,6 +327,7 @@ def circulant_diagram(k: int, depth: int) -> OrderedBratteliDiagram:
     """
     if k < 2:
         raise BadInput("k must be at least 2")
+    _check_depth(depth)
     levels = [["root"]] + [[f"v{n}_{i}" for i in range(k)] for n in range(1, depth + 1)]
     edges, orders = [], {}
     root_edges = [Edge(f"e0_{i}", 0, 0, i, Fraction(1, k)) for i in range(k)]

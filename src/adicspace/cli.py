@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
 from .errors import AdicspaceError, BadInput, UsageError
+from .intervals import RatInterval
 from .laurent import LaurentPoly, parse_rational
 
 PRESETS = {
@@ -26,10 +27,19 @@ PRESETS = {
 }
 
 
+def _depth(args, default: int) -> int:
+    """--depth, or ``default`` when it is not given; a depth below 1 is a BadInput."""
+    if args.depth is None:
+        return default
+    if args.depth < 1:
+        raise BadInput(f"--depth must be at least 1, not {args.depth}")
+    return args.depth
+
+
 def _load_diagram(args) -> tuple:
     """Returns (diagram, input-bytes) from --preset/--k or a JSON file path."""
     if getattr(args, "preset", None):
-        depth = args.depth or 8
+        depth = _depth(args, 8)
         name = args.preset
         kind, colon, size = name.partition(":")
         if kind == "circulant":
@@ -66,7 +76,7 @@ def _report(args, body: dict, payload: bytes | None = None) -> int:
 
 
 def _budget(args) -> int:
-    if args.budget:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("ADICSPACE_BUDGET")
     return int(env) if env else atcheck.DEFAULT_BUDGET
@@ -93,7 +103,7 @@ def cmd_matrices(args) -> int:
     d, payload = _load_diagram(args)
     lab = labeling.label_edges(d)
     space = dimspace.build_matrices(d, lab)
-    shown = space.matrices[: args.depth] if args.depth else space.matrices
+    shown = space.matrices[:_depth(args, space.depth)]
     body = {"matrices": [m.to_json() for m in shown]}
     if args.product:
         try:
@@ -109,8 +119,10 @@ def cmd_matrices(args) -> int:
             raise BadInput(f"--norm needs a JSON list of polynomial objects, not a {type(data).__name__}")
         vec = [LaurentPoly.from_json(p) for p in data]
         horizon = args.horizon if args.horizon is not None else space.depth
+        norm = dimspace.horizon_norm(space, vec, 0, horizon)
         body["norm"] = {"horizon": horizon,
-                        "value": str(dimspace.horizon_norm(space, vec, 0, horizon))}
+                        "value": [str(norm.lo), str(norm.hi)] if isinstance(norm, RatInterval)
+                        else str(norm)}
     return _report(args, body, payload)
 
 
@@ -147,7 +159,7 @@ def cmd_rotation(args) -> int:
     cf = _parse_cf(args)
     rule = rotation.parse_rule(args.rule) if args.rule else None
     payload = json.dumps({"cf": list(cf.terms)}, sort_keys=True).encode()
-    depth = args.depth or max(1, cf.depth - 2)
+    depth = _depth(args, max(1, cf.depth - 2))
     body = {"cf": list(cf.terms), "alpha": [str(cf.alpha().lo), str(cf.alpha().hi)]}
     report = rotation.summability_report(cf, rule)
     body["summability"] = {

@@ -1,45 +1,46 @@
 """Sparse Laurent polynomials over exact rationals, and matrices of them.
 
-A polynomial is a finite map exponent -> coefficient.  Exponents are plain
-Python ints (arbitrary precision; exponents like 2**(8*M*N) occur in the
-circulant products).  Coefficients are ``Fraction`` in the default exact
-mode, or :class:`adicspace.intervals.RatInterval` in certified-enclosure
-mode; the two kinds mix freely inside one polynomial.
+A polynomial is a finite sum of terms c * x^e.  Exponents are plain Python
+ints (arbitrary precision; exponents like 2**(8*M*N) occur in the circulant
+products).  A coefficient is an exact rational, or a
+:class:`adicspace.intervals.RatInterval` in certified-enclosure mode; the
+two kinds mix freely inside one polynomial.
 
-Every product goes through one kernel, :func:`_sum_products`, which adds
-up f*g over (f, g) pairs in one term map and drops zeros once: ``f * g`` is
-one pair, and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
+Store: the rational terms share one positive ``int`` denominator ``_den``
+and keep their ``int`` numerators in ``_nums`` (exponent -> nonzero
+numerator), reduced so that gcd(_den, all numerators) = 1, with ``_den`` = 1
+when there are none.  Interval terms sit in a side map ``_ivals`` (exponent ->
+RatInterval) on exponents disjoint from ``_nums``.  So sums and products of
+rational terms are sums and products of plain ints, with one gcd per result
+instead of one per term.  A term that meets an interval in a sum or product
+is computed in interval arithmetic and stays an interval, even a point one.
 
-Every coefficient sum goes through :func:`sum_coeffs`, which adds the
-numerators of rational terms as ints per denominator and then the interval
-terms: the exact sum, in any order, without a gcd per ``Fraction`` addition.
+Every product goes through one kernel, :func:`_sum_products`, which adds up
+f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
+pair, and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
+Every new polynomial goes through one canonicaliser, :func:`_fill`.  Loose
+values (entries evaluated at x = 1, weighted norms) are added by
+:func:`sum_coeffs`, which adds rational numerators as ints per denominator.
 
-Canonical form: zero coefficients are never stored, so ``==`` on the term
-maps is semantic equality.  The zero rule is ``c == 0``, which is exact for
-both kinds: a ``RatInterval`` equals 0 only as [0, 0].  Iteration and
-serialization are ordered by exponent, making every derived report
-deterministic.
+Canonical form: zero coefficients are never stored (for an interval, zero
+means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
+equals, and hashes like, its rational.  ``_terms`` is a read-only view as
+exponent -> ``Fraction`` or ``RatInterval``, and ``items``/``coeff`` give
+coefficients the same way.  Iteration and serialization are ordered by
+exponent, making every derived report deterministic.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch
 from .intervals import RatInterval
 
 Coeff = Union[Fraction, int, RatInterval]
-
-
-def _norm_coeff(c: Coeff):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, RatInterval)):
-        return c
-    raise TypeError(f"unsupported coefficient {c!r}")
-
 
 _RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
@@ -54,33 +55,38 @@ def parse_rational(v) -> Fraction:
 class LaurentPoly:
     """An element of the Laurent polynomial algebra over the rationals."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums", "_ivals")
 
     def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        # `not c == 0`: a Fraction's `!=` reaches its __eq__ only through object.__ne__
-        object.__setattr__(self, "_terms", {int(exp): c for exp, v in terms.items()
-                                            for c in (_norm_coeff(v),) if not c == 0}
-                           if terms else {})
+        rationals, ivals = {}, {}
+        for exp, c in (terms.items() if terms else ()):
+            if isinstance(c, RatInterval):
+                ivals[int(exp)] = c
+            elif isinstance(c, (int, Fraction)):
+                rationals[int(exp)] = c
+            else:
+                raise TypeError(f"unsupported coefficient {c!r}")
+        den = lcm(*(c.denominator for c in rationals.values()))
+        _fill(self, den, {e: c.numerator * (den // c.denominator) for e, c in rationals.items()},
+              ivals)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @staticmethod
-    def _of(terms: dict) -> "LaurentPoly":
-        """Wrap a term map that is already canonical: int exponents, no zero coefficient."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", terms)
-        return out
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _from_ints(nums: dict, den: int = 1) -> "LaurentPoly":
+        """The polynomial sum of (n / den) x^e over an {e: int n} map; takes ownership of nums."""
+        return _canonical(den, nums, {})
+
+    @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return LaurentPoly._from_ints({})
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(1)})
+        return LaurentPoly._from_ints({0: 1})
 
     @staticmethod
     def monomial(coeff: Coeff, exp: int) -> "LaurentPoly":
@@ -88,57 +94,74 @@ class LaurentPoly:
 
     @staticmethod
     def x(exp: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exp: Fraction(1)})
+        return LaurentPoly._from_ints({exp: 1})
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def _terms(self) -> dict:
+        """A fresh exponent -> Fraction or RatInterval map; editing it changes nothing."""
+        return {**self._fractions(), **self._ivals}
+
+    def _fractions(self) -> dict:
+        # one Fraction per distinct numerator: a dyadic product has few of them
+        den = self._den
+        value = {n: Fraction(n, den) for n in set(self._nums.values())}
+        return {e: value[n] for e, n in self._nums.items()}
 
     def items(self):
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
         return sorted(self._terms.items())
 
     def coeff(self, exp: int):
-        return self._terms.get(exp, Fraction(0))
+        n = self._nums.get(exp)
+        if n is not None:
+            return Fraction(n, self._den)
+        return self._ivals.get(exp, Fraction(0))
 
     def support(self):
-        return tuple(sorted(self._terms))
+        return tuple(sorted([*self._nums, *self._ivals]))
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._nums) + len(self._ivals)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._nums or self._ivals)
 
     def is_nonnegative(self) -> bool:
-        return all(RatInterval.coerce(c).lo >= 0 for c in self._terms.values())
+        return (all(n > 0 for n in self._nums.values())
+                and all(c.lo >= 0 for c in self._ivals.values()))
 
     def eval_at_one(self):
         """Sum of all coefficients (the image under x -> 1)."""
-        return sum_coeffs(self._terms.values())
+        return sum(self._ivals.values(), Fraction(sum(self._nums.values()), self._den))
 
     def one_norm(self):
         """Sum of absolute values of the coefficients."""
-        return sum_coeffs(map(abs, self._terms.values()))
+        return sum(map(abs, self._ivals.values()),
+                   Fraction(sum(map(abs, self._nums.values())), self._den))
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms = dict(self._terms)
-        for exp, c in other._terms.items():
-            acc = terms.get(exp)
-            if acc is None:
-                terms[exp] = c
-            else:
-                s = acc + c
-                if s == 0:
-                    del terms[exp]
-                else:
-                    terms[exp] = s
-        return LaurentPoly._of(terms)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        nums = dict(self._nums) if m1 == 1 else {e: n * m1 for e, n in self._nums.items()}
+        get = nums.get
+        for e, n in other._nums.items():
+            nums[e] = get(e, 0) + n * m2
+        ivals = dict(self._ivals)
+        for e, c in other._ivals.items():
+            acc = ivals.get(e)
+            ivals[e] = c if acc is None else acc + c
+        return _canonical(den, nums, ivals)
 
     def __neg__(self):
-        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
+        return _canonical(self._den, {e: -n for e, n in self._nums.items()},
+                          {e: -c for e, c in self._ivals.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -155,28 +178,38 @@ class LaurentPoly:
     __rmul__ = __mul__  # a scalar on the left: scale() commutes with it
 
     def scale(self, c: Coeff) -> "LaurentPoly":
-        c = _norm_coeff(c)
+        if not isinstance(c, (int, Fraction, RatInterval)):
+            raise TypeError(f"unsupported coefficient {c!r}")
         if c == 0:
             return LaurentPoly.zero()
         # A nonzero scalar times a nonzero coefficient is never an exact zero.
-        return LaurentPoly._of({e: c * v for e, v in self._terms.items()})
+        ivals = {e: c * v for e, v in self._ivals.items()}
+        if isinstance(c, RatInterval):
+            ivals.update((e, c * v) for e, v in self._fractions().items())
+            return _canonical(1, {}, ivals)
+        num = c.numerator
+        return _canonical(self._den * c.denominator,
+                          {e: n * num for e, n in self._nums.items()}, ivals)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x**k."""
-        return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
+        return _canonical(self._den, {e + k: n for e, n in self._nums.items()},
+                          {e + k: c for e, c in self._ivals.items()})
 
     # -- equality / display --------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        if self._ivals or other._ivals:  # a point interval equals its rational
+            return self._terms == other._terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash(tuple(self.items()))
 
     def __repr__(self):
-        if not self._terms:
+        if self.is_zero():
             return "LaurentPoly(0)"
         bits = [f"({c})x^{e}" for e, c in self.items()]
         return "LaurentPoly(" + " + ".join(bits) + ")"
@@ -184,12 +217,20 @@ class LaurentPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {}
-        for e, c in self.items():
-            if isinstance(c, RatInterval):
+        """Exponent -> "n/d" as ``str(Fraction)`` gives it, or ["lo", "hi"] for an interval."""
+        den, nums, ivals = self._den, self._nums, self._ivals
+        out, text = {}, {}  # text: numerator -> its "n/d", so equal coefficients share a string
+        for e in sorted([*nums, *ivals]):
+            n = nums.get(e)
+            if n is None:
+                c = ivals[e]
                 out[str(e)] = [str(c.lo), str(c.hi)]
-            else:
-                out[str(e)] = str(c)
+                continue
+            s = text.get(n)
+            if s is None:
+                g = gcd(n, den)
+                s = text[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+            out[str(e)] = s
         return out
 
     @staticmethod
@@ -207,6 +248,38 @@ class LaurentPoly:
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
         return LaurentPoly(terms)
+
+
+_new = LaurentPoly.__new__
+_set = object.__setattr__
+
+
+def _fill(out: LaurentPoly, den: int, nums: dict, ivals: dict) -> LaurentPoly:
+    """Canonicalise the terms n/den (n in nums) and ivals into ``out``; takes ownership.
+
+    Zero numerators and [0, 0] intervals are dropped, an exponent present in
+    both maps becomes one interval, and the numerators are reduced by their
+    gcd with den.
+    """
+    if 0 in nums.values():
+        nums = {e: n for e, n in nums.items() if n}
+    if ivals:
+        for e in [e for e in ivals if e in nums]:
+            ivals[e] += Fraction(nums.pop(e), den)
+        # `not c == 0`: [0, 0] is the only interval equal to 0
+        ivals = {e: c for e, c in ivals.items() if not c == 0}
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        nums = {e: n // g for e, n in nums.items()}
+    _set(out, "_den", den)
+    _set(out, "_nums", nums)
+    _set(out, "_ivals", ivals)
+    return out
+
+
+def _canonical(den: int, nums: dict, ivals: dict) -> LaurentPoly:
+    return _fill(_new(LaurentPoly), den, nums, ivals)
 
 
 class LaurentMatrix:
@@ -277,20 +350,40 @@ def sum_coeffs(values: Iterable):
 
 
 def _sum_products(pairs) -> LaurentPoly:
-    """The sum of f * g over the (f, g) pairs, in one term map, zeros dropped once."""
-    terms: dict = {}
-    get = terms.get
+    """The sum of f * g over the (f, g) pairs, over the lcm of the pair denominators.
+
+    Rational terms are multiplied and added as ints; a term pair with an
+    interval in it is multiplied and added in interval arithmetic.
+    """
+    pairs = list(pairs)
+    den = lcm(*(f._den * g._den for f, g in pairs))
+    nums: dict = {}
+    ivals: dict = {}
+    get = nums.get
     for f, g in pairs:
-        g_terms = g._terms.items()
-        for e1, c1 in f._terms.items():
-            for e2, c2 in g_terms:
-                e = e1 + e2
-                p = c1 * c2
-                acc = get(e)
-                terms[e] = p if acc is None else acc + p
-    for e in [e for e, c in terms.items() if c == 0]:
-        del terms[e]
-    return LaurentPoly._of(terms)
+        g_nums = g._nums.items()
+        if g_nums:
+            m = den // (f._den * g._den)
+            for e1, n1 in f._nums.items():
+                n1 *= m
+                for e2, n2 in g_nums:
+                    e = e1 + e2
+                    nums[e] = get(e, 0) + n1 * n2
+        if f._ivals or g._ivals:
+            _interval_products(ivals, f, g)
+    return _canonical(den, nums, ivals)
+
+
+def _interval_products(ivals: dict, f: LaurentPoly, g: LaurentPoly):
+    """Add to ivals every product of a term of f with a term of g where one is an interval."""
+    g_terms = g._terms.items() if f._ivals else ()
+    f_rationals = f._fractions().items() if g._ivals else ()
+    for e1, c1 in [*f._ivals.items(), *f_rationals]:
+        for e2, c2 in (g_terms if isinstance(c1, RatInterval) else g._ivals.items()):
+            e = e1 + e2
+            p = c1 * c2
+            acc = ivals.get(e)
+            ivals[e] = p if acc is None else acc + p
 
 
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adicspace import bratteli as B
-from adicspace.errors import (BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
+from adicspace.errors import (BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
                               MissingRoot)
 from adicspace.intervals import RatInterval
 from conftest import random_diagram
@@ -79,6 +79,14 @@ def test_morse_diagram_is_valid_and_crossed():
     assert [e.id for e in d.in_edges[(2, 0)]] == ["e1_0_0", "e1_1_0"]
     assert [e.id for e in d.in_edges[(2, 1)]] == ["e1_1_1", "e1_0_1"]
     assert all(e.p == Fraction(1, 2) for e in d.edges[1])
+
+
+def test_presets_refuse_depth_below_one():
+    for build in (B.odometer_diagram, B.morse_diagram, lambda d: B.circulant_diagram(3, d)):
+        for depth in (0, -2):
+            with pytest.raises(BadInput):
+                build(depth)
+    assert B.circulant_diagram(2, 1).depth == 1
 
 
 def test_json_round_trip():

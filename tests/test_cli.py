@@ -175,6 +175,41 @@ def test_matrices_norm_flag(tmp_path, capsys):
     assert body["norm"] == {"horizon": 3, "value": "1/4"}
 
 
+def test_matrices_norm_writes_an_interval_as_a_pair(tmp_path, capsys):
+    vec = tmp_path / "vec.json"
+    for terms, value in (([{"0": ["1/3", "1/2"]}], ["1/3", "1/2"]),
+                         ([{"0": ["1/2", "1/2"]}], ["1/2", "1/2"])):  # a point interval too
+        vec.write_text(json.dumps(terms))
+        code, out, _ = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "3",
+                               "--norm", str(vec), "--horizon", "3")
+        assert code == 0
+        assert json.loads(out)["norm"] == {"horizon": 3, "value": value}
+
+
+def test_depth_zero_is_refused_not_defaulted(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(B.diagram_to_json(B.morse_diagram(3))))
+    for argv in (["label", "--preset", "circulant:2", "--depth", "0"],
+                 ["matrices", "--preset", "morse", "--depth", "0"],
+                 ["validate", "--preset", "odometer", "--depth", "0"],
+                 ["matrices", "--preset", "circulant:3", "--depth", "-2"],
+                 ["matrices", str(path), "--depth", "0"],
+                 ["rotation", "--cf", "2,3,4,5", "--depth", "0", "--matrices"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "", argv
+        assert json.loads(out)["error"]["code"] == "BadInput", argv
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--depth", "1")
+    assert code == 0 and len(json.loads(out)["matrices"]) == 1
+
+
+def test_budget_zero_is_refused_like_a_negative_budget(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1",
+                                 "--budget", budget)
+        assert code == 1 and err == "", budget
+        assert json.loads(out)["error"]["code"] == "BudgetExceeded", budget
+
+
 def test_budget_env_var(monkeypatch, capsys):
     monkeypatch.setenv("ADICSPACE_BUDGET", "64")  # below k * 2^(4M+1) = 128
     code, out, _ = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1")
@@ -220,7 +255,24 @@ def test_stack_report_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
-def test_product_and_rotation_report_bytes_are_pinned(capsys):
+def non_dyadic_spec(depth):
+    """Two vertices per level; edge probabilities in thirds, fifths, sevenths and fifteenths."""
+    levels = [["r"]] + [[f"v{n}_0", f"v{n}_1"] for n in range(1, depth + 1)]
+    edges = [[{"id": "a0", "src": 0, "dst": 0, "p": "1/3"},
+              {"id": "a1", "src": 0, "dst": 1, "p": "2/3"}]]
+    orders = {"1/0": ["a0"], "1/1": ["a1"]}
+    for n in range(1, depth):
+        edges.append([{"id": f"s{n}", "src": 0, "dst": 0, "p": "2/7"},
+                      {"id": f"t{n}", "src": 0, "dst": 1, "p": "5/7"},
+                      {"id": f"u{n}", "src": 1, "dst": 0, "p": "1/3"},
+                      {"id": f"w{n}", "src": 1, "dst": 1, "p": "1/5"},
+                      {"id": f"x{n}", "src": 1, "dst": 1, "p": "7/15"}])
+        orders[f"{n + 1}/0"] = [f"u{n}", f"s{n}"]
+        orders[f"{n + 1}/1"] = [f"w{n}", f"t{n}", f"x{n}"]
+    return {"levels": levels, "edges": edges, "orders": orders}
+
+
+def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
     # stdout sha256 recorded before every Laurent product went through one kernel
     pins = {
         ("matrices", "--preset", "circulant:4", "--depth", "8", "--product", "0..8"):
@@ -232,6 +284,14 @@ def test_product_and_rotation_report_bytes_are_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    # A non-dyadic product, whose terms have unlike reduced denominators;
+    # stdout sha256 recorded while each coefficient was stored as a Fraction.
+    path = tmp_path / "non_dyadic.json"
+    path.write_text(json.dumps(non_dyadic_spec(9)))
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..9")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "16da5104c283a944f9a650b67d288acb9a760fdfc8454e701c47f15769fbf3a7")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -251,3 +252,142 @@ def test_column_sums_at_one_shared_and_distinct_entries():
     assert sums == _column_sums_per_entry(distinct)
     assert sums[:2] == [Fraction(-3, 7), Fraction(47, 42)]
     assert isinstance(sums[2], RatInterval)
+
+
+# -- the shared-denominator store against a one-coefficient-per-term model ----------
+
+class RefPoly:
+    """Reference model: one Fraction or RatInterval per exponent, zeros dropped."""
+
+    def __init__(self, terms):
+        self.terms = {e: Fraction(c) if isinstance(c, int) else c
+                      for e, c in terms.items() if not c == 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out[e] + c if e in out else c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RefPoly.sum_products([(self, other)])
+
+    @staticmethod
+    def sum_products(pairs):
+        """Every product into one map, zeros dropped at the end: a coefficient
+        that any interval product reached is an interval, even if it sums to a point."""
+        out = {}
+        for f, g in pairs:
+            for e1, c1 in f.terms.items():
+                for e2, c2 in g.terms.items():
+                    e = e1 + e2
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return RefPoly(out)
+
+    def scale(self, c):
+        return RefPoly({e: c * v for e, v in self.terms.items()})
+
+    def shift(self, k):
+        return RefPoly({e + k: c for e, c in self.terms.items()})
+
+    def to_json(self):
+        return {str(e): [str(c.lo), str(c.hi)] if isinstance(c, RatInterval) else str(c)
+                for e, c in sorted(self.terms.items())}
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+def same(x, y):
+    """Equal and of the same kind: a point interval is not its rational here."""
+    return type(x) is type(y) and x == y
+
+
+def assert_canonical(p):
+    assert type(p._den) is int and p._den > 0
+    assert all(type(n) is int and n != 0 for n in p._nums.values())
+    assert gcd(p._den, *p._nums.values()) == 1
+    assert p._nums or p._den == 1
+    assert all(isinstance(c, RatInterval) and not c == 0 for c in p._ivals.values())
+    assert not set(p._nums) & set(p._ivals)
+
+
+def assert_matches(p, ref):
+    assert_canonical(p)
+    assert set(p._terms) == set(ref.terms)
+    assert all(same(c, ref.terms[e]) for e, c in p._terms.items())
+    items = p.items()
+    assert [e for e, _ in items] == sorted(ref.terms)
+    assert all(same(c, ref.terms[e]) for e, c in items)
+    for e in range(-14, 15):
+        assert same(p.coeff(e), ref.terms.get(e, Fraction(0)))
+    assert same(p.eval_at_one(), naive_fold(list(ref.terms.values())))
+    assert same(p.one_norm(), naive_fold([abs(c) for c in ref.terms.values()]))
+    assert p.to_json() == ref.to_json() and list(p.to_json()) == list(ref.to_json())
+    assert p.num_terms() == len(ref.terms) and p.is_zero() == (not ref.terms)
+
+
+store_fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+store_coeffs_st = st.one_of(
+    st.integers(min_value=-4, max_value=4), store_fractions_st,
+    store_fractions_st.map(RatInterval.point),
+    st.tuples(store_fractions_st, store_fractions_st).map(lambda ab: RatInterval(min(ab), max(ab))))
+store_terms_st = st.dictionaries(st.integers(min_value=-6, max_value=6), store_coeffs_st, max_size=6)
+
+
+def swap_kinds(terms):
+    """The same polynomial with each point interval as its rational and each rational as a point."""
+    out = {}
+    for e, c in terms.items():
+        if isinstance(c, RatInterval):
+            out[e] = c.lo if c.lo == c.hi else c
+        else:
+            out[e] = RatInterval.point(c)
+    return out
+
+
+@given(store_terms_st, store_terms_st, st.integers(min_value=0, max_value=6),
+       st.one_of(st.integers(min_value=-3, max_value=3), store_fractions_st, intervals_st),
+       st.integers(min_value=-4, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_store_matches_reference_model(a, b, cancel, c, k):
+    # b negates a prefix of a's terms, so sums can cancel to zero term by term
+    b = dict(b)
+    b.update((e, -v) for e, v in list(a.items())[:cancel])
+    p, q, rp, rq = LaurentPoly(a), LaurentPoly(b), RefPoly(a), RefPoly(b)
+    for got, want in ((p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                      (p * q, rp * rq), (p.scale(c), rp.scale(c) if c != 0 else RefPoly({})),
+                      (p.shift(k), rp.shift(k)),
+                      # two pairs with unlike denominators, summed over their lcm
+                      (mat_mul(LaurentMatrix([[p, q]]), LaurentMatrix([[q], [p.shift(k)]])).entries[0][0],
+                       RefPoly.sum_products([(rp, rq), (rq, rp.shift(k))]))):
+        assert_matches(got, want)
+    assert (p == q) == (rp == rq)
+    # a point interval equals, and hashes like, its rational
+    swapped = LaurentPoly(swap_kinds(a))
+    assert swapped == p and hash(swapped) == hash(p)
+    # exact terms cancel to the zero polynomial; a wide interval minus itself does not
+    exact = LaurentPoly({e: v for e, v in a.items()
+                         if not isinstance(v, RatInterval) or v.lo == v.hi})
+    for zero in (exact - exact, exact + (-exact), q * LaurentPoly.zero()):
+        assert zero.is_zero() and zero._den == 1 and zero == LaurentPoly.zero()
+
+
+def test_store_examples():
+    f = poly((0, "1/6"), (3, "1/10"))
+    assert (f._den, f._nums) == (30, {0: 5, 3: 3})
+    assert (f + poly((0, "-1/6")))._den == 10  # reduced after a cancellation
+    assert (f - f)._den == 1 and not (f - f)._nums
+    # a rational meeting an interval at one exponent becomes one interval
+    g = f + LaurentPoly({3: RatInterval(Fraction(0), Fraction(1, 10))})
+    assert g._nums == {0: 1} and g._den == 6
+    assert g.coeff(3) == RatInterval(Fraction(1, 10), Fraction(1, 5))
+    point = LaurentPoly({0: RatInterval(Fraction(1, 6))})
+    assert point.to_json() == {"0": ["1/6", "1/6"]} and point == poly((0, "1/6"))
+    assert hash(point) == hash(poly((0, "1/6")))
