@@ -39,12 +39,16 @@ class RankOneCandidate:
     row: Tuple[LaurentPoly, ...]
 
 
+_DECIMAL_BITS = 12000  # a refusal writes 2^12000 out (3,613 digits); str() allows 4,300
+
+
 def _check_budget(k: int, M: int, N: int, budget: int):
-    monomials = 1 << ((4 * M + 1) * N)
-    if k * monomials > budget:
-        raise BudgetExceeded(
-            f"k * 2^((4M+1)N) = {k * monomials} exceeds the budget {budget}"
-        )
+    exponent = (4 * M + 1) * N
+    if exponent > _DECIMAL_BITS and exponent >= budget.bit_length():
+        # 2^exponent > budget: refuse before building a number of exponent/8 bytes
+        raise BudgetExceeded(f"k * 2^((4M+1)N) = {k} * 2^{exponent} exceeds the budget {budget}")
+    if k << exponent > budget:
+        raise BudgetExceeded(f"k * 2^((4M+1)N) = {k << exponent} exceeds the budget {budget}")
 
 
 def block_indices(M: int, N: int) -> List[int]:
@@ -76,8 +80,6 @@ def circulant_classes(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
 def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
     """The full k x k product matrix; entry (r, c) is class (r - c) mod k."""
     classes = circulant_classes(k, M, N, budget)
-    if k == 1:
-        return LaurentMatrix([[classes[0]]])
     return LaurentMatrix([[classes[(r - c) % k] for c in range(k)] for r in range(k)])
 
 

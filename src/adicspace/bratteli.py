@@ -18,9 +18,14 @@ JSON interchange format::
      "edges":  [[{"id": "e0", "src": 0, "dst": 0, "p": "1/2"}, ...], ...],
      "orders": {"<level>/<vertex-index>": ["edgeId", ...], ...}}
 
-``src``/``dst`` are indices into the adjacent level lists; rationals are
-"num/den" strings; the order key for vertex i of V_n is ``"n/i"`` and lists
-the ids of the E_{n-1} edges into that vertex, minimal first.
+``src``/``dst`` are JSON integer indices into the adjacent level lists;
+rationals are "num/den" strings; the order key for vertex i of V_n is
+``"n/i"`` and lists the ids of the E_{n-1} edges into that vertex, minimal
+first.  :func:`validate_diagram` only parses this shape.  The
+:class:`OrderedBratteliDiagram` constructor checks every rule once: the
+root, the level count and the endpoints before it indexes anything, then
+ids, measures, fibers and orders (an order for no non-root vertex too) in
+one pass over each E_n.
 """
 
 from __future__ import annotations
@@ -67,25 +72,53 @@ class OrderedBratteliDiagram:
 
     ``levels[n]`` are the vertex labels of V_n; ``edges[n]`` the E_n edge
     tuple; ``in_edges[(n+1, v)]`` the edges into vertex v of V_{n+1} in
-    their total order; ``out_edges[(n, v)]`` the edges out of v in id order.
+    their total order; ``out_edges[(n, v)]`` the edges out of v in E_n order.
     """
 
     def __init__(self, levels, edges, orders):
         self.levels = tuple(tuple(l) for l in levels)
         self.edges = tuple(tuple(e) for e in edges)
+        root_size = len(self.levels[0]) if self.levels else 0
+        if root_size != 1:
+            raise MissingRoot(f"V_0 must be a singleton, got {root_size} vertices")
+        if len(self.levels) != len(self.edges) + 1:
+            raise BadInput("need exactly one more vertex level than edge level")
         self.in_edges = {}
         self.out_edges = {}
+        seen_ids = set()
         for n, level_edges in enumerate(self.edges):
-            for v in range(len(self.levels[n])):
-                self.out_edges[(n, v)] = tuple(e for e in level_edges if e.src == v)
-            by_id = {e.id: e for e in level_edges}
-            for v in range(len(self.levels[n + 1])):
-                try:
-                    order = orders[(n + 1, v)]
-                    self.in_edges[(n + 1, v)] = tuple(by_id[i] for i in order)
-                except KeyError as exc:
-                    raise BadOrder(f"order at vertex {n + 1}/{v} references {exc}") from exc
-        self._validate()
+            outs = [[] for _ in self.levels[n]]
+            fibers = [[] for _ in self.levels[n + 1]]
+            for e in level_edges:
+                if e.id in seen_ids:
+                    raise BadInput(f"duplicate edge id {e.id!r}")
+                seen_ids.add(e.id)
+                if not (0 <= e.src < len(outs) and 0 <= e.dst < len(fibers)):
+                    raise BadInput(f"edge {e.id!r} endpoints out of range")
+                if RatInterval.coerce(e.p).lo <= 0:
+                    raise BadMeasure(f"edge {e.id!r} has p <= 0")
+                outs[e.src].append(e)
+                fibers[e.dst].append(e)
+            for v, out in enumerate(outs):
+                if not out:
+                    raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
+                total = sum_coeffs(e.p for e in out)
+                if not RatInterval.coerce(total).contains(1):
+                    raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
+                self.out_edges[(n, v)] = tuple(out)
+            for v, fiber in enumerate(fibers):
+                order = orders.get((n + 1, v))
+                if order is None:
+                    raise BadOrder(f"no order given for vertex {n + 1}/{v}")
+                if not fiber:
+                    raise EmptyFiber(f"vertex {n + 1}/{v} has no incoming edge")
+                by_id = {e.id: e for e in fiber}
+                if sorted(order) != sorted(by_id):
+                    raise BadOrder(f"order at vertex {n + 1}/{v} is not a permutation of its fiber")
+                self.in_edges[(n + 1, v)] = tuple(by_id[i] for i in order)
+        for n, v in orders:
+            if (n, v) not in self.in_edges:
+                raise BadOrder(f"an order is given for {n}/{v}, which is no non-root vertex")
 
     @property
     def depth(self) -> int:
@@ -94,36 +127,6 @@ class OrderedBratteliDiagram:
 
     def k(self, n: int) -> int:
         return len(self.levels[n])
-
-    def _validate(self):
-        if len(self.levels) != len(self.edges) + 1:
-            raise BadInput("need exactly one more vertex level than edge level")
-        if len(self.levels[0]) != 1:
-            raise MissingRoot(f"V_0 must be a singleton, got {len(self.levels[0])} vertices")
-        seen_ids = set()
-        for n, level_edges in enumerate(self.edges):
-            kn, kn1 = len(self.levels[n]), len(self.levels[n + 1])
-            for e in level_edges:
-                if e.id in seen_ids:
-                    raise BadInput(f"duplicate edge id {e.id!r}")
-                seen_ids.add(e.id)
-                if not (0 <= e.src < kn and 0 <= e.dst < kn1):
-                    raise BadInput(f"edge {e.id!r} endpoints out of range")
-                if RatInterval.coerce(e.p).lo <= 0:
-                    raise BadMeasure(f"edge {e.id!r} has p <= 0")
-            for v in range(kn):
-                if not self.out_edges[(n, v)]:
-                    raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
-                total = sum_coeffs(e.p for e in self.out_edges[(n, v)])
-                if not RatInterval.coerce(total).contains(1):
-                    raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
-            for v in range(kn1):
-                incoming = [e for e in level_edges if e.dst == v]
-                if not incoming:
-                    raise EmptyFiber(f"vertex {n + 1}/{v} has no incoming edge")
-                order = self.in_edges[(n + 1, v)]
-                if sorted(e.id for e in order) != sorted(e.id for e in incoming):
-                    raise BadOrder(f"order at vertex {n + 1}/{v} is not a permutation of its fiber")
 
 
 def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
@@ -140,17 +143,16 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
             isinstance(level, list) and all(isinstance(e, dict) for e in level)
             for level in raw_edges):
         raise BadInput("edges must be a list of lists of edge objects")
-    if not levels or not levels[0]:
-        raise MissingRoot("empty level list")
     edges = []
     for n, level in enumerate(raw_edges):
         parsed = []
         for e in level:
             try:
-                parsed.append(
-                    Edge(id=str(e["id"]), level=n, src=int(e["src"]), dst=int(e["dst"]),
-                         p=parse_rational(e["p"]))
-                )
+                src, dst = e["src"], e["dst"]
+                if type(src) is not int or type(dst) is not int:
+                    raise ValueError(f"src {src!r} and dst {dst!r} must be JSON integers")
+                parsed.append(Edge(id=str(e["id"]), level=n, src=src, dst=dst,
+                                   p=parse_rational(e["p"])))
             except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
                 raise BadInput(f"malformed edge {e.get('id')!r} in E_{n}: {exc}") from exc
         edges.append(parsed)
@@ -166,13 +168,6 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
         if not isinstance(ids, list) or not all(isinstance(i, (str, int)) for i in ids):
             raise BadInput(f"order {key!r} must be a list of edge ids")
         orders[(lvl, v)] = [str(i) for i in ids]
-    # Missing order entries are rejected via BadOrder with a clear message.
-    for n in range(len(edges)):
-        if n + 1 >= len(levels):
-            raise BadInput("edge level beyond declared vertex levels")
-        for v in range(len(levels[n + 1])):
-            if (n + 1, v) not in orders:
-                raise BadOrder(f"no order given for vertex {n + 1}/{v}")
     return OrderedBratteliDiagram(levels, edges, orders)
 
 

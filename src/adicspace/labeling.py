@@ -52,9 +52,9 @@ def label_edges(d: OrderedBratteliDiagram) -> EdgeLabeling:
             b[incoming[0].id] = 0
             for prev, cur in zip(incoming, incoming[1:]):
                 b[cur.id] = wmax[(n, prev.src)] + b[prev.id] + 1
-        for v in range(d.k(n + 1)):
-            incoming = d.in_edges[(n + 1, v)]
-            wmax[(n + 1, v)] = max(wmax[(n, e.src)] + b[e.id] for e in incoming)
+            # b(e^{i+1}) exceeds every b-sum through e^i, so the maximal in-edge carries wmax
+            last = incoming[-1]
+            wmax[(n + 1, v)] = wmax[(n, last.src)] + b[last.id]
     return tables_from_b(d, b)
 
 

@@ -17,7 +17,8 @@ is computed in interval arithmetic and stays an interval, even a point one.
 
 Every product goes through one kernel, :func:`_sum_products`, which adds up
 f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
-pair, and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
+pair, ``scale(c)`` is the pair (f, c x^0), ``shift(k)`` is the pair (f, x^k),
+and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
 Every new polynomial goes through one canonicaliser, :func:`_fill`.  Loose
 values (entries evaluated at x = 1, weighted norms) are added by
 :func:`sum_coeffs`, which adds rational numerators as ints per denominator.
@@ -32,6 +33,7 @@ exponent, making every derived report deterministic.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -101,13 +103,12 @@ class LaurentPoly:
     @property
     def _terms(self) -> dict:
         """A fresh exponent -> Fraction or RatInterval map; editing it changes nothing."""
-        return {**self._fractions(), **self._ivals}
-
-    def _fractions(self) -> dict:
         # one Fraction per distinct numerator: a dyadic product has few of them
         den = self._den
         value = {n: Fraction(n, den) for n in set(self._nums.values())}
-        return {e: value[n] for e, n in self._nums.items()}
+        terms = {e: value[n] for e, n in self._nums.items()}
+        terms.update(self._ivals)
+        return terms
 
     def items(self):
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
@@ -178,23 +179,11 @@ class LaurentPoly:
     __rmul__ = __mul__  # a scalar on the left: scale() commutes with it
 
     def scale(self, c: Coeff) -> "LaurentPoly":
-        if not isinstance(c, (int, Fraction, RatInterval)):
-            raise TypeError(f"unsupported coefficient {c!r}")
-        if c == 0:
-            return LaurentPoly.zero()
-        # A nonzero scalar times a nonzero coefficient is never an exact zero.
-        ivals = {e: c * v for e, v in self._ivals.items()}
-        if isinstance(c, RatInterval):
-            ivals.update((e, c * v) for e, v in self._fractions().items())
-            return _canonical(1, {}, ivals)
-        num = c.numerator
-        return _canonical(self._den * c.denominator,
-                          {e: n * num for e, n in self._nums.items()}, ivals)
+        return _sum_products(((self, LaurentPoly({0: c})),))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x**k."""
-        return _canonical(self._den, {e + k: n for e, n in self._nums.items()},
-                          {e + k: c for e, c in self._ivals.items()})
+        return _sum_products(((self, LaurentPoly.x(k)),))
 
     # -- equality / display --------------------------------------------------
 
@@ -376,10 +365,8 @@ def _sum_products(pairs) -> LaurentPoly:
 
 def _interval_products(ivals: dict, f: LaurentPoly, g: LaurentPoly):
     """Add to ivals every product of a term of f with a term of g where one is an interval."""
-    g_terms = g._terms.items() if f._ivals else ()
-    f_rationals = f._fractions().items() if g._ivals else ()
-    for e1, c1 in [*f._ivals.items(), *f_rationals]:
-        for e2, c2 in (g_terms if isinstance(c1, RatInterval) else g._ivals.items()):
+    for (e1, c1), (e2, c2) in itertools.product(f._terms.items(), g._terms.items()):
+        if isinstance(c1, RatInterval) or isinstance(c2, RatInterval):
             e = e1 + e2
             p = c1 * c2
             acc = ivals.get(e)

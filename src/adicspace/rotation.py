@@ -14,7 +14,9 @@ The two-vertex rotation diagram carries the explicit labeling
 b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
 with the parallel edges ordered by k and the cross edge last; the generic
 inductive labeling reproduces exactly these values (compare with
-:func:`compare_labelings`).
+:func:`compare_labelings`).  Level 0 is the n = 0 case of the same rule:
+the recurrences start at p(-1) = 1, q(-1) = 0, so alpha(-1) = |q(-1) alpha
+- p(-1)| = 1 divides the level-0 probabilities alpha(0) and alpha(1).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 from .bratteli import Edge, OrderedBratteliDiagram
 from .errors import BadInput, InsufficientDepth, RangeError
 from .intervals import RatInterval
-from .labeling import EdgeLabeling, tables_from_b
+from .labeling import EdgeLabeling, label_edges, tables_from_b
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational, sum_coeffs
 
 
@@ -110,6 +112,8 @@ class GrowthRule:
     g: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if self.kind not in ("linear", "geometric"):
+            raise BadInput(f"unknown growth rule {self.kind!r}")
         # a(n) >= c n (or c g^n) says nothing when c <= 0, and the tail bounds divide by c^2
         if self.c <= 0:
             raise BadInput(f"growth rule needs c > 0, got c = {self.c}")
@@ -117,19 +121,15 @@ class GrowthRule:
     def holds_for(self, cf: CFExpansion) -> bool:
         if self.kind == "linear":
             return all(cf.a(n) >= self.c * n for n in range(1, cf.depth + 1))
-        if self.kind == "geometric":
-            return self.g > 1 and all(cf.a(n) >= self.c * self.g ** n for n in range(1, cf.depth + 1))
-        raise BadInput(f"unknown growth rule {self.kind!r}")
+        return self.g > 1 and all(cf.a(n) >= self.c * self.g ** n for n in range(1, cf.depth + 1))
 
     def tail_bound(self, start: int) -> Fraction:
         """Certified bound on the sum of 1/(a(n)a(n+1)) over n >= start."""
         if self.kind == "linear":
             # sum 1/(c^2 n (n+1)) over n >= start telescopes to 1/(c^2 start)
             return Fraction(1) / (self.c ** 2 * start)
-        if self.kind == "geometric":
-            r = self.g ** -2
-            return (self.c ** -2) * (self.g ** (-2 * start - 1)) / (1 - r)
-        raise BadInput(f"unknown growth rule {self.kind!r}")
+        r = self.g ** -2
+        return (self.c ** -2) * (self.g ** (-2 * start - 1)) / (1 - r)
 
 
 @dataclass(frozen=True)
@@ -179,35 +179,25 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
         raise InsufficientDepth(f"depth {depth} needs cf depth >= {depth + 2}")
     levels = [["v0"]] + [[f"v{n}_1", f"v{n}_2"] for n in range(1, depth + 1)]
     edges, orders, b = [], {}, {}
-    alphas = [alpha_n(cf, n) for n in range(depth + 1)]
-    # E_0: a(1) parallel edges into v_1 plus one edge into v_2.
-    e0 = []
-    for k in range(1, cf.a(1) + 1):
-        eid = _edge_id_parallel(0, k)
-        e0.append(Edge(eid, 0, 0, 0, alphas[0]))
-        b[eid] = (k - 1) * cf.q(0)
-    e0.append(Edge("e0_12", 0, 0, 1, alphas[1]))
-    b["e0_12"] = 0
-    edges.append(e0)
-    orders[(1, 0)] = [_edge_id_parallel(0, k) for k in range(1, cf.a(1) + 1)]
-    orders[(1, 1)] = ["e0_12"]
-    for n in range(1, depth):
+    alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
+    for n in range(depth):
         a_next = cf.a(n + 1)
-        ratio_stay = alphas[n] / alphas[n - 1]
-        ratio_out = alphas[n + 1] / alphas[n - 1]
+        ratio_stay = alphas[n + 1] / alphas[n]
+        ratio_out = alphas[n + 2] / alphas[n]
         level_edges = []
         for k in range(1, a_next + 1):
             eid = _edge_id_parallel(n, k)
             level_edges.append(Edge(eid, n, 0, 0, ratio_stay))
             b[eid] = (k - 1) * cf.q(n)
-        cross = Edge(f"e{n}_21", n, 1, 0, Fraction(1))
-        level_edges.append(cross)
-        b[cross.id] = a_next * cf.q(n)
+        if n:  # the root has no v_2, so E_0 has no cross edge
+            cross = Edge(f"e{n}_21", n, 1, 0, Fraction(1))
+            level_edges.append(cross)
+            b[cross.id] = a_next * cf.q(n)
         down = Edge(f"e{n}_12", n, 0, 1, ratio_out)
         level_edges.append(down)
         b[down.id] = 0
         edges.append(level_edges)
-        orders[(n + 1, 0)] = [_edge_id_parallel(n, k) for k in range(1, a_next + 1)] + [cross.id]
+        orders[(n + 1, 0)] = [e.id for e in level_edges if e.dst == 0]
         orders[(n + 1, 1)] = [down.id]
     diagram = OrderedBratteliDiagram(levels, edges, orders)
     return diagram, tables_from_b(diagram, b)
@@ -218,8 +208,6 @@ def compare_labelings(cf: CFExpansion, depth: int) -> dict:
 
     Reports agreement edge by edge; nothing is asserted here.
     """
-    from .labeling import label_edges
-
     diagram, explicit = rotation_diagram(cf, depth)
     generic = label_edges(diagram)
     mismatches = {
@@ -235,19 +223,14 @@ def compare_labelings(cf: CFExpansion, depth: int) -> dict:
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
-    if n == 0:
-        col = LaurentPoly({k: alpha_n(cf, 0) for k in range(cf.a(1))})
-        return LaurentMatrix([[col], [LaurentPoly({0: alpha_n(cf, 1)})]])
-    stay = alpha_n(cf, n) / alpha_n(cf, n - 1)
-    out = alpha_n(cf, n + 1) / alpha_n(cf, n - 1)
+    prev = alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
+    stay = alpha_n(cf, n) / prev
+    out = alpha_n(cf, n + 1) / prev
     a_next, q = cf.a(n + 1), cf.q(n)
     top_left = LaurentPoly({k * q: stay for k in range(a_next)})
-    return LaurentMatrix(
-        [
-            [top_left, LaurentPoly.x(a_next * q)],
-            [LaurentPoly({0: out}), LaurentPoly.zero()],
-        ]
-    )
+    rows = [[top_left, LaurentPoly.x(a_next * q)], [LaurentPoly({0: out}), LaurentPoly.zero()]]
+    # V_0 has one vertex, so M_0 has one column
+    return LaurentMatrix([row[:1] for row in rows] if n == 0 else rows)
 
 
 def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = None) -> List[LaurentPoly]:
@@ -310,9 +293,6 @@ def parse_rule(text: str) -> GrowthRule:
         kv = dict(item.split("=") for item in params.split(",")) if params else {}
         c = parse_rational(kv.get("c", "1"))
         g = parse_rational(kv.get("g", "2"))
-        rule = GrowthRule(kind=kind, c=c, g=g)
-        if kind not in ("linear", "geometric"):
-            raise ValueError(kind)
-        return rule
+        return GrowthRule(kind=kind, c=c, g=g)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise BadInput(f"cannot parse growth rule {text!r}") from exc

@@ -148,19 +148,12 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
 def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
     """Total variation distance between two histograms (after normalizing)."""
     pa, pb = a.normalized(), b.normalized()
-    keys = set()
-    for j, row in pa.items():
-        keys.update((j, d) for d in row)
-    for j, row in pb.items():
-        keys.update((j, d) for d in row)
-    total = Fraction(0)
-    for j, d in keys:
-        va = pa.get(j, {}).get(d, Fraction(0))
-        vb = pb.get(j, {}).get(d, Fraction(0))
-        if isinstance(va, RatInterval) or isinstance(vb, RatInterval):
-            raise BadInput("tv_distance needs exact masses")
-        total += abs(va - vb)
-    return total / 2
+    keys = {(j, d) for h in (pa, pb) for j, row in h.items() for d in row}
+    diffs = [pa.get(j, {}).get(d, Fraction(0)) - pb.get(j, {}).get(d, Fraction(0))
+             for j, d in keys]
+    if any(isinstance(v, RatInterval) for v in diffs):
+        raise BadInput("tv_distance needs exact masses")
+    return sum_coeffs(map(abs, diffs)) / 2
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:

@@ -74,6 +74,25 @@ def test_validate_rejects_empty_fiber():
         B.validate_diagram(spec)
 
 
+def test_constructor_checks_level_count_before_indexing():
+    edge = B.Edge("e0", 0, 0, 0, Fraction(1))
+    with pytest.raises(BadInput):
+        B.OrderedBratteliDiagram([["r"]], [[edge]], {})
+    with pytest.raises(MissingRoot):
+        B.OrderedBratteliDiagram([], [[edge]], {})
+    with pytest.raises(BadInput):
+        B.OrderedBratteliDiagram([["r"], ["v"]], [[B.Edge("e0", 0, 0, -1, Fraction(1))]],
+                                 {(1, 0): ["e0"]})
+
+
+def test_validate_rejects_order_keys_of_no_vertex():
+    for key in ("7/3", "0/0", "4/0", "1/1", "-1/0"):
+        spec = odometer_spec()
+        spec["orders"][key] = ["e0_0"]
+        with pytest.raises(BadOrder, match=key):
+            B.validate_diagram(spec)
+
+
 def test_morse_diagram_is_valid_and_crossed():
     d = B.morse_diagram(3)
     assert [e.id for e in d.in_edges[(2, 0)]] == ["e1_0_0", "e1_1_0"]

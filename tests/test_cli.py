@@ -330,6 +330,35 @@ def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
             assert error["code"] == "BadInput" and "'e0'" in error["message"], p
 
 
+def test_validate_rejects_non_integer_src_and_dst(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    for field, value in (("dst", 0.9), ("src", False), ("dst", True), ("src", 0.0),
+                         ("dst", "0"), ("src", None)):
+        spec = {"levels": [["r"], ["a"]],
+                "edges": [[{"id": "e0", "src": 0, "dst": 0, "p": "1"}]],
+                "orders": {"1/0": ["e0"]}}
+        spec["edges"][0][0][field] = value
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1 and err == "", (field, value)
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadInput" and "'e0'" in error["message"], (field, value)
+
+
+def test_budget_refusal_compares_exponents_first(capsys):
+    code, out, _ = run_cli(capsys, "at", "--M", "3", "--N", "2")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "BudgetExceeded",
+        "message": "k * 2^((4M+1)N) = 268435456 exceeds the budget 1048576"}
+    # 2^16002000 has about 4.8 million decimal digits: it is refused, never written out
+    code, out, _ = run_cli(capsys, "at", "--M", "2000", "--N", "2000")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "code": "BudgetExceeded",
+        "message": "k * 2^((4M+1)N) = 4 * 2^16002000 exceeds the budget 1048576"}
+
+
 def test_norm_vector_rejects_hostile_json(tmp_path, capsys):
     vec = tmp_path / "vec.json"
     # (vector JSON, text the message must contain)
@@ -483,3 +512,40 @@ def test_fuzz_norm_vector_json(tmp_path_factory, vector, horizon):
 def test_fuzz_rational_flags(flag_value):
     flag, value = flag_value
     assert_coded_exit(FLAG_COMMANDS[flag] + [f"{flag}={value}"])
+
+
+# Valid terms stay below 100 (every token is followed by a separator): the stage-2
+# tower has q(2) = a(1) a(2) + 1 levels, so a large term would be a size test.
+cf_tokens = (st.integers(-3, 40).map(str)
+             | st.sampled_from(["", " ", "x", "1.5", "1/2", "1e3", "+2", "0x1", "2_0", "\u0663",
+                                "9" * 5000, "nan"])
+             | st.text("0123456789 ,.-+e/x\t\n", max_size=2))
+cf_texts = st.lists(st.tuples(cf_tokens, st.sampled_from([",", ", ", " ", ",,", "\n", ";"])),
+                    max_size=5).map(lambda pairs: "".join(t + sep for t, sep in pairs)[:-1])
+
+
+@given(cf_texts, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fuzz_cf_text(tmp_path_factory, text, from_file):
+    if from_file:
+        path = tmp_path_factory.getbasetemp() / "fuzz-cf.txt"
+        path.write_text(text, encoding="utf-8")
+        source = [f"--cf-file={path}"]
+    else:
+        source = [f"--cf={text}"]
+    assert_coded_exit(["stack", *source, "--stage", "2"])
+
+
+@given(st.text("0123456789 -+_.ex", max_size=8)
+       | st.sampled_from(["9" * 5000, "-1", "0", "\u0663", "1e9"]))
+@settings(max_examples=50, deadline=None)
+def test_fuzz_budget_environment_variable(text):
+    saved = os.environ.get("ADICSPACE_BUDGET")
+    os.environ["ADICSPACE_BUDGET"] = text
+    try:
+        assert_coded_exit(["at", "--M", "1", "--N", "1"])
+    finally:
+        if saved is None:
+            del os.environ["ADICSPACE_BUDGET"]
+        else:
+            os.environ["ADICSPACE_BUDGET"] = saved

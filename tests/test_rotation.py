@@ -245,6 +245,12 @@ def test_parse_rule():
         R.parse_rule("cubic:c=1")
 
 
+def test_growth_rule_kind_is_checked_at_construction():
+    for kind in ("cubic", "", "Linear"):
+        with pytest.raises(BadInput):
+            R.GrowthRule(kind, Fraction(1))
+
+
 def test_growth_rule_needs_positive_c():
     # a(n) >= c n with c <= 0 holds for every expansion, and 1/(c^2 start) needs c > 0:
     # a(n) = 1 gives the divergent series sum 1/(a(n) a(n+1)), so nothing may certify it
