@@ -2,28 +2,28 @@
 
 The circulant family has M_n = (1/2)(I + x^(2^n) P) with P the k-cycle.
 Because every factor is circulant, a product is determined by its class
-vector (a_0, ..., a_{k-1}) with entry (r, c) = a_{(r-c) mod k}.  The
-product over the block index set I = {8Mj, ..., 8Mj+4M : j < N} is built
-from subsets: each subset S of I gives one monomial with the bits of S as
-exponent (M >= 1 keeps the indices distinct), coefficient 2^-|I| and
-class |S| mod k.  All of this is exact; sizes beyond the monomial budget
-are rejected, never approximated.
+vector (a_0, ..., a_{k-1}) with entry (r, c) = a_{(r-c) mod k}.
 
-The explicit k = 4 rank-one candidate pairs a column (phi_0..phi_3) whose
-monomials carry one optional digit at the bottom of each block with a row
-(g_0, g_3, g_2, g_1) whose monomials are products of per-block basic
-monomials: either the full lower half-block (weight 2^{-3M}) or an
-arbitrary pattern avoiding the block's bottom digit (weight 1 - 2^{-7M}),
-all scaled by 2^{N+2} / 2^{(4M+1)N}.  A generic alternating
-weighted-median descent provides a baseline candidate for comparison.
+Each polynomial family here is one product over blocks, prod_blocks
+sum_(e, c, w) w x^e z^c read by the power of z mod k: a term picks one
+choice (exponent e, digit count c, weight w) per block, and the blocks use
+disjoint digits, so no two terms add.  Over the index set I = {8Mj, ...,
+8Mj+4M : j < N} (M >= 1 keeps the indices distinct) the product takes the
+choices 1 and x^(2^i) z for each i in I, over 2^|I|.  The explicit k = 4
+candidate pairs a column (phi_0..phi_3), one optional digit at the bottom
+of each block, with a row (g_0, g_3, g_2, g_1) that takes per block the
+full lower half-block (weight 2^(-3M)) or a pattern on digits 1..4M
+(weight 1 - 2^(-7M)), all scaled by 2^(N+2) / 2^((4M+1)N).  All of this is
+exact; sizes over the monomial budget are refused, never approximated.  An
+alternating weighted-median descent gives a baseline candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter
 from typing import List, Tuple
 
@@ -42,7 +42,10 @@ class RankOneCandidate:
 _DECIMAL_BITS = 12000  # a refusal writes 2^12000 out (3,613 digits); str() allows 4,300
 
 
-def _check_budget(k: int, M: int, N: int, budget: int):
+def _check_sizes(k: int, M: int, N: int, budget: int):
+    for name, value, least in (("k", k, 1), ("M", M, 1), ("N", N, 0)):
+        if value < least:
+            raise BadInput(f"{name} must be >= {least}")
     exponent = (4 * M + 1) * N
     if exponent > _DECIMAL_BITS and exponent >= budget.bit_length():
         # 2^exponent > budget: refuse before building a number of exponent/8 bytes
@@ -51,30 +54,45 @@ def _check_budget(k: int, M: int, N: int, budget: int):
         raise BudgetExceeded(f"k * 2^((4M+1)N) = {k << exponent} exceeds the budget {budget}")
 
 
+def _block_classes(k: int, blocks, den: int) -> List[LaurentPoly]:
+    """The class vector of prod_blocks sum_(e, c, w) w x^e z^c over den, z^k = 1.
+
+    ``blocks`` is a list of choice lists of (exponent, digit count, int
+    weight).  Every pick of one choice per block must give its own exponent.
+    The terms are kept as (class, weight) -> exponent-list bins, grown one
+    block at a time.
+    """
+    bins = {(0, 1): [0]}
+    for choices in blocks:
+        # the zero offset goes last and shares its bin's list, so a list is
+        # extended in place only once its own bin has been read
+        choices = sorted(choices, key=lambda choice: choice[0] == 0)
+        grown = {}
+        for (cls, w), exps in bins.items():
+            for e, c, cw in choices:
+                moved = [x + e for x in exps] if e else exps
+                key = ((cls + c) % k, w * cw)
+                if key in grown:
+                    grown[key] += moved
+                else:
+                    grown[key] = moved
+        bins = grown
+    terms = [{} for _ in range(k)]
+    for (cls, w), exps in bins.items():
+        terms[cls].update(zip(exps, repeat(w)))
+    return [LaurentPoly._from_ints(t, den) for t in terms]
+
+
 def block_indices(M: int, N: int) -> List[int]:
     """The exponent indices {8Mj, ..., 8Mj + 4M} over the N blocks."""
-    out = []
-    for j in range(N):
-        out.extend(range(8 * M * j, 8 * M * j + 4 * M + 1))
-    return out
+    return [i for j in range(N) for i in range(8 * M * j, 8 * M * j + 4 * M + 1)]
 
 
 def circulant_classes(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
     """Class vector of the product over the block index set, exact."""
-    if k < 1:
-        raise BadInput("k must be >= 1")
-    if M < 1:
-        raise BadInput("M must be >= 1")
-    _check_budget(k, M, N, budget)
+    _check_sizes(k, M, N, budget)
     indices = block_indices(M, N)
-    exps = [0]  # exps[s] is the exponent of the subset that the bits of s pick from indices
-    for i in indices:
-        bit = 1 << i
-        exps += [e | bit for e in exps]
-    terms = [dict() for _ in range(k)]
-    for s, e in enumerate(exps):
-        terms[s.bit_count() % k][e] = 1
-    return [LaurentPoly._from_ints(t, 1 << len(indices)) for t in terms]
+    return _block_classes(k, [((0, 0, 1), (1 << i, 1, 1)) for i in indices], 1 << len(indices))
 
 
 def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
@@ -85,38 +103,19 @@ def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
 
 def phi_polys(M: int, N: int) -> List[LaurentPoly]:
     """The four column polynomials: one optional bottom digit per block."""
-    terms = [dict() for _ in range(4)]
-    for bits in itertools.product((0, 1), repeat=N):
-        exp = sum(a << (8 * M * j) for j, a in enumerate(bits))
-        cls = sum(bits) % 4
-        terms[cls][exp] = terms[cls].get(exp, 0) + 1
-    return [LaurentPoly._from_ints(t, 2 ** N) for t in terms]
+    return _block_classes(4, [((0, 0, 1), (1 << (8 * M * j), 1, 1)) for j in range(N)], 1 << N)
 
 
 def f_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
     """The four unnormalized row polynomials from the basic-monomial sums."""
-    _check_budget(4, M, N, budget)
-    full_low = sum(1 << i for i in range(4 * M))  # digits 0 .. 4M-1 of a block
-    # Over the denominator 2^(7MN), a monomial with f form-full blocks has the
-    # numerator 2^(N+2) (2^(-3M))^f (1 - 2^(-7M))^(N-f) 2^(7MN)
-    # = 2^(N+2+4Mf) (2^(7M) - 1)^(N-f).
-    numerators = [(2 ** (7 * M) - 1) ** (N - f) << (N + 2 + 4 * M * f) for f in range(N + 1)]
-    # Per-block choices: (digit count, exponent within block, uses form-full)
-    choices = [(4 * M, full_low, True)]
-    for pattern in range(1 << (4 * M)):
-        exp = pattern << 1  # digits 1 .. 4M only: the bottom digit stays clear
-        choices.append((bin(pattern).count("1"), exp, False))
-    terms = [dict() for _ in range(4)]
-    for combo in itertools.product(range(len(choices)), repeat=N):
-        exp, count, fulls = 0, 0, 0
-        for j, c in enumerate(combo):
-            dc, block_exp, is_full = choices[c]
-            exp += block_exp << (8 * M * j)
-            count += dc
-            fulls += is_full
-        cls = count % 4
-        terms[cls][exp] = terms[cls].get(exp, 0) + numerators[fulls]
-    return [LaurentPoly._from_ints(t, 1 << (7 * M * N)) for t in terms]
+    _check_sizes(4, M, N, budget)
+    # Over 2^(7MN): the full lower half-block (digits 0 .. 4M-1) weighs 2^(-3M) 2^(7M),
+    # a pattern on digits 1 .. 4M (the bottom digit stays clear) (1 - 2^(-7M)) 2^(7M).
+    full = ((1 << (4 * M)) - 1, 4 * M, 1 << (4 * M))
+    patterns = [(p << 1, p.bit_count(), (1 << (7 * M)) - 1) for p in range(1 << (4 * M))]
+    blocks = [((0, 0, 1 << (N + 2)),)]
+    blocks += [[(e << (8 * M * j), c, w) for e, c, w in (full, *patterns)] for j in range(N)]
+    return _block_classes(4, blocks, 1 << (7 * M * N))
 
 
 def g_polys(M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:

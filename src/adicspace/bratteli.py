@@ -19,7 +19,8 @@ JSON interchange format::
      "orders": {"<level>/<vertex-index>": ["edgeId", ...], ...}}
 
 ``src``/``dst`` are JSON integer indices into the adjacent level lists;
-rationals are "num/den" strings; the order key for vertex i of V_n is
+``p`` is written like a Laurent coefficient, as a "num/den" string or an
+["lo", "hi"] pair for an enclosure; the order key for vertex i of V_n is
 ``"n/i"`` and lists the ids of the E_{n-1} edges into that vertex, minimal
 first.  :func:`validate_diagram` only parses this shape.  The
 :class:`OrderedBratteliDiagram` constructor checks every rule once: the
@@ -37,7 +38,7 @@ from typing import Optional
 
 from .errors import BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber, MissingRoot
 from .intervals import RatInterval
-from .laurent import parse_rational, sum_coeffs
+from .laurent import coeff_from_json, coeff_to_json, sum_coeffs
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class OrderedBratteliDiagram:
 
     ``levels[n]`` are the vertex labels of V_n; ``edges[n]`` the E_n edge
     tuple; ``in_edges[(n+1, v)]`` the edges into vertex v of V_{n+1} in
-    their total order; ``out_edges[(n, v)]`` the edges out of v in E_n order.
+    their total order.
     """
 
     def __init__(self, levels, edges, orders):
@@ -84,7 +85,6 @@ class OrderedBratteliDiagram:
         if len(self.levels) != len(self.edges) + 1:
             raise BadInput("need exactly one more vertex level than edge level")
         self.in_edges = {}
-        self.out_edges = {}
         seen_ids = set()
         for n, level_edges in enumerate(self.edges):
             outs = [[] for _ in self.levels[n]]
@@ -105,7 +105,6 @@ class OrderedBratteliDiagram:
                 total = sum_coeffs(e.p for e in out)
                 if not RatInterval.coerce(total).contains(1):
                     raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
-                self.out_edges[(n, v)] = tuple(out)
             for v, fiber in enumerate(fibers):
                 order = orders.get((n + 1, v))
                 if order is None:
@@ -152,7 +151,7 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
                 if type(src) is not int or type(dst) is not int:
                     raise ValueError(f"src {src!r} and dst {dst!r} must be JSON integers")
                 parsed.append(Edge(id=str(e["id"]), level=n, src=src, dst=dst,
-                                   p=parse_rational(e["p"])))
+                                   p=coeff_from_json(e["p"])))
             except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
                 raise BadInput(f"malformed edge {e.get('id')!r} in E_{n}: {exc}") from exc
         edges.append(parsed)
@@ -172,15 +171,10 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
 
 
 def diagram_to_json(d: OrderedBratteliDiagram) -> dict:
-    out_edges = []
-    for level_edges in d.edges:
-        out_edges.append(
-            [{"id": e.id, "src": e.src, "dst": e.dst, "p": str(e.p)} for e in level_edges]
-        )
-    orders = {}
-    for (n, v), es in d.in_edges.items():
-        orders[f"{n}/{v}"] = [e.id for e in es]
-    return {"levels": [list(l) for l in d.levels], "edges": out_edges, "orders": orders}
+    edges = [[{"id": e.id, "src": e.src, "dst": e.dst, "p": coeff_to_json(e.p)} for e in level]
+             for level in d.edges]
+    orders = {f"{n}/{v}": [e.id for e in es] for (n, v), es in d.in_edges.items()}
+    return {"levels": [list(l) for l in d.levels], "edges": edges, "orders": orders}
 
 
 # -- path machinery ----------------------------------------------------------

@@ -18,8 +18,7 @@ import sys
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
 from .errors import AdicspaceError, BadInput, UsageError
-from .intervals import RatInterval
-from .laurent import LaurentPoly, parse_rational
+from .laurent import LaurentPoly, coeff_to_json, parse_rational
 
 PRESETS = {
     "odometer": lambda depth: bratteli.odometer_diagram(depth),
@@ -37,14 +36,14 @@ def _depth(args, default: int) -> int:
 
 
 def _load_diagram(args) -> tuple:
-    """Returns (diagram, input-bytes) from --preset/--k or a JSON file path."""
+    """Returns (diagram, input-bytes) from --preset or a JSON file path."""
     if getattr(args, "preset", None):
         depth = _depth(args, 8)
         name = args.preset
         kind, colon, size = name.partition(":")
         if kind == "circulant":
             try:
-                k = int(size if colon else args.k or 4)
+                k = int(size) if colon else 4
             except ValueError:
                 raise UsageError(f"preset {name!r} needs an integer size, as in circulant:4") from None
             d = bratteli.circulant_diagram(k, depth)
@@ -120,9 +119,7 @@ def cmd_matrices(args) -> int:
         vec = [LaurentPoly.from_json(p) for p in data]
         horizon = args.horizon if args.horizon is not None else space.depth
         norm = dimspace.horizon_norm(space, vec, 0, horizon)
-        body["norm"] = {"horizon": horizon,
-                        "value": [str(norm.lo), str(norm.hi)] if isinstance(norm, RatInterval)
-                        else str(norm)}
+        body["norm"] = {"horizon": horizon, "value": coeff_to_json(norm)}
     return _report(args, body, payload)
 
 
@@ -160,7 +157,7 @@ def cmd_rotation(args) -> int:
     rule = rotation.parse_rule(args.rule) if args.rule else None
     payload = json.dumps({"cf": list(cf.terms)}, sort_keys=True).encode()
     depth = _depth(args, max(1, cf.depth - 2))
-    body = {"cf": list(cf.terms), "alpha": [str(cf.alpha().lo), str(cf.alpha().hi)]}
+    body = {"cf": list(cf.terms), "alpha": coeff_to_json(cf.alpha())}
     report = rotation.summability_report(cf, rule)
     body["summability"] = {
         "partial_sum": str(report.partial_sum),
@@ -177,15 +174,10 @@ def cmd_rotation(args) -> int:
             polys = rotation.rank_one_polys(cf, depth, rule)
         body["polys"] = [p.to_json() for p in polys]
     if args.gaps:
-        gaps = []
-        for n in range(1, depth):
-            g = rotation.rank_one_gap(cf, n)
-            gaps.append({
-                "n": n,
-                "gap": [str(g.gap.lo), str(g.gap.hi)],
-                "tail_bound": None if g.tail_bound is None else str(g.tail_bound),
-            })
-        body["gaps"] = gaps
+        gaps = [rotation.rank_one_gap(cf, n) for n in range(1, depth)]
+        body["gaps"] = [{"n": g.n, "gap": coeff_to_json(g.gap),
+                         "tail_bound": None if g.tail_bound is None else str(g.tail_bound)}
+                        for g in gaps]
     return _report(args, body, payload)
 
 
@@ -213,7 +205,7 @@ def cmd_stack(args) -> int:
             "out_fraction": str(rep.out_fraction),
             "values": [
                 {"value": str(s.value), "levels": s.level_count, "mass": s.grid_mass,
-                 "distance": [str(s.distance.lo), str(s.distance.hi)]}
+                 "distance": coeff_to_json(s.distance)}
                 for s in rep.stats
             ],
         }
@@ -254,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("diagram", nargs="?", help="diagram JSON file")
             p.add_argument("--preset", help="odometer | morse | circulant:K")
             p.add_argument("--depth", type=int, help="preset depth")
-            p.add_argument("--k", type=int, help="circulant size for --preset circulant")
         p.add_argument("--out", help="write the report to FILE instead of stdout")
 
     p = sub.add_parser("validate", help="validate a diagram")

@@ -54,6 +54,18 @@ def parse_rational(v) -> Fraction:
     raise ValueError(f'{v!r} is not a "num/den" string or an integer')
 
 
+def coeff_to_json(c) -> object:
+    """The one JSON form of a coefficient: ``str(c)``, or ["lo", "hi"] for an interval."""
+    return [str(c.lo), str(c.hi)] if isinstance(c, RatInterval) else str(c)
+
+
+def coeff_from_json(v) -> Coeff:
+    """Inverse of :func:`coeff_to_json`: :func:`parse_rational`, or a [lo, hi] pair of them."""
+    if isinstance(v, list) and len(v) != 2:
+        raise ValueError(f"an interval is a [lo, hi] pair, not {len(v)} items")
+    return RatInterval(*map(parse_rational, v)) if isinstance(v, list) else parse_rational(v)
+
+
 class LaurentPoly:
     """An element of the Laurent polynomial algebra over the rationals."""
 
@@ -212,8 +224,7 @@ class LaurentPoly:
         for e in sorted([*nums, *ivals]):
             n = nums.get(e)
             if n is None:
-                c = ivals[e]
-                out[str(e)] = [str(c.lo), str(c.hi)]
+                out[str(e)] = coeff_to_json(ivals[e])
                 continue
             s = text.get(n)
             if s is None:
@@ -230,10 +241,7 @@ class LaurentPoly:
         terms = {}
         for e, c in data.items():
             try:
-                if isinstance(c, list) and len(c) != 2:
-                    raise ValueError(f"an interval is a [lo, hi] pair, not {len(c)} items")
-                terms[int(e)] = (RatInterval(*map(parse_rational, c)) if isinstance(c, list)
-                                 else parse_rational(c))
+                terms[int(e)] = coeff_from_json(c)
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
         return LaurentPoly(terms)

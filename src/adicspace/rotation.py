@@ -27,10 +27,20 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .bratteli import Edge, OrderedBratteliDiagram
-from .errors import BadInput, InsufficientDepth, RangeError
+from .errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges, tables_from_b
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational, sum_coeffs
+
+
+SIZE_CAP = 1 << 20  # the most tower levels, or polynomial terms, a continued fraction may ask for
+
+
+def check_size(what: str, size: int) -> int:
+    """``size``, or a BudgetExceeded naming ``what`` when it is over SIZE_CAP."""
+    if size > SIZE_CAP:
+        raise BudgetExceeded(f"{what} = {size} exceeds the size cap {SIZE_CAP}")
+    return size
 
 
 class CFExpansion:
@@ -161,10 +171,6 @@ def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> Su
 # -- the rotation diagram ------------------------------------------------------
 
 
-def _edge_id_parallel(n: int, k: int) -> str:
-    return f"e{n}_11_{k}"
-
-
 def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagram, EdgeLabeling]:
     """The two-vertex diagram of the rotation, with its explicit labeling.
 
@@ -181,12 +187,12 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
     edges, orders, b = [], {}, {}
     alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
     for n in range(depth):
-        a_next = cf.a(n + 1)
+        a_next = check_size(f"a({n + 1})", cf.a(n + 1))
         ratio_stay = alphas[n + 1] / alphas[n]
         ratio_out = alphas[n + 2] / alphas[n]
         level_edges = []
         for k in range(1, a_next + 1):
-            eid = _edge_id_parallel(n, k)
+            eid = f"e{n}_11_{k}"
             level_edges.append(Edge(eid, n, 0, 0, ratio_stay))
             b[eid] = (k - 1) * cf.q(n)
         if n:  # the root has no v_2, so E_0 has no cross edge
@@ -223,10 +229,10 @@ def compare_labelings(cf: CFExpansion, depth: int) -> dict:
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
+    a_next, q = check_size(f"a({n + 1})", cf.a(n + 1)), cf.q(n)
     prev = alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
     stay = alpha_n(cf, n) / prev
     out = alpha_n(cf, n + 1) / prev
-    a_next, q = cf.a(n + 1), cf.q(n)
     top_left = LaurentPoly({k * q: stay for k in range(a_next)})
     rows = [[top_left, LaurentPoly.x(a_next * q)], [LaurentPoly({0: out}), LaurentPoly.zero()]]
     # V_0 has one vertex, so M_0 has one column
@@ -246,7 +252,7 @@ def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = Non
 
 def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:
     """P_n: mass 1/a(n+1) at each of the exponents 0, q(n), ..., (a(n+1)-1) q(n)."""
-    a_next, q = cf.a(n + 1), cf.q(n)
+    a_next, q = check_size(f"a({n + 1})", cf.a(n + 1)), cf.q(n)
     return LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)})
 
 

@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 from .errors import (BadInput, InsufficientDepth, PointOutsideTower, TopLevel,
                      TruncationBoundary)
 from .intervals import RatInterval
-from .rotation import CFExpansion, GrowthRule, summability_report
+from .rotation import CFExpansion, GrowthRule, check_size, summability_report
 
 Word = Tuple[int, ...]
 
@@ -96,11 +96,18 @@ class Tower:
         return tuple((ends[s], ends[s + 1]) for s in self.starts)
 
 
-def build_tower(cf: CFExpansion, stage: int) -> Tower:
+def _check_height(cf: CFExpansion, stage: int):
+    """Refuse a tower of over SIZE_CAP levels before it is built."""
     if stage < 1:
         raise BadInput("stage must be >= 1")
     if stage > cf.depth:
         raise InsufficientDepth(f"stage {stage} needs {stage} partial quotients")
+    # h <- a(n+1) (h + q(n-2)) from h = a(1) is a(stage) q(stage-1): a(n) q(n-1) + q(n-2) = q(n)
+    check_size(f"the stage-{stage} tower height", cf.a(stage) * cf.q(stage - 1))
+
+
+def build_tower(cf: CFExpansion, stage: int) -> Tower:
+    _check_height(cf, stage)
     den = cf.a(1)
     starts = list(range(den))
     labels: List[Optional[Word]] = [(k + 1,) for k in range(den)]
@@ -227,8 +234,7 @@ def skyscraper_orbit_codes(cf: CFExpansion, stage: int) -> List[Optional[Word]]:
     Words are truncated to ``stage`` digits; heights above ground code as
     None, mirroring the tower's spacer levels.
     """
-    if stage > cf.depth:
-        raise InsufficientDepth(f"stage {stage} needs {stage} partial quotients")
+    _check_height(cf, stage)
     sub = CFExpansion(cf.terms[:stage])
     codes: List[Optional[Word]] = []
     word: Optional[Word] = tuple([1] * stage)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .dimspace import DimensionSpace, partial_product
+from .dimspace import DimensionSpace, push_forward
 from .errors import BadInput, DepthExceeded, RangeError
 from .intervals import RatInterval
-from .laurent import sum_coeffs
+from .laurent import LaurentPoly, coeff_to_json, sum_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -64,40 +64,38 @@ class DisplacementHistogram:
         return sum_coeffs(c for row in self.masses.values() for c in row.values())
 
 
+def _check_start(space: DimensionSpace, start: WalkState, n: int):
+    """A walk from ``start`` to level n: 0 <= start.level <= n <= depth, vertex in V_start.level."""
+    if not (0 <= n <= space.depth):
+        raise RangeError(f"level {n} outside 0..{space.depth}")
+    if not (0 <= start.level <= n):
+        raise RangeError(f"start level {start.level} outside 0..{n}")
+    if not (0 <= start.vertex < space.dims[start.level]):
+        raise BadInput(f"vertex {start.vertex} outside level {start.level}")
+
+
 def step_distribution(space: DimensionSpace, s: WalkState) -> List[Tuple[WalkState, object]]:
     """All positive-probability successors of s, with their probabilities."""
     if s.level >= space.depth:
         raise DepthExceeded(f"level {s.level} >= depth {space.depth}")
-    if not (0 <= s.vertex < space.dims[s.level]):
-        raise BadInput(f"vertex {s.vertex} outside level {s.level}")
+    _check_start(space, s, s.level + 1)
     m = space.matrices[s.level]
-    out = []
-    for j in range(m.rows):
-        for exp, c in m.entries[j][s.vertex].items():
-            out.append((WalkState(s.position + exp, j, s.level + 1), c))
-    return out
+    return [(WalkState(s.position + exp, j, s.level + 1), c)
+            for j in range(m.rows) for exp, c in m.entries[j][s.vertex].items()]
 
 
 def exact_distribution(space: DimensionSpace, n: int, start: WalkState) -> DisplacementHistogram:
     """Distribution after walking from level start.level to level n, exactly.
 
-    The mass at (d, j) is the coefficient of x^(d - start.position) in entry
-    (j, start.vertex) of the partial product of the traversed matrices.
+    It is the column x^position e_vertex at level start.level pushed forward
+    to level n: the mass at (d, j) is the coefficient of x^d in entry j.
     """
-    if not (0 <= n <= space.depth):
-        raise RangeError(f"level {n} outside 0..{space.depth}")
-    if n < start.level:
-        raise RangeError("target level before start level")
-    if n == start.level:
-        return DisplacementHistogram("exact", {start.vertex: {start.position: Fraction(1)}})
-    prod = partial_product(space, start.level, n)
-    masses: Dict[int, Dict[int, object]] = {}
-    for j in range(prod.rows):
-        entry = prod.entries[j][start.vertex]
-        if entry.is_zero():
-            continue
-        masses[j] = {start.position + exp: c for exp, c in entry.items()}
-    return DisplacementHistogram("exact", masses)
+    _check_start(space, start, n)
+    column = [LaurentPoly.zero()] * space.dims[start.level]
+    column[start.vertex] = LaurentPoly.x(start.position)
+    pushed = push_forward(space, column, start.level, n)
+    return DisplacementHistogram("exact", {j: dict(f.items()) for j, f in enumerate(pushed)
+                                           if not f.is_zero()})
 
 
 def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
@@ -109,11 +107,8 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
     """
     if trials < 1:
         raise BadInput("trials must be >= 1")
-    if not (0 <= n <= space.depth):
-        raise RangeError(f"level {n} outside 0..{space.depth}")
     start = start or WalkState(0, 0, 0)
-    if n < start.level:
-        raise RangeError("target level before start level")
+    _check_start(space, start, n)
     # tables[lvl - start.level][v]: outcome list [(displacement, vertex)] and
     # integer thresholds ceil(cum * 2^64) of the exact cumulative probabilities.
     tables = []
@@ -157,9 +152,8 @@ def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:
-    rows = {}
-    for j in sorted(h.masses):
-        rows[str(j)] = {str(d): str(c) for d, c in sorted(h.masses[j].items())}
+    rows = {str(j): {str(d): coeff_to_json(c) for d, c in sorted(h.masses[j].items())}
+            for j in sorted(h.masses)}
     out = {"kind": h.kind, "masses": rows}
     if h.kind == "empirical":
         out["trials"] = h.trials

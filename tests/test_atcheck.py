@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 
 from adicspace import atcheck as AT
+from adicspace.cli import main
 from adicspace.errors import BadInput, BudgetExceeded, DimensionMismatch
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 
@@ -38,6 +40,85 @@ def test_circulant_classes_match_shift_scale_recurrence():
     for k in range(1, 6):
         for M, N in ((1, 1), (1, 2), (2, 1)):
             assert AT.circulant_classes(k, M, N) == shift_scale_classes(k, M, N), (k, M, N)
+
+
+# -- reference models: each family enumerated on its own -------------------------
+
+
+def subset_doubling_classes(k, M, N):
+    """Class vector by subset doubling: subset s of the indices has class popcount(s) mod k."""
+    indices = AT.block_indices(M, N)
+    exps = [0]  # exps[s] is the exponent of the subset that the bits of s pick from indices
+    for i in indices:
+        exps += [e | (1 << i) for e in exps]
+    terms = [dict() for _ in range(k)]
+    for s, e in enumerate(exps):
+        terms[s.bit_count() % k][e] = 1
+    return [LaurentPoly._from_ints(t, 1 << len(indices)) for t in terms]
+
+
+def bit_product_phis(M, N):
+    """phi_0..phi_3 over every bit vector of the N optional bottom digits."""
+    terms = [dict() for _ in range(4)]
+    for bits in itertools.product((0, 1), repeat=N):
+        exp = sum(a << (8 * M * j) for j, a in enumerate(bits))
+        cls = sum(bits) % 4
+        terms[cls][exp] = terms[cls].get(exp, 0) + 1
+    return [LaurentPoly._from_ints(t, 2 ** N) for t in terms]
+
+
+def choice_product_fs(M, N):
+    """f_0..f_3 over every tuple of the 2^(4M)+1 per-block choices, weighed by full blocks."""
+    full_low = sum(1 << i for i in range(4 * M))
+    # a monomial with f full blocks has the numerator 2^(N+2+4Mf) (2^(7M) - 1)^(N-f) over 2^(7MN)
+    numerators = [(2 ** (7 * M) - 1) ** (N - f) << (N + 2 + 4 * M * f) for f in range(N + 1)]
+    choices = [(4 * M, full_low, True)]
+    for pattern in range(1 << (4 * M)):
+        choices.append((bin(pattern).count("1"), pattern << 1, False))
+    terms = [dict() for _ in range(4)]
+    for combo in itertools.product(range(len(choices)), repeat=N):
+        exp, count, fulls = 0, 0, 0
+        for j, c in enumerate(combo):
+            dc, block_exp, is_full = choices[c]
+            exp += block_exp << (8 * M * j)
+            count += dc
+            fulls += is_full
+        cls = count % 4
+        terms[cls][exp] = terms[cls].get(exp, 0) + numerators[fulls]
+    return [LaurentPoly._from_ints(t, 1 << (7 * M * N)) for t in terms]
+
+
+def within_budget(k, M, N):
+    return k << ((4 * M + 1) * N) <= AT.DEFAULT_BUDGET
+
+
+def test_block_kernel_matches_the_three_enumerations():
+    # N = 0 included: the product is then the empty one, 1 in class 0
+    for M in range(1, 4):
+        for N in range(0, 4):
+            assert AT.phi_polys(M, N) == bit_product_phis(M, N), (M, N)
+            if within_budget(4, M, N):  # f_polys up to (M, N) = (2, 2)
+                assert AT.f_polys(M, N) == choice_product_fs(M, N), (M, N)
+            for k in range(1, 7):
+                if within_budget(k, M, N):
+                    expected = subset_doubling_classes(k, M, N)
+                    assert AT.circulant_classes(k, M, N) == expected, (k, M, N)
+
+
+def test_empty_product_is_one_in_class_zero():
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    assert AT.circulant_classes(3, 2, 0) == [one, zero, zero]
+    assert AT.phi_polys(2, 0) == [one, zero, zero, zero]
+    assert AT.f_polys(2, 0) == [LaurentPoly({0: 4}), zero, zero, zero]
+
+
+def test_negative_block_count_is_refused_by_name(capsys):
+    for call in (lambda: AT.circulant_classes(4, 1, -1), lambda: AT.f_polys(1, -1)):
+        with pytest.raises(BadInput, match="N must be >= 0"):
+            call()
+    assert main(["at", "--M", "1", "--N", "-1"]) == 1
+    assert capsys.readouterr().out == \
+        '{"error": {"code": "BadInput", "message": "N must be >= 0"}}\n'
 
 
 def test_circulant_classes_reject_bad_sizes():

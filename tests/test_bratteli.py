@@ -114,6 +114,31 @@ def test_json_round_trip():
     assert B.diagram_to_json(again) == B.diagram_to_json(d)
 
 
+def test_enclosure_mode_diagram_json_round_trip():
+    from adicspace import rotation as R
+
+    d, _ = R.rotation_diagram(R.CFExpansion([n + 1 for n in range(1, 11)]), 3)
+    spec = B.diagram_to_json(d)
+    ps = [e["p"] for level in spec["edges"] for e in level]
+    # the cross edges have p = 1 exactly; every other p is an ["lo", "hi"] enclosure
+    assert ps.count("1") == 2
+    assert all(isinstance(p, list) and len(p) == 2 for p in ps if p != "1")
+    again = B.validate_diagram(json.loads(json.dumps(spec)))
+    assert B.diagram_to_json(again) == spec
+    assert [e.p for e in again.edges[1]] == [e.p for e in d.edges[1]]
+
+
+def test_validate_reads_p_like_a_laurent_coefficient():
+    for p0, p1, error in ((["1/4", "1/3"], "1/2", BadMeasure),  # [3/4, 5/6] misses 1
+                          (["1/2"], "1/2", BadInput),
+                          (["1/2", "1/3"], "1/2", BadInput),      # lo > hi
+                          (["0", "1/2"], ["1/2", "1"], BadMeasure)):
+        with pytest.raises(error):
+            B.validate_diagram(odometer_spec(2, p0, p1))
+    d = B.validate_diagram(odometer_spec(2, ["1/3", "1/2"], ["1/2", "2/3"]))
+    assert d.edges[0][0].p == RatInterval(Fraction(1, 3), Fraction(1, 2))
+
+
 # -- enumeration order -----------------------------------------------------------
 
 def test_odometer_enumeration_is_binary_counting():

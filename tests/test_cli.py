@@ -107,6 +107,31 @@ def test_circulant_preset_size(capsys):
     assert json.loads(out)["error"]["code"] == "BadInput"
 
 
+def test_preset_size_is_only_the_circulant_suffix(capsys):
+    for command in ("validate", "label", "matrices", "walk"):
+        code, out, err = run_quietly([command, "--preset", "circulant", "--k", "0", "--depth", "2"])
+        assert code == 2 and out == "" and "unrecognized arguments: --k" in err, command
+    code, out, err = run_cli(capsys, "validate", "--preset", "circulant:0", "--depth", "2")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "BadInput"
+    _, bare, _ = run_cli(capsys, "validate", "--preset", "circulant", "--depth", "2")
+    _, four, _ = run_cli(capsys, "validate", "--preset", "circulant:4", "--depth", "2")
+    assert bare == four and json.loads(bare)["levels"] == [1, 4, 4]
+
+
+def test_oversized_continued_fractions_are_refused_before_building(capsys):
+    for argv in (["stack", "--cf", "1000000000,2", "--stage", "1"],
+                 ["stack", "--cf", "2,1000,1000", "--stage", "3"],  # 1000 (1000 * 2 + 1) levels
+                 ["rotation", "--cf", "2,1000000000,3,4", "--matrices"],
+                 ["rotation", "--cf", "2,1000000000,3,4", "--polys"],
+                 ["rotation", "--cf", "2,1000000000,3,4,5", "--gaps"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "", argv
+        assert json.loads(out)["error"]["code"] == "BudgetExceeded", argv
+    code, out, _ = run_cli(capsys, "rotation", "--cf", "2,1000000000,3,4")
+    assert code == 0 and json.loads(out)["summability"]["verdict"]
+
+
 def test_unknown_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "adicspace.cli", "frobnicate"],
                           capture_output=True, text=True)

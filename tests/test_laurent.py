@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
-from adicspace.laurent import LaurentMatrix, LaurentPoly, mat_mul, sum_coeffs, weighted_one_norm
+from adicspace.laurent import (LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json, mat_mul,
+                               sum_coeffs, weighted_one_norm)
 
 HALF = Fraction(1, 2)
 
@@ -391,3 +392,14 @@ def test_store_examples():
     point = LaurentPoly({0: RatInterval(Fraction(1, 6))})
     assert point.to_json() == {"0": ["1/6", "1/6"]} and point == poly((0, "1/6"))
     assert hash(point) == hash(poly((0, "1/6")))
+
+
+def test_one_json_form_per_coefficient():
+    for c, text in ((Fraction(-3, 4), "-3/4"), (5, "5"),
+                    (RatInterval(Fraction(1, 3), Fraction(1, 2)), ["1/3", "1/2"]),
+                    (RatInterval(Fraction(1, 2)), ["1/2", "1/2"])):  # a point interval too
+        assert coeff_to_json(c) == text
+        assert coeff_from_json(text) == c
+    for bad in (["1"], ["1", "2", "3"], ["1/2", "1/3"], 0.5, True, "1e9"):
+        with pytest.raises(ValueError):
+            coeff_from_json(bad)

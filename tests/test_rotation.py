@@ -7,7 +7,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import rotation as R
 from adicspace.dimspace import build_matrices
-from adicspace.errors import BadInput, InsufficientDepth, RangeError
+from adicspace.errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
 from adicspace.intervals import RatInterval
 from adicspace.labeling import path_bsum
 from adicspace.laurent import LaurentPoly
@@ -265,3 +265,19 @@ def test_growth_rule_needs_positive_c():
             R.parse_rule(text)
     assert R.GrowthRule("linear", Fraction(1, 1000)).c > 0
     assert R.summability_report(ones, R.parse_rule("linear:c=1/2")).verdict == "INCONCLUSIVE"
+
+
+def test_partial_quotient_cap_guards_every_builder(monkeypatch):
+    cf = R.CFExpansion([2, 5, 3, 4, 2, 2])
+    monkeypatch.setattr(R, "SIZE_CAP", 4)
+    assert R.rotation_matrix(cf, 0).entries[0][0].num_terms() == 2
+    for build in (lambda: R.rotation_matrix(cf, 1), lambda: R.rank_one_gap(cf, 1),
+                  lambda: R.rotation_diagram(cf, 2), lambda: R._rank_one_poly(cf, 1)):
+        with pytest.raises(BudgetExceeded, match=r"a\(2\) = 5"):
+            build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(BudgetExceeded):
+            R.rank_one_polys(cf, 2)
+    monkeypatch.setattr(R, "SIZE_CAP", 5)
+    assert R.rotation_matrix(cf, 1).entries[0][0].num_terms() == 5

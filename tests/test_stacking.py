@@ -5,7 +5,7 @@ import pytest
 
 from adicspace import rotation as R
 from adicspace import stacking as S
-from adicspace.errors import (BadInput, InsufficientDepth, PointOutsideTower,
+from adicspace.errors import (BadInput, BudgetExceeded, InsufficientDepth, PointOutsideTower,
                               TopLevel, TruncationBoundary)
 from adicspace.intervals import RatInterval
 
@@ -317,3 +317,16 @@ def test_locate_and_map_match_linear_scan():
                     S.tower_map(t, x)
             else:
                 assert S.tower_map(t, x) == x + t.intervals[i + 1][0] - t.intervals[i][0]
+
+
+def test_tower_height_cap_is_checked_from_the_recurrence(monkeypatch):
+    cf = R.CFExpansion([10, 10, 3])  # heights 10, 10 * (10 + 0) = 100, 3 * (100 + 1) = 303
+    monkeypatch.setattr(R, "SIZE_CAP", 100)
+    assert S.build_tower(cf, 2).height == 100
+    assert len(S.skyscraper_orbit_codes(cf, 2)) == 100
+    for build in (S.build_tower, S.skyscraper_orbit_codes):
+        with pytest.raises(BudgetExceeded, match="stage-3 tower height = 303"):
+            build(cf, 3)
+    monkeypatch.setattr(R, "SIZE_CAP", 99)
+    with pytest.raises(BudgetExceeded):
+        S.build_tower(cf, 2)

@@ -6,7 +6,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import walk as W
 from adicspace.dimspace import build_matrices, partial_product
-from adicspace.errors import BadInput, DepthExceeded
+from adicspace.errors import BadInput, DepthExceeded, RangeError
 from adicspace.labeling import label_edges
 from conftest import random_diagram
 
@@ -253,3 +253,42 @@ def test_integer_threshold_matches_fraction_comparison():
         for u in (t - 1, t, t + 1):
             if 0 <= u < two64:
                 assert (u < t) == (Fraction(u, two64) < p)
+
+
+def test_start_state_is_checked_once_for_every_walk_function():
+    sp = space_for(B.circulant_diagram(3, 3))  # dims (1, 3, 3, 3)
+    for start, error in ((W.WalkState(0, -1, 1), BadInput),   # not the last vertex
+                         (W.WalkState(0, 3, 1), BadInput),    # k(1) = 3
+                         (W.WalkState(0, 1, 0), BadInput),    # the root is vertex 0 only
+                         (W.WalkState(0, 0, -1), RangeError),
+                         (W.WalkState(0, 0, 3), RangeError)):  # start after the target 2
+        with pytest.raises(error):
+            W.exact_distribution(sp, 2, start)
+        with pytest.raises(error):
+            W.simulate(sp, 2, 5, seed=1, start=start)
+    for s in (W.WalkState(0, -1, 1), W.WalkState(0, 3, 1)):
+        with pytest.raises(BadInput):
+            W.step_distribution(sp, s)
+    with pytest.raises(RangeError):
+        W.step_distribution(sp, W.WalkState(0, 0, -1))  # would read matrices[-1]
+    with pytest.raises(RangeError):
+        W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
+
+
+def test_exact_distribution_from_an_inner_vertex_matches_partial_product():
+    sp = space_for(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
+    hist = W.exact_distribution(sp, 5, W.WalkState(-3, 3, 1))
+    prod = partial_product(sp, 1, 5)
+    assert hist.total_mass() == 1
+    for j in range(sp.dims[5]):
+        assert hist.masses.get(j, {}) == {e - 3: c for e, c in prod.entries[j][3].items()}
+
+
+def test_histogram_writes_an_interval_mass_as_a_pair():
+    from adicspace import rotation as R
+
+    cf = R.CFExpansion([n + 1 for n in range(1, 11)])
+    sp = build_matrices(*R.rotation_diagram(cf, 2))
+    rows = W.histogram_to_json(W.exact_distribution(sp, 2, W.WalkState(0, 0, 0)))["masses"]
+    masses = [c for row in rows.values() for c in row.values()]
+    assert masses and all(isinstance(c, list) and len(c) == 2 for c in masses)
