@@ -28,6 +28,7 @@ from operator import itemgetter
 from typing import List, Tuple
 
 from .errors import BadInput, BudgetExceeded, DimensionMismatch
+from .intervals import RatInterval
 from .laurent import LaurentMatrix, LaurentPoly, sum_coeffs
 
 DEFAULT_BUDGET = 1 << 20
@@ -164,47 +165,92 @@ def _optimize_vector(targets, partners, vector):
     """One in-place pass over the coefficients of each entry of ``vector``.
 
     targets[i][j] is the polynomial the product vector[i] * partners[j] is
-    meant to match.  Every coefficient is set to the nonnegative weighted
-    median of its compatible residual ratios; each step is the exact 1-D
-    l1 minimizer, so the global objective never increases.
+    meant to match; the partners have positive coefficients.  Every
+    coefficient c at t is set to the nonnegative weighted median of the
+    ratios res_j(t + tau) / w + c over the partner terms w x^tau, where
+    res_j = targets[i][j] - vector[i] * partners[j]; each step is the exact
+    1-D l1 minimizer, so the global objective never increases.
+
+    The residuals are built once per entry and updated in place when a
+    coefficient moves.  Only the positive ratios become Fractions: the
+    weight of every other point is put on one point at 0, which leaves
+    max(0, lower weighted median) as it is.  The weights are ints over the
+    lcm of the partner denominators, a common scale the median ignores.
     """
-    k = len(vector)
-    for i in range(k):
-        support = set(vector[i].support())
-        for j, r in enumerate(partners):
+    live = [(j, r, r.items()) for j, r in enumerate(partners) if not r.is_zero()]
+    if not live:  # no ratio to take a median of: every entry stays as it is
+        return
+    den = math.lcm(*(w.denominator for _, _, items in live for _, w in items))
+    terms = [[(tau, w, w.numerator * (den // w.denominator)) for tau, w in items]
+             for _, _, items in live]
+    total = sum(wi for partner in terms for _, _, wi in partner)
+    for i, entry in enumerate(vector):
+        coeffs = dict(entry.items())
+        residuals = [dict((targets[i][j] - entry * r).items()) for j, r, _ in live]
+        support = set(coeffs)
+        for j, r, _ in live:
+            taus = r.support()
             for s in targets[i][j].support():
-                for tau in r.support():
-                    support.add(s - tau)
+                support.update(s - tau for tau in taus)
         for t in sorted(support):
-            base = vector[i] + LaurentPoly.monomial(-vector[i].coeff(t), t)
-            points = []
-            for j, r in enumerate(partners):
-                if r.is_zero():
-                    continue
-                res = targets[i][j] - base * r
-                for tau, w in r.items():
-                    points.append((res.coeff(t + tau) / w, abs(w)))
-            if not points:
+            c = coeffs.get(t, 0)
+            positive = []
+            for res, partner in zip(residuals, terms):
+                get = res.get
+                for tau, w, wi in partner:
+                    v = get(t + tau, 0)
+                    if c:
+                        v += c * w
+                    if v > 0:
+                        positive.append((v / w, wi))
+            if positive:
+                rest = total - sum(wi for _, wi in positive)
+                gamma = _weighted_median([*positive, (Fraction(0), rest)] if rest else positive)
+            else:
+                gamma = 0
+            if gamma == c:
                 continue
-            gamma = max(Fraction(0), _weighted_median(points))
-            vector[i] = base + LaurentPoly.monomial(gamma, t)
-    return vector
+            step = gamma - c
+            for res, partner in zip(residuals, terms):
+                for tau, w, _ in partner:
+                    e = t + tau
+                    v = res.get(e, 0) - step * w
+                    if v:
+                        res[e] = v
+                    else:
+                        del res[e]
+            if gamma:
+                coeffs[t] = gamma
+            else:
+                del coeffs[t]
+        vector[i] = LaurentPoly(coeffs)
 
 
-def greedy_rank_one(a: LaurentMatrix, iters: int) -> RankOneCandidate:
+def greedy_rank_one(a: LaurentMatrix, iters: int, budget: int = DEFAULT_BUDGET) -> RankOneCandidate:
     """Alternating coordinatewise descent for a nonnegative rank-one fit.
 
+    The matrix must be square with exact nonnegative coefficients.
     Initialization: the row entries are the column-sum polynomials of the
     matrix scaled to unit coefficient mass, the column entries are the
     constant 1.  Each iteration sweeps all column coefficients, then all
     row coefficients; the approximation error is nonincreasing and the
-    result is deterministic.
+    result is deterministic.  A sweep whose count of (target term, partner
+    term) pairs is over ``budget`` is refused before it starts.
     """
     if iters < 1:
         raise BadInput("iters must be >= 1")
     k = a.rows
     if a.cols != k:
         raise DimensionMismatch("greedy fit expects a square matrix")
+    for i, entries in enumerate(a.entries):
+        for j, e in enumerate(entries):
+            for _, c in e.items():
+                if isinstance(c, RatInterval):
+                    raise BadInput(f"entry ({i}, {j}) has an interval coefficient; "
+                                   "the greedy fit needs exact ones")
+                if c < 0:
+                    raise BadInput(f"entry ({i}, {j}) has a negative coefficient; "
+                                   "the greedy fit needs a nonnegative matrix")
     row = []
     for j in range(k):
         colsum = LaurentPoly.zero()
@@ -216,6 +262,11 @@ def greedy_rank_one(a: LaurentMatrix, iters: int) -> RankOneCandidate:
     col_targets = [[a.entries[i][j] for j in range(k)] for i in range(k)]
     row_targets = [[a.entries[i][j] for i in range(k)] for j in range(k)]
     for _ in range(iters):
-        col = _optimize_vector(col_targets, row, col)
-        row = _optimize_vector(row_targets, col, row)
+        for targets, partners, vector in ((col_targets, row, col), (row_targets, col, row)):
+            bound = sum(t.num_terms() * p.num_terms()
+                        for row in targets for t, p in zip(row, partners))
+            if bound > budget:
+                raise BudgetExceeded(f"a greedy sweep pairs {bound} target and partner terms, "
+                                     f"over the budget {budget}")
+            _optimize_vector(targets, partners, vector)
     return RankOneCandidate(column=tuple(col), row=tuple(row))

@@ -75,7 +75,8 @@ def _report(args, body: dict, payload: bytes | None = None) -> int:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
+    """--budget where the subcommand has it, else $ADICSPACE_BUDGET, else the default."""
+    if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("ADICSPACE_BUDGET")
     return int(env) if env else atcheck.DEFAULT_BUDGET
@@ -131,7 +132,7 @@ def cmd_walk(args) -> int:
     body = {"level": level}
     exact = None
     if args.exact or not args.trials:
-        exact = walk.exact_distribution(space, level, walk.WalkState(0, 0, 0))
+        exact = walk.exact_distribution(space, level, walk.WalkState(0, 0, 0), _budget(args))
         body["exact"] = walk.histogram_to_json(exact)
     if args.trials:
         emp = walk.simulate(space, level, args.trials, args.seed)
@@ -229,7 +230,7 @@ def cmd_at(args) -> int:
             "g_norm": str(gsum.one_norm()),
         }
     if args.greedy:
-        cand = atcheck.greedy_rank_one(a, args.greedy)
+        cand = atcheck.greedy_rank_one(a, args.greedy, budget)
         body["greedy"] = {"iters": args.greedy,
                           "error": str(atcheck.approximation_error(a, cand))}
     return _report(args, body, payload)

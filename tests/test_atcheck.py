@@ -1,14 +1,20 @@
+import hashlib
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspace import atcheck as AT
 from adicspace.cli import main
 from adicspace.errors import BadInput, BudgetExceeded, DimensionMismatch
+from adicspace.intervals import RatInterval
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 
 
@@ -282,3 +288,104 @@ def test_weighted_median_matches_fraction_sort():
         points = [(rng.choice(pool), Fraction(rng.randrange(1, 20), rng.choice((1, 3, 5, 8))))
                   for _ in range(rng.randrange(1, 14))]
         assert AT._weighted_median(list(points)) == fraction_sort_median(points)
+
+
+# -- the descent against the per-candidate reference ---------------------------
+
+
+def per_candidate_optimize_vector(targets, partners, vector):
+    """Reference pass: rebuild targets[i][j] - base * r as a Laurent product per candidate."""
+    k = len(vector)
+    for i in range(k):
+        support = set(vector[i].support())
+        for j, r in enumerate(partners):
+            for s in targets[i][j].support():
+                for tau in r.support():
+                    support.add(s - tau)
+        for t in sorted(support):
+            base = vector[i] + LaurentPoly.monomial(-vector[i].coeff(t), t)
+            points = []
+            for j, r in enumerate(partners):
+                if r.is_zero():
+                    continue
+                res = targets[i][j] - base * r
+                for tau, w in r.items():
+                    points.append((res.coeff(t + tau) / w, abs(w)))
+            if not points:
+                continue
+            gamma = max(Fraction(0), fraction_sort_median(points))
+            vector[i] = base + LaurentPoly.monomial(gamma, t)
+    return vector
+
+
+def candidate_json(cand):
+    return json.dumps([[p.to_json() for p in cand.column], [p.to_json() for p in cand.row]])
+
+
+def reference_greedy(a, iters):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AT, "_optimize_vector", per_candidate_optimize_vector)
+        return AT.greedy_rank_one(a, iters)
+
+
+@pytest.mark.parametrize("k, M, N, iters", [(4, 1, 1, 3), (2, 1, 1, 3), (3, 1, 1, 2),
+                                             (5, 1, 1, 2), (4, 1, 1, 1)])
+def test_greedy_matches_per_candidate_reference(k, M, N, iters):
+    a = AT.circulant_product(k, M, N)
+    expected = candidate_json(reference_greedy(a, iters))
+    assert candidate_json(AT.greedy_rank_one(a, iters)) == expected
+
+
+def test_greedy_matches_pinned_reference_at_2_2_1():
+    # the reference takes about 20 s here; this is the sha256 of its candidate_json
+    cand = AT.greedy_rank_one(AT.circulant_product(2, 2, 1), 1)
+    assert hashlib.sha256(candidate_json(cand).encode()).hexdigest() == \
+        "06f69dac06fe818041b856a60e4e8966d7ef30820c9152175e6c8c3588b6da52"
+
+
+# non-dyadic coefficients; a zero row or column of the matrix gives a zero partner,
+# and an all-zero matrix leaves no partner at all
+small_polys = st.one_of(
+    st.just({}),
+    st.dictionaries(st.integers(-3, 5), st.builds(Fraction, st.integers(1, 6),
+                                                  st.sampled_from([1, 2, 3, 5, 7, 9])),
+                    max_size=4))
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    k = draw(st.integers(1, 3))
+    entries = [[LaurentPoly(draw(small_polys)) for _ in range(k)] for _ in range(k)]
+    zero_rows = draw(st.sets(st.integers(0, k - 1)))
+    zero_cols = draw(st.sets(st.integers(0, k - 1)))
+    return LaurentMatrix([[LaurentPoly.zero() if i in zero_rows or j in zero_cols else e
+                           for j, e in enumerate(row)] for i, row in enumerate(entries)])
+
+
+@given(nonnegative_matrices(), st.integers(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_greedy_matches_reference_on_small_matrices(a, iters):
+    expected = candidate_json(reference_greedy(a, iters))
+    assert candidate_json(AT.greedy_rank_one(a, iters)) == expected
+
+
+def test_greedy_refuses_interval_and_negative_coefficients():
+    x = LaurentPoly.x()
+    negative = LaurentMatrix([[LaurentPoly.one(), -x], [-x, LaurentPoly.one()]])
+    with pytest.raises(BadInput, match="negative"):
+        AT.greedy_rank_one(negative, 1)
+    interval = LaurentMatrix([[LaurentPoly({0: RatInterval(Fraction(1, 3), Fraction(1, 2))})]])
+    with pytest.raises(BadInput, match="interval"):
+        AT.greedy_rank_one(interval, 1)
+
+
+def test_greedy_budget_is_checked_before_each_sweep(capsys):
+    # (4, 1, 1): 128 target terms against 32-term partners in the first sweep
+    a = AT.circulant_product(4, 1, 1)
+    with pytest.raises(BudgetExceeded, match="4096"):
+        AT.greedy_rank_one(a, 1, budget=4095)
+    AT.greedy_rank_one(a, 1, budget=4096)
+    started = time.monotonic()
+    assert main(["at", "--k", "3", "--M", "1", "--N", "3", "--greedy", "1"]) == 1
+    assert time.monotonic() - started < 5
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "BudgetExceeded"

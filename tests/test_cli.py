@@ -242,6 +242,18 @@ def test_budget_env_var(monkeypatch, capsys):
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
+def test_walk_exact_is_refused_over_the_budget(monkeypatch, capsys):
+    code, out, err = run_cli(capsys, "walk", "--preset", "odometer", "--depth", "21", "--exact")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "BudgetExceeded"
+    argv = ("walk", "--preset", "odometer", "--depth", "5", "--exact")  # 32 paths
+    monkeypatch.setenv("ADICSPACE_BUDGET", "31")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and json.loads(out)["error"]["code"] == "BudgetExceeded"
+    monkeypatch.setenv("ADICSPACE_BUDGET", "32")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_validate_rejects_malformed_orders(tmp_path, capsys):
     spec = B.diagram_to_json(B.odometer_diagram(2))
     for orders in (list(spec["orders"].values()), {"1/0": "e0_0"}, {"1/0": [["e0_0"]]}):

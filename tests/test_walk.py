@@ -6,7 +6,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import walk as W
 from adicspace.dimspace import build_matrices, partial_product
-from adicspace.errors import BadInput, DepthExceeded, RangeError
+from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, RangeError
 from adicspace.labeling import label_edges
 from conftest import random_diagram
 
@@ -282,6 +282,15 @@ def test_exact_distribution_from_an_inner_vertex_matches_partial_product():
     assert hist.total_mass() == 1
     for j in range(sp.dims[5]):
         assert hist.masses.get(j, {}) == {e - 3: c for e, c in prod.entries[j][3].items()}
+
+
+def test_exact_walk_is_refused_over_the_path_budget():
+    d = random_diagram(random.Random(2024), depth=5)
+    sp = space_for(d)
+    paths = sum(B.count_paths_into(d, 5, v) for v in range(d.k(5)))
+    assert W.exact_distribution(sp, 5, W.WalkState(0, 0, 0), budget=paths).total_mass() == 1
+    with pytest.raises(BudgetExceeded, match=f"has {paths} paths"):
+        W.exact_distribution(sp, 5, W.WalkState(0, 0, 0), budget=paths - 1)
 
 
 def test_histogram_writes_an_interval_mass_as_a_pair():
