@@ -27,11 +27,9 @@ from itertools import repeat
 from operator import itemgetter
 from typing import List, Tuple
 
-from .errors import BadInput, BudgetExceeded, DimensionMismatch
+from .errors import DEFAULT_BUDGET, BadInput, BudgetExceeded, DimensionMismatch, check_budget
 from .intervals import RatInterval
 from .laurent import LaurentMatrix, LaurentPoly, sum_coeffs
-
-DEFAULT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ def _check_sizes(k: int, M: int, N: int, budget: int):
     if exponent > _DECIMAL_BITS and exponent >= budget.bit_length():
         # 2^exponent > budget: refuse before building a number of exponent/8 bytes
         raise BudgetExceeded(f"k * 2^((4M+1)N) = {k} * 2^{exponent} exceeds the budget {budget}")
-    if k << exponent > budget:
-        raise BudgetExceeded(f"k * 2^((4M+1)N) = {k << exponent} exceeds the budget {budget}")
+    check_budget("k * 2^((4M+1)N)", k << exponent, budget)
 
 
 def _block_classes(k: int, blocks, den: int) -> List[LaurentPoly]:
@@ -263,10 +260,8 @@ def greedy_rank_one(a: LaurentMatrix, iters: int, budget: int = DEFAULT_BUDGET) 
     row_targets = [[a.entries[i][j] for i in range(k)] for j in range(k)]
     for _ in range(iters):
         for targets, partners, vector in ((col_targets, row, col), (row_targets, col, row)):
-            bound = sum(t.num_terms() * p.num_terms()
-                        for row in targets for t, p in zip(row, partners))
-            if bound > budget:
-                raise BudgetExceeded(f"a greedy sweep pairs {bound} target and partner terms, "
-                                     f"over the budget {budget}")
+            check_budget("the target and partner term pairs of a greedy sweep",
+                         sum(t.num_terms() * p.num_terms()
+                             for row in targets for t, p in zip(row, partners)), budget)
             _optimize_vector(targets, partners, vector)
     return RankOneCandidate(column=tuple(col), row=tuple(row))

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber, MissingRoot
+from .errors import (SIZE_CAP, BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
+                     MissingRoot, check_budget)
 from .intervals import RatInterval
 from .laurent import coeff_from_json, coeff_to_json, sum_coeffs
 
@@ -287,14 +288,16 @@ def maximal_path_count(d: OrderedBratteliDiagram, n: int) -> int:
 # -- bundled example families -------------------------------------------------
 
 
-def _check_depth(depth: int):
+def _check_depth(depth: int, edges: int):
+    """A preset of depth >= 1 with at most SIZE_CAP ``edges``."""
     if depth < 1:
         raise BadInput(f"a preset diagram needs depth >= 1, not {depth}")
+    check_budget(f"the edges of the depth-{depth} preset", edges, SIZE_CAP)
 
 
 def odometer_diagram(depth: int) -> OrderedBratteliDiagram:
     """Dyadic odometer: one vertex per level, two edges e0 < e1, p = 1/2."""
-    _check_depth(depth)
+    _check_depth(depth, 2 * depth)
     levels = [["v"] for _ in range(depth + 1)]
     edges, orders = [], {}
     for n in range(depth):
@@ -316,7 +319,7 @@ def circulant_diagram(k: int, depth: int) -> OrderedBratteliDiagram:
     """
     if k < 2:
         raise BadInput("k must be at least 2")
-    _check_depth(depth)
+    _check_depth(depth, k * (2 * depth - 1))
     levels = [["root"]] + [[f"v{n}_{i}" for i in range(k)] for n in range(1, depth + 1)]
     edges, orders = [], {}
     root_edges = [Edge(f"e0_{i}", 0, 0, i, Fraction(1, k)) for i in range(k)]

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
-from .errors import AdicspaceError, BadInput, UsageError
+from .errors import DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError
 from .laurent import LaurentPoly, coeff_to_json, parse_rational
 
 PRESETS = {
@@ -60,10 +60,9 @@ def _load_diagram(args) -> tuple:
     return bratteli.validate_diagram(json.loads(payload)), payload
 
 
-def _report(args, body: dict, payload: bytes | None = None) -> int:
-    head = {"tool": {"name": "adicspace", "version": __version__}}
-    if payload is not None:
-        head["input_sha256"] = hashlib.sha256(payload).hexdigest()
+def _report(args, body: dict, payload: bytes) -> int:
+    head = {"tool": {"name": "adicspace", "version": __version__},
+            "input_sha256": hashlib.sha256(payload).hexdigest()}
     head.update(body)
     text = json.dumps(head, sort_keys=True, indent=2)
     if args.out:
@@ -79,7 +78,7 @@ def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("ADICSPACE_BUDGET")
-    return int(env) if env else atcheck.DEFAULT_BUDGET
+    return int(env) if env else DEFAULT_BUDGET
 
 
 def cmd_validate(args) -> int:
@@ -110,8 +109,8 @@ def cmd_matrices(args) -> int:
             lo, hi = (int(x) for x in args.product.split(".."))
         except ValueError as exc:
             raise UsageError(f"bad --product range {args.product!r}") from exc
-        body["product"] = {"range": [lo, hi],
-                           "matrix": dimspace.partial_product(space, lo, hi).to_json()}
+        matrix = dimspace.partial_product(space, lo, hi, _budget(args)).to_json()
+        body["product"] = {"range": [lo, hi], "matrix": matrix}
     if args.norm:
         with open(args.norm) as fh:
             data = json.load(fh)
@@ -119,7 +118,7 @@ def cmd_matrices(args) -> int:
             raise BadInput(f"--norm needs a JSON list of polynomial objects, not a {type(data).__name__}")
         vec = [LaurentPoly.from_json(p) for p in data]
         horizon = args.horizon if args.horizon is not None else space.depth
-        norm = dimspace.horizon_norm(space, vec, 0, horizon)
+        norm = dimspace.horizon_norm(space, vec, 0, horizon, _budget(args))
         body["norm"] = {"horizon": horizon, "value": coeff_to_json(norm)}
     return _report(args, body, payload)
 

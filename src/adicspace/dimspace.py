@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .bratteli import OrderedBratteliDiagram
-from .errors import DimensionMismatch, RangeError
+from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul, sum_coeffs, weighted_one_norm
@@ -44,10 +44,45 @@ def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> Dimensi
     return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))
 
 
-def partial_product(space: DimensionSpace, start: int, stop: int) -> LaurentMatrix:
-    """M_{stop-1} ... M_{start}, exact; requires start < stop <= depth."""
+def _extent(p: LaurentPoly) -> tuple:
+    """(terms, least exponent, greatest exponent) of p, or () for zero."""
+    exps = p.support()
+    return exps and (len(exps), exps[0], exps[-1])
+
+
+def _sum_extent(pairs) -> tuple:
+    """Bounds the extent of sum_v a_v f_v from the pairs of nonzero extents (a_v, f_v)."""
+    if not pairs:
+        return ()
+    lo, hi = min(a[1] + f[1] for a, f in pairs), max(a[2] + f[2] for a, f in pairs)
+    return min(sum(a[0] * f[0] for a, f in pairs), hi - lo + 1), lo, hi
+
+
+def _term_bound(space: DimensionSpace, columns: Sequence[Sequence[LaurentPoly]],
+                n: int, m: int) -> int:
+    """Bounds the terms of M_{m-1} ... M_n applied to each column, before any product is made.
+
+    A term of entry w picks a term of some f_v and one of each entry on a path
+    from v (the path count, for a one-term column), and entry w has at most one
+    term per exponent in its range (which caps many-term columns that merge).
+    """
+    cols = [[_extent(p) for p in f] for f in columns]
+    for lvl in range(n, m):
+        mat = [[_extent(e) for e in row] for row in space.matrices[lvl].entries]
+        cols = [[_sum_extent([(a, f) for a, f in zip(row, col) if a and f]) for row in mat]
+                for col in cols]
+    return sum(x[0] for col in cols for x in col if x)
+
+
+def partial_product(space: DimensionSpace, start: int, stop: int,
+                    budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
+    """M_{stop-1} ... M_{start}, exact; requires start < stop <= depth; sized before it is built."""
     if not (0 <= start < stop <= space.depth):
         raise RangeError(f"need 0 <= {start} < {stop} <= {space.depth}")
+    # column v is e_v pushed forward, and the identity's rows are its columns
+    check_budget(f"the terms of M_{stop - 1} ... M_{start}",
+                 _term_bound(space, LaurentMatrix.identity(space.dims[start]).entries,
+                             start, stop), budget)
     acc = space.matrices[start]
     for n in range(start + 1, stop):
         acc = mat_mul(space.matrices[n], acc)
@@ -88,26 +123,30 @@ def state_eval(f: Sequence[LaurentPoly], mu: Sequence) -> object:
     return sum_coeffs(mi * fi.eval_at_one() for fi, mi in zip(f, mu))
 
 
-def push_forward(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int) -> List[LaurentPoly]:
-    """M_{m-1} ... M_n f, the level-m representative of [f, n]."""
+def push_forward(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int,
+                 budget: int = DEFAULT_BUDGET) -> List[LaurentPoly]:
+    """M_{m-1} ... M_n f, the level-m representative of [f, n]; sized before it is built."""
     if not (0 <= n <= m <= space.depth):
         raise RangeError(f"need 0 <= {n} <= {m} <= {space.depth}")
     if len(f) != space.dims[n]:
         raise DimensionMismatch(f"vector length {len(f)} != k({n}) = {space.dims[n]}")
+    check_budget(f"the terms pushed from level {n} to level {m}",
+                 _term_bound(space, [f], n, m), budget)
     vec = list(f)
     for lvl in range(n, m):
         vec = space.matrices[lvl].mul_vector(vec)
     return vec
 
 
-def horizon_norm(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int) -> object:
+def horizon_norm(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int,
+                 budget: int = DEFAULT_BUDGET) -> object:
     """One-norm of the pushed-forward vector at level m, all-ones weights.
 
     For vectors with nonnegative coefficients this is independent of m; in
     general it is nonincreasing in m, so the value at any finite horizon is
     an upper bound certificate for the limit norm.
     """
-    vec = push_forward(space, f, n, m)
+    vec = push_forward(space, f, n, m, budget)
     return weighted_one_norm(vec, [Fraction(1)] * len(vec))
 
 

@@ -71,5 +71,16 @@ class BudgetExceeded(AdicspaceError):
     code = "BudgetExceeded"
 
 
+DEFAULT_BUDGET = 1 << 20  # terms, monomials or pairs that derived work may make, unless set
+SIZE_CAP = DEFAULT_BUDGET  # the fixed cap on the sizes a preset or a continued fraction asks for
+
+
+def check_budget(what: str, size: int, budget: int) -> int:
+    """``size``, or a BudgetExceeded naming ``what`` when it is over ``budget``."""
+    if size > budget:
+        raise BudgetExceeded(f"{what} = {size} exceeds the budget {budget}")
+    return size
+
+
 class UsageError(AdicspaceError):
     code = "UsageError"

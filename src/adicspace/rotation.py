@@ -27,20 +27,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .bratteli import Edge, OrderedBratteliDiagram
-from .errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
+from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges, tables_from_b
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational, sum_coeffs
-
-
-SIZE_CAP = 1 << 20  # the most tower levels, or polynomial terms, a continued fraction may ask for
-
-
-def check_size(what: str, size: int) -> int:
-    """``size``, or a BudgetExceeded naming ``what`` when it is over SIZE_CAP."""
-    if size > SIZE_CAP:
-        raise BudgetExceeded(f"{what} = {size} exceeds the size cap {SIZE_CAP}")
-    return size
 
 
 class CFExpansion:
@@ -187,7 +177,7 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
     edges, orders, b = [], {}, {}
     alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
     for n in range(depth):
-        a_next = check_size(f"a({n + 1})", cf.a(n + 1))
+        a_next = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP)
         ratio_stay = alphas[n + 1] / alphas[n]
         ratio_out = alphas[n + 2] / alphas[n]
         level_edges = []
@@ -229,7 +219,7 @@ def compare_labelings(cf: CFExpansion, depth: int) -> dict:
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
-    a_next, q = check_size(f"a({n + 1})", cf.a(n + 1)), cf.q(n)
+    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
     prev = alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
     stay = alpha_n(cf, n) / prev
     out = alpha_n(cf, n + 1) / prev
@@ -252,7 +242,7 @@ def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = Non
 
 def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:
     """P_n: mass 1/a(n+1) at each of the exponents 0, q(n), ..., (a(n+1)-1) q(n)."""
-    a_next, q = check_size(f"a({n + 1})", cf.a(n + 1)), cf.q(n)
+    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
     return LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)})
 
 

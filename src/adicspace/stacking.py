@@ -44,10 +44,11 @@ from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from . import rotation
 from .errors import (BadInput, InsufficientDepth, PointOutsideTower, TopLevel,
-                     TruncationBoundary)
+                     TruncationBoundary, check_budget)
 from .intervals import RatInterval
-from .rotation import CFExpansion, GrowthRule, check_size, summability_report
+from .rotation import CFExpansion, GrowthRule, summability_report
 
 Word = Tuple[int, ...]
 
@@ -103,7 +104,8 @@ def _check_height(cf: CFExpansion, stage: int):
     if stage > cf.depth:
         raise InsufficientDepth(f"stage {stage} needs {stage} partial quotients")
     # h <- a(n+1) (h + q(n-2)) from h = a(1) is a(stage) q(stage-1): a(n) q(n-1) + q(n-2) = q(n)
-    check_size(f"the stage-{stage} tower height", cf.a(stage) * cf.q(stage - 1))
+    check_budget(f"the stage-{stage} tower height", cf.a(stage) * cf.q(stage - 1),
+                 rotation.SIZE_CAP)
 
 
 def build_tower(cf: CFExpansion, stage: int) -> Tower:

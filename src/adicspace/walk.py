@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .atcheck import DEFAULT_BUDGET
 from .dimspace import DimensionSpace, push_forward
-from .errors import BadInput, BudgetExceeded, DepthExceeded, RangeError
+from .errors import DEFAULT_BUDGET, BadInput, DepthExceeded, RangeError
 from .intervals import RatInterval
 from .laurent import LaurentPoly, coeff_to_json, sum_coeffs
 
@@ -85,20 +84,6 @@ def step_distribution(space: DimensionSpace, s: WalkState) -> List[Tuple[WalkSta
             for j in range(m.rows) for exp, c in m.entries[j][s.vertex].items()]
 
 
-def _count_walks(space: DimensionSpace, n: int, start: WalkState) -> int:
-    """The paths from the start vertex to level n: a bound on the terms of the pushed column.
-
-    A path takes one term of each matrix entry it passes through, and an
-    entry (w, v) of M_lvl has at most one term per edge from v to w.
-    """
-    counts = [0] * space.dims[start.level]
-    counts[start.vertex] = 1
-    for lvl in range(start.level, n):
-        counts = [sum(e.num_terms() * c for e, c in zip(row, counts) if c)
-                  for row in space.matrices[lvl].entries]
-    return sum(counts)
-
-
 def exact_distribution(space: DimensionSpace, n: int, start: WalkState,
                        budget: int = DEFAULT_BUDGET) -> DisplacementHistogram:
     """Distribution after walking from level start.level to level n, exactly.
@@ -108,13 +93,9 @@ def exact_distribution(space: DimensionSpace, n: int, start: WalkState,
     walk with more paths than ``budget`` is refused before it is pushed.
     """
     _check_start(space, start, n)
-    paths = _count_walks(space, n, start)
-    if paths > budget:
-        raise BudgetExceeded(f"the exact walk to level {n} has {paths} paths, "
-                             f"over the budget {budget}")
     column = [LaurentPoly.zero()] * space.dims[start.level]
     column[start.vertex] = LaurentPoly.x(start.position)
-    pushed = push_forward(space, column, start.level, n)
+    pushed = push_forward(space, column, start.level, n, budget)
     return DisplacementHistogram("exact", {j: dict(f.items()) for j, f in enumerate(pushed)
                                            if not f.is_zero()})
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from adicspace import bratteli as B
-from adicspace.errors import (BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
-                              MissingRoot)
+from adicspace.errors import (BadInput, BadMeasure, BadOrder, BudgetExceeded, DepthExceeded,
+                              EmptyFiber, MissingRoot)
 from adicspace.intervals import RatInterval
 from conftest import random_diagram
 
@@ -106,6 +106,20 @@ def test_presets_refuse_depth_below_one():
             with pytest.raises(BadInput):
                 build(depth)
     assert B.circulant_diagram(2, 1).depth == 1
+
+
+def test_presets_are_sized_before_they_are_built(monkeypatch):
+    # 2 D edges on the odometer, k (2 D - 1) on the k-cycle family
+    for build, size in ((lambda: B.odometer_diagram(5), 10), (lambda: B.circulant_diagram(3, 4), 21)):
+        monkeypatch.setattr(B, "SIZE_CAP", size)
+        assert sum(len(level) for level in build().edges) == size
+        monkeypatch.setattr(B, "SIZE_CAP", size - 1)
+        with pytest.raises(BudgetExceeded, match=f"= {size} exceeds the budget {size - 1}$"):
+            build()
+    monkeypatch.undo()
+    for build in (B.odometer_diagram, B.morse_diagram, lambda d: B.circulant_diagram(1 << 20, d)):
+        with pytest.raises(BudgetExceeded):
+            build(10 ** 8)
 
 
 def test_json_round_trip():

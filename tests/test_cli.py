@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -252,6 +253,35 @@ def test_walk_exact_is_refused_over_the_budget(monkeypatch, capsys):
     assert code == 1 and json.loads(out)["error"]["code"] == "BudgetExceeded"
     monkeypatch.setenv("ADICSPACE_BUDGET", "32")
     assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_matrices_product_and_norm_follow_the_budget(tmp_path, monkeypatch, capsys):
+    one, wide = tmp_path / "one.json", tmp_path / "wide.json"
+    one.write_text(json.dumps([{"0": "1"}]))
+    wide.write_text(json.dumps([{str(e): "1" for e in range(1025)}]))
+    # 2^5 terms at level 5; the wide vector has 1025 terms times 2^10 paths, but its
+    # pushed exponents fill only 0..2047, so the bound is 2048 and not over 2^20
+    for depth, extra, size in (("5", ["--product", "0..5"], 32), ("5", ["--norm", str(one)], 32),
+                               ("10", ["--norm", str(wide)], 2048)):
+        argv = ("matrices", "--preset", "odometer", "--depth", depth, *extra)
+        monkeypatch.setenv("ADICSPACE_BUDGET", str(size - 1))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1, extra
+        assert json.loads(out)["error"]["message"].endswith(f"= {size} exceeds the budget {size - 1}")
+        monkeypatch.setenv("ADICSPACE_BUDGET", str(size))
+        assert run_cli(capsys, *argv)[0] == 0, extra
+
+
+def test_exponential_builds_are_refused_at_once(capsys):
+    for argv in (["matrices", "--preset", "odometer", "--depth", "21", "--product", "0..21"],
+                 ["walk", "--preset", "odometer", "--depth", "21", "--exact"],
+                 ["validate", "--preset", "odometer", "--depth", "100000000"],
+                 ["validate", "--preset", "circulant:1000000"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 5, argv  # about 0.01 s each
+        assert code == 1 and err == "", argv
+        assert json.loads(out)["error"]["code"] == "BudgetExceeded", argv
 
 
 def test_validate_rejects_malformed_orders(tmp_path, capsys):
@@ -549,6 +579,30 @@ def test_fuzz_norm_vector_json(tmp_path_factory, vector, horizon):
 def test_fuzz_rational_flags(flag_value):
     flag, value = flag_value
     assert_coded_exit(FLAG_COMMANDS[flag] + [f"{flag}={value}"])
+
+
+# Small values and values far over every budget.  The sizes in between are left
+# out on purpose: they are legitimate work that takes seconds to minutes (a
+# 2^19-level odometer, a 2^20-monomial circulant class), not refusals.
+int_values = st.integers(-3, 12) | st.integers(1 << 40, 1 << 80)
+INT_FLAG_COMMANDS = {
+    "--grid": [["stack", "--cf", "2,3,4", "--stage", "2", "--compare"]],
+    "--stage": [["stack", "--cf", "2,3,4"]],
+    "--depth": [["validate", "--preset", "odometer"], ["label", "--preset", "morse"],
+                ["walk", "--preset", "circulant:3", "--exact"],
+                ["matrices", "--preset", "odometer", "--product", "0..2"],
+                ["rotation", "--cf", "1,2,3,4,5,6", "--matrices", "--polys", "--gaps"]],
+    "--k": [["at", "--M", "1", "--N", "1"]],
+    "--M": [["at", "--N", "1"]],
+    "--N": [["at", "--M", "1"]],
+}
+
+
+@given(st.sampled_from(sorted(INT_FLAG_COMMANDS)), int_values, st.data())
+@settings(max_examples=80, deadline=None)
+def test_fuzz_integer_flags(flag, value, data):
+    command = data.draw(st.sampled_from(INT_FLAG_COMMANDS[flag]))
+    assert_coded_exit(command + [f"{flag}={value}"])
 
 
 # Valid terms stay below 100 (every token is followed by a separator): the stage-2

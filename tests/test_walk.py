@@ -289,8 +289,12 @@ def test_exact_walk_is_refused_over_the_path_budget():
     sp = space_for(d)
     paths = sum(B.count_paths_into(d, 5, v) for v in range(d.k(5)))
     assert W.exact_distribution(sp, 5, W.WalkState(0, 0, 0), budget=paths).total_mass() == 1
-    with pytest.raises(BudgetExceeded, match=f"has {paths} paths"):
+    with pytest.raises(BudgetExceeded, match=f"= {paths} exceeds the budget {paths - 1}$"):
         W.exact_distribution(sp, 5, W.WalkState(0, 0, 0), budget=paths - 1)
+    # the product from the root has one column, the exact walk's column
+    assert partial_product(sp, 0, 5, budget=paths).cols == 1
+    with pytest.raises(BudgetExceeded, match=rf"M_4 \.\.\. M_0 = {paths} exceeds the budget {paths - 1}$"):
+        partial_product(sp, 0, 5, budget=paths - 1)
 
 
 def test_histogram_writes_an_interval_mass_as_a_pair():
