@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
-from .bratteli import OrderedBratteliDiagram
+from .bratteli import Edge, OrderedBratteliDiagram
 from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling
@@ -32,16 +32,19 @@ class DimensionSpace:
         return len(self.matrices)
 
 
+def level_matrix(edges: Iterable[Edge], b: Mapping[str, int], rows: int,
+                 cols: int) -> LaurentMatrix:
+    """The rows x cols matrix whose entry (dst, src) collects p(e) x^{b(e)} over the edges."""
+    terms = [[{} for _ in range(cols)] for _ in range(rows)]
+    for e in edges:
+        entry, exp = terms[e.dst][e.src], b[e.id]
+        entry[exp] = entry[exp] + e.p if exp in entry else e.p
+    return LaurentMatrix([[LaurentPoly(t) for t in row] for row in terms])
+
+
 def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> DimensionSpace:
-    mats = []
-    for n in range(d.depth):
-        # one pass over E_n: edge e adds p(e) x^{b(e)} to the term map of entry (dst, src)
-        terms = [[{} for _ in range(d.k(n))] for _ in range(d.k(n + 1))]
-        for e in d.edges[n]:
-            entry, b = terms[e.dst][e.src], labeling.b[e.id]
-            entry[b] = entry[b] + e.p if b in entry else e.p
-        mats.append(LaurentMatrix([[LaurentPoly(t) for t in row] for row in terms]))
-    return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))
+    mats = tuple(level_matrix(d.edges[n], labeling.b, d.k(n + 1), d.k(n)) for n in range(d.depth))
+    return DimensionSpace(matrices=mats, dims=tuple(d.k(n) for n in range(d.depth + 1)))
 
 
 def _extent(p: LaurentPoly) -> tuple:

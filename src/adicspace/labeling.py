@@ -8,8 +8,9 @@ The resulting cocycle increases by exactly 1 along the adic successor, and
 the b-sums of the paths into any vertex, read in adic order, are
 0, 1, ..., N_v - 1.
 
-wmax and wmin are computed level by level in O(|E|); path counts grow
-exponentially, so the max over paths is never enumerated directly.
+So wmax(u) = N_u - 1, and :func:`label_edges` adds running path counts,
+b(e^{i+1}) = b(e^i) + N_{s(e^i)}; :func:`tables_from_b` is the one O(|E|)
+max/min recursion.  No path is enumerated: path counts grow exponentially.
 """
 
 from __future__ import annotations
@@ -43,18 +44,16 @@ def tables_from_b(d: OrderedBratteliDiagram, b: Dict[str, int]) -> EdgeLabeling:
 
 
 def label_edges(d: OrderedBratteliDiagram) -> EdgeLabeling:
-    """Run the inductive construction over the whole diagram."""
+    """Run the construction over the whole diagram, as running path counts."""
     b: Dict[str, int] = {}
-    wmax: Dict[VertexKey, int] = {(0, 0): 0}
+    count: Dict[VertexKey, int] = {(0, 0): 1}  # N: paths from the root into each vertex
     for n in range(d.depth):
         for v in range(d.k(n + 1)):
-            incoming = d.in_edges[(n + 1, v)]
-            b[incoming[0].id] = 0
-            for prev, cur in zip(incoming, incoming[1:]):
-                b[cur.id] = wmax[(n, prev.src)] + b[prev.id] + 1
-            # b(e^{i+1}) exceeds every b-sum through e^i, so the maximal in-edge carries wmax
-            last = incoming[-1]
-            wmax[(n + 1, v)] = wmax[(n, last.src)] + b[last.id]
+            total = 0
+            for e in d.in_edges[(n + 1, v)]:
+                b[e.id] = total
+                total += count[(n, e.src)]
+            count[(n + 1, v)] = total
     return tables_from_b(d, b)
 
 

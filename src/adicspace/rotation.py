@@ -14,9 +14,12 @@ The two-vertex rotation diagram carries the explicit labeling
 b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
 with the parallel edges ordered by k and the cross edge last; the generic
 inductive labeling reproduces exactly these values (compare with
-:func:`compare_labelings`).  Level 0 is the n = 0 case of the same rule:
-the recurrences start at p(-1) = 1, q(-1) = 0, so alpha(-1) = |q(-1) alpha
-- p(-1)| = 1 divides the level-0 probabilities alpha(0) and alpha(1).
+:func:`compare_labelings`).  One builder writes E_n at a probability stay
+on the loops and out on the v_1 -> v_2 edge: M_n takes alpha(n)/alpha(n-1)
+and alpha(n+1)/alpha(n-1), and its rank-one approximant 1/a(n+1) and 0.
+Level 0 is the n = 0 case of the same rule: the recurrences start at p(-1) = 1,
+q(-1) = 0, so alpha(-1) = |q(-1) alpha - p(-1)| = 1 divides the level-0
+probabilities alpha(0) and alpha(1).
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bratteli import Edge, OrderedBratteliDiagram
+from .dimspace import level_matrix
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges, tables_from_b
@@ -177,26 +181,27 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
     edges, orders, b = [], {}, {}
     alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
     for n in range(depth):
-        a_next = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP)
-        ratio_stay = alphas[n + 1] / alphas[n]
-        ratio_out = alphas[n + 2] / alphas[n]
-        level_edges = []
-        for k in range(1, a_next + 1):
-            eid = f"e{n}_11_{k}"
-            level_edges.append(Edge(eid, n, 0, 0, ratio_stay))
-            b[eid] = (k - 1) * cf.q(n)
-        if n:  # the root has no v_2, so E_0 has no cross edge
-            cross = Edge(f"e{n}_21", n, 1, 0, Fraction(1))
-            level_edges.append(cross)
-            b[cross.id] = a_next * cf.q(n)
-        down = Edge(f"e{n}_12", n, 0, 1, ratio_out)
-        level_edges.append(down)
-        b[down.id] = 0
+        level_edges, labels = _level(cf, n, alphas[n + 1] / alphas[n], alphas[n + 2] / alphas[n])
         edges.append(level_edges)
-        orders[(n + 1, 0)] = [e.id for e in level_edges if e.dst == 0]
-        orders[(n + 1, 1)] = [down.id]
+        b.update(labels)
+        orders.update({(n + 1, v): [e.id for e in level_edges if e.dst == v] for v in (0, 1)})
     diagram = OrderedBratteliDiagram(levels, edges, orders)
     return diagram, tables_from_b(diagram, b)
+
+
+def _level(cf: CFExpansion, n: int, stay, out) -> Tuple[List[Edge], Dict[str, int]]:
+    """E_n in order with its labels; p = stay on the loops and p = out on the v_1 -> v_2 edge."""
+    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
+    labeled = [(Edge(f"e{n}_11_{k + 1}", n, 0, 0, stay), k * q) for k in range(a_next)]
+    if n:  # the root has no v_2, so E_0 has no cross edge
+        labeled.append((Edge(f"e{n}_21", n, 1, 0, Fraction(1)), a_next * q))
+    labeled.append((Edge(f"e{n}_12", n, 0, 1, out), 0))
+    return [e for e, _ in labeled], {e.id: label for e, label in labeled}
+
+
+def _level_matrix(cf: CFExpansion, n: int, stay, out) -> LaurentMatrix:
+    """The matrix of :func:`_level`; V_0 has one vertex, so M_0 has one column."""
+    return level_matrix(*_level(cf, n, stay, out), 2, 2 if n else 1)
 
 
 def compare_labelings(cf: CFExpansion, depth: int) -> dict:
@@ -219,31 +224,27 @@ def compare_labelings(cf: CFExpansion, depth: int) -> dict:
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
-    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
     prev = alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
-    stay = alpha_n(cf, n) / prev
-    out = alpha_n(cf, n + 1) / prev
-    top_left = LaurentPoly({k * q: stay for k in range(a_next)})
-    rows = [[top_left, LaurentPoly.x(a_next * q)], [LaurentPoly({0: out}), LaurentPoly.zero()]]
-    # V_0 has one vertex, so M_0 has one column
-    return LaurentMatrix([row[:1] for row in rows] if n == 0 else rows)
+    return _level_matrix(cf, n, alpha_n(cf, n) / prev, alpha_n(cf, n + 1) / prev)
+
+
+def _approximant(cf: CFExpansion, n: int) -> LaurentMatrix:
+    """The rank-one approximant of M_n: the same level at stay = 1/a(n+1) and out = 0."""
+    return _level_matrix(cf, n, Fraction(1, cf.a(n + 1)), Fraction(0))
 
 
 def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = None) -> List[LaurentPoly]:
-    """P_n = (1/a(n+1)) (1 + x^{q(n)} + ... + x^{(a(n+1)-1) q(n)}), n < count."""
+    """P_n = (1/a(n+1)) (1 + x^{q(n)} + ... + x^{(a(n+1)-1) q(n)}), n < count.
+
+    P_n is the (0, 0) entry of the approximant of M_n (see :func:`rank_one_gap`).
+    """
     if count > cf.depth:
         raise InsufficientDepth(f"need {count} terms, have {cf.depth}")
     report = summability_report(cf, rule)
     if report.verdict != "CONVERGENT_CERTIFIED":
         warnings.warn("summability not certified; the rank-one identification is heuristic",
                       stacklevel=2)
-    return [_rank_one_poly(cf, n) for n in range(count)]
-
-
-def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:
-    """P_n: mass 1/a(n+1) at each of the exponents 0, q(n), ..., (a(n+1)-1) q(n)."""
-    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
-    return LaurentPoly({k * q: Fraction(1, a_next) for k in range(a_next)})
+    return [_approximant(cf, n).entries[0][0] for n in range(count)]
 
 
 @dataclass(frozen=True)
@@ -261,17 +262,16 @@ class GapReport:
 def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
     """Entrywise l1 gap between M_n and the column-row product approximant.
 
-    The approximant replaces the first-column ratio alpha(n)/alpha(n-1) by
-    1/a(n+1) and drops the corner entry alpha(n+1)/alpha(n-1); the two error
-    components are equal, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly
-    (up to enclosure width).
+    The approximant is the same rotation level at stay = 1/a(n+1) and out = 0:
+    it replaces the first-column ratio alpha(n)/alpha(n-1) by 1/a(n+1) and
+    drops the corner entry alpha(n+1)/alpha(n-1); the two error components
+    are equal, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly (up to
+    enclosure width).
     """
     if n < 1:
         raise RangeError("rank_one_gap needs n >= 1")
-    m = rotation_matrix(cf, n)
-    zero = LaurentPoly.zero()
-    approx = [[_rank_one_poly(cf, n), LaurentPoly.x(cf.a(n + 1) * cf.q(n))], [zero, zero]]
-    norms = [(m.entries[i][j] - approx[i][j]).one_norm() for i in range(2) for j in range(2)]
+    m, approx = rotation_matrix(cf, n).entries, _approximant(cf, n).entries
+    norms = [(m[i][j] - approx[i][j]).one_norm() for i in range(2) for j in range(2)]
     gap = sum_coeffs(norms)
     first, corner = RatInterval.coerce(norms[0]), RatInterval.coerce(norms[2])
     two_ratio = 2 * (alpha_n(cf, n + 1) / alpha_n(cf, n - 1))

@@ -111,21 +111,19 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         raise BadInput("trials must be >= 1")
     start = start or WalkState(0, 0, 0)
     _check_start(space, start, n)
-    # tables[lvl - start.level][v]: outcome list [(displacement, vertex)] and
-    # integer thresholds ceil(cum * 2^64) of the exact cumulative probabilities.
+    # tables[lvl - start.level][v]: the step law from (0, v, lvl) as outcomes [(displacement,
+    # vertex)] and integer thresholds ceil(cum * 2^64) of the exact cumulative probabilities.
     tables = []
     for lvl in range(start.level, n):
-        m = space.matrices[lvl]
         level_tables = []
-        for v in range(m.cols):
+        for v in range(space.dims[lvl]):
             outcomes, thresholds, acc = [], [], Fraction(0)
-            for j in range(m.rows):
-                for exp, c in m.entries[j][v].items():
-                    if isinstance(c, RatInterval):
-                        raise BadInput("simulate needs exact rational probabilities")
-                    outcomes.append((exp, j))
-                    acc += c
-                    thresholds.append(-((-acc.numerator << 64) // acc.denominator))
+            for s, c in step_distribution(space, WalkState(0, v, lvl)):
+                if isinstance(c, RatInterval):
+                    raise BadInput("simulate needs exact rational probabilities")
+                outcomes.append((s.position, s.vertex))
+                acc += c
+                thresholds.append(-((-acc.numerator << 64) // acc.denominator))
             level_tables.append((outcomes, thresholds, len(outcomes) - 1))
         tables.append(level_tables)
     masses: Dict[int, Dict[int, int]] = {}

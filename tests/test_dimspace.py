@@ -7,7 +7,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import dimspace as D
 from adicspace.errors import DimensionMismatch, RangeError
-from adicspace.labeling import label_edges, path_bsum
+from adicspace.labeling import label_edges, path_bsum, tables_from_b
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
 
@@ -52,6 +52,14 @@ def test_circulant_matrices_golden():
         sp = space_for(B.circulant_diagram(k, 6))
         for n in range(5):
             assert sp.matrices[n + 1] == circulant_closed(k, n)
+
+
+def test_parallel_edges_with_equal_labels_add():
+    # label_edges never repeats a label within a fiber; an all-zero labeling does
+    d = B.odometer_diagram(2)
+    space = D.build_matrices(d, tables_from_b(d, {e.id: 0 for level in d.edges for e in level}))
+    for m in space.matrices:
+        assert m.entries == ((LaurentPoly.one(),),)
 
 
 def test_partial_product_telescopes_odometer():

@@ -78,7 +78,14 @@ def test_properties_on_randomized_diagrams():
     rng = random.Random(2024)
     for _ in range(25):
         d = random_diagram(rng, depth=5)
-        assert_successor_increment_and_consecutive(d, label_edges(d))
+        lab = label_edges(d)
+        assert_successor_increment_and_consecutive(d, lab)
+        # the inductive definition itself, with wmax from the independent max recursion
+        wmax = tables_from_b(d, lab.b).wmax
+        for (n, v), fiber in d.in_edges.items():
+            assert lab.b[fiber[0].id] == 0
+            for prev, cur in zip(fiber, fiber[1:]):
+                assert lab.b[cur.id] == wmax[(n - 1, prev.src)] + lab.b[prev.id] + 1
 
 
 def test_wmin_zero_wmax_counts():

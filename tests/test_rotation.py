@@ -132,11 +132,12 @@ def test_rotation_diagram_depth_guard():
 
 
 def test_rotation_matrices_match_diagram_route():
-    cf = cf_increasing()
-    d, lab = R.rotation_diagram(cf, 5)
-    space = build_matrices(d, lab)
-    for n in range(5):
-        assert space.matrices[n] == R.rotation_matrix(cf, n)
+    # the second input has single-loop fibers, where a(n+1) = 1
+    for cf, depth in ((cf_increasing(), 5), (R.CFExpansion([2, 1, 3, 1, 2, 4, 1, 2]), 6)):
+        d, lab = R.rotation_diagram(cf, depth)
+        space = build_matrices(d, lab)
+        for n in range(depth):
+            assert space.matrices[n] == R.rotation_matrix(cf, n)
 
 
 def test_rotation_matrix_shapes_and_entries():
@@ -272,7 +273,7 @@ def test_partial_quotient_cap_guards_every_builder(monkeypatch):
     monkeypatch.setattr(R, "SIZE_CAP", 4)
     assert R.rotation_matrix(cf, 0).entries[0][0].num_terms() == 2
     for build in (lambda: R.rotation_matrix(cf, 1), lambda: R.rank_one_gap(cf, 1),
-                  lambda: R.rotation_diagram(cf, 2), lambda: R._rank_one_poly(cf, 1)):
+                  lambda: R.rotation_diagram(cf, 2), lambda: R._approximant(cf, 1)):
         with pytest.raises(BudgetExceeded, match=r"a\(2\) = 5"):
             build()
     with warnings.catch_warnings():
