@@ -29,7 +29,7 @@ from typing import List, Tuple
 
 from .errors import DEFAULT_BUDGET, BadInput, BudgetExceeded, DimensionMismatch, check_budget
 from .intervals import RatInterval
-from .laurent import LaurentMatrix, LaurentPoly, sum_coeffs
+from .laurent import LaurentMatrix, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Fraction:
     """Entrywise l1 distance between the matrix and the column-row product."""
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")
-    return sum_coeffs((a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()
-                      for i in range(a.rows) for j in range(a.cols))
+    return sum(((a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()
+                for i in range(a.rows) for j in range(a.cols)), Fraction(0))
 
 
 # -- alternating weighted-median descent ---------------------------------------

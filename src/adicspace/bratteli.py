@@ -34,16 +34,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (SIZE_CAP, BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
                      MissingRoot, check_budget)
 from .intervals import RatInterval
-from .laurent import coeff_from_json, coeff_to_json, sum_coeffs
+from .laurent import coeff_from_json, coeff_to_json
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     level: int
     src: int
@@ -103,7 +102,7 @@ class OrderedBratteliDiagram:
             for v, out in enumerate(outs):
                 if not out:
                     raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
-                total = sum_coeffs(e.p for e in out)
+                total = sum((e.p for e in out), Fraction(0))
                 if not RatInterval.coerce(total).contains(1):
                     raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
             for v, fiber in enumerate(fibers):

@@ -19,7 +19,7 @@ from .bratteli import Edge, OrderedBratteliDiagram
 from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling
-from .laurent import LaurentMatrix, LaurentPoly, mat_mul, sum_coeffs, weighted_one_norm
+from .laurent import LaurentMatrix, LaurentPoly, mat_mul
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def check_harmonic(space: DimensionSpace, mus: Sequence[Sequence]) -> HarmonicRe
         nxt = mus[n + 1]
         row = []
         for j in range(m.cols):
-            res = sum_coeffs(nxt[i] * ones[i][j] for i in range(m.rows)) - mus[n][j]
+            res = sum((nxt[i] * ones[i][j] for i in range(m.rows)), Fraction(0)) - mus[n][j]
             row.append(res)
             ok = ok and RatInterval.coerce(res).contains(0)
         residuals.append(tuple(row))
@@ -123,7 +123,7 @@ def state_eval(f: Sequence[LaurentPoly], mu: Sequence) -> object:
     """The bounded state: sum over coordinates of mu_i times the coefficient sum."""
     if len(f) != len(mu):
         raise DimensionMismatch(f"vector length {len(f)} != state length {len(mu)}")
-    return sum_coeffs(mi * fi.eval_at_one() for fi, mi in zip(f, mu))
+    return sum((mi * fi.eval_at_one() for fi, mi in zip(f, mu)), Fraction(0))
 
 
 def push_forward(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int,
@@ -150,7 +150,7 @@ def horizon_norm(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int
     an upper bound certificate for the limit norm.
     """
     vec = push_forward(space, f, n, m, budget)
-    return weighted_one_norm(vec, [Fraction(1)] * len(vec))
+    return sum((fi.one_norm() for fi in vec), Fraction(0))
 
 
 def stochastic_report(space: DimensionSpace) -> dict:

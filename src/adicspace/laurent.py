@@ -19,9 +19,7 @@ Every product goes through one kernel, :func:`_sum_products`, which adds up
 f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
 pair, ``scale(c)`` is the pair (f, c x^0), ``shift(k)`` is the pair (f, x^k),
 and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
-Every new polynomial goes through one canonicaliser, :func:`_fill`.  Loose
-values (entries evaluated at x = 1, weighted norms) are added by
-:func:`sum_coeffs`, which adds rational numerators as ints per denominator.
+Every new polynomial goes through one canonicaliser, :func:`_fill`.
 
 Canonical form: zero coefficients are never stored (for an interval, zero
 means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
@@ -37,7 +35,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch
 from .intervals import RatInterval
@@ -52,6 +50,12 @@ def parse_rational(v) -> Fraction:
     if type(v) is int or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
         return Fraction(v)
     raise ValueError(f'{v!r} is not a "num/den" string or an integer')
+
+
+def fraction_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))`` for den > 0, written without building the Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def coeff_to_json(c) -> object:
@@ -228,8 +232,7 @@ class LaurentPoly:
                 continue
             s = text.get(n)
             if s is None:
-                g = gcd(n, den)
-                s = text[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+                s = text[n] = fraction_text(n, den)
             out[str(e)] = s
         return out
 
@@ -315,7 +318,8 @@ class LaurentMatrix:
         # a circulant product holds each class polynomial k times: evaluate each object once
         distinct = {id(e): e for row in self.entries for e in row}
         ones = {key: e.eval_at_one() for key, e in distinct.items()}
-        return [sum_coeffs(ones[id(row[j])] for row in self.entries) for j in range(self.cols)]
+        return [sum((ones[id(row[j])] for row in self.entries), Fraction(0))
+                for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -327,23 +331,6 @@ class LaurentMatrix:
 
     def to_json(self) -> list:
         return [[e.to_json() for e in row] for row in self.entries]
-
-
-def sum_coeffs(values: Iterable):
-    """Exact sum of int, Fraction and RatInterval values; Fraction(0) when empty.
-
-    The result is a ``Fraction``, or a ``RatInterval`` when any term is one.
-    """
-    numerators: dict = {}
-    intervals = []
-    for v in values:
-        if isinstance(v, RatInterval):
-            intervals.append(v)
-        else:
-            den = v.denominator
-            numerators[den] = numerators.get(den, 0) + v.numerator
-    total = sum((Fraction(num, den) for den, num in numerators.items()), Fraction(0))
-    return sum(intervals, total)
 
 
 def _sum_products(pairs) -> LaurentPoly:
@@ -387,10 +374,3 @@ def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:
         raise DimensionMismatch(f"inner dimensions {mb.cols} != {ma.rows}")
     cols = list(zip(*ma.entries))
     return LaurentMatrix([[_sum_products(zip(row, col)) for col in cols] for row in mb.entries])
-
-
-def weighted_one_norm(f: Sequence[LaurentPoly], w: Sequence) -> object:
-    """Sum over coordinates of (weight * sum of |coefficients|)."""
-    if len(f) != len(w):
-        raise DimensionMismatch(f"vector length {len(f)} != weights length {len(w)}")
-    return sum_coeffs(wi * fi.one_norm() for fi, wi in zip(f, w))

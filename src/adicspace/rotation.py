@@ -34,7 +34,7 @@ from .dimspace import level_matrix
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges, tables_from_b
-from .laurent import LaurentMatrix, LaurentPoly, parse_rational, sum_coeffs
+from .laurent import LaurentMatrix, LaurentPoly, parse_rational
 
 
 class CFExpansion:
@@ -272,7 +272,7 @@ def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
         raise RangeError("rank_one_gap needs n >= 1")
     m, approx = rotation_matrix(cf, n).entries, _approximant(cf, n).entries
     norms = [(m[i][j] - approx[i][j]).one_norm() for i in range(2) for j in range(2)]
-    gap = sum_coeffs(norms)
+    gap = sum(norms, Fraction(0))
     first, corner = RatInterval.coerce(norms[0]), RatInterval.coerce(norms[2])
     two_ratio = 2 * (alpha_n(cf, n + 1) / alpha_n(cf, n - 1))
     tail = None

@@ -38,7 +38,6 @@ itinerary mirror test below checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -48,6 +47,7 @@ from . import rotation
 from .errors import (BadInput, InsufficientDepth, PointOutsideTower, TopLevel,
                      TruncationBoundary, check_budget)
 from .intervals import RatInterval
+from .laurent import fraction_text
 from .rotation import CFExpansion, GrowthRule, summability_report
 
 Word = Tuple[int, ...]
@@ -89,11 +89,7 @@ class Tower:
     @cached_property
     def interval_strings(self) -> Tuple[Tuple[str, str], ...]:
         """``intervals`` as ``str(Fraction)`` pairs, written from the integers."""
-        d = self.denominator
-        ends = []
-        for s in range(self.height + 1):
-            g = math.gcd(s, d)
-            ends.append(str(s // g) if g == d else f"{s // g}/{d // g}")
+        ends = [fraction_text(s, self.denominator) for s in range(self.height + 1)]
         return tuple((ends[s], ends[s + 1]) for s in self.starts)
 
 

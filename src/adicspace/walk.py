@@ -5,6 +5,11 @@ column i of M_n: each term c x^b of entry (j, i) moves the walker to
 (m + b, j) with probability c.  Since only the displacement p - m enters,
 the walk commutes with the Z-shift of the position coordinate.
 
+A law at level n is a column of Laurent polynomials, one per vertex j of
+V_n, with the mass at (d, j) as the coefficient of x^d in entry j: the
+exact law is the start column pushed forward through the M_n, and the
+empirical law holds integer counts.
+
 The simulator draws from a counter-based generator: three chained rounds of
 the SplitMix64 finalizer over (seed, trial, step).  Trajectories are thus
 indexed by (seed, trial), independent, and reproducible in any order.  The
@@ -20,12 +25,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .dimspace import DimensionSpace, push_forward
-from .errors import DEFAULT_BUDGET, BadInput, DepthExceeded, RangeError
+from .errors import DEFAULT_BUDGET, BadInput, DepthExceeded, DimensionMismatch, RangeError
 from .intervals import RatInterval
-from .laurent import LaurentPoly, coeff_to_json, sum_coeffs
+from .laurent import LaurentPoly
 
 _MASK = (1 << 64) - 1
 
@@ -46,22 +51,22 @@ class WalkState:
 
 @dataclass(frozen=True)
 class DisplacementHistogram:
-    """Mass per (terminal vertex, displacement); exact or empirical."""
+    """A walk law, exact or empirical: a column with one polynomial per terminal vertex."""
 
-    kind: str  # "exact" | "empirical"
-    masses: Dict[int, Dict[int, object]]
-    trials: int = 0
+    masses: Tuple[LaurentPoly, ...]
+    trials: int = 0  # 0 for an exact law
 
-    def normalized(self) -> Dict[int, Dict[int, Fraction]]:
-        if self.kind == "exact":
+    @property
+    def kind(self) -> str:
+        return "empirical" if self.trials else "exact"
+
+    def normalized(self) -> Tuple[LaurentPoly, ...]:
+        if not self.trials:
             return self.masses
-        return {
-            j: {d: Fraction(c, self.trials) for d, c in row.items()}
-            for j, row in self.masses.items()
-        }
+        return tuple(f.scale(Fraction(1, self.trials)) for f in self.masses)
 
     def total_mass(self):
-        return sum_coeffs(c for row in self.masses.values() for c in row.values())
+        return sum((f.eval_at_one() for f in self.masses), Fraction(0))
 
 
 def _check_start(space: DimensionSpace, start: WalkState, n: int):
@@ -95,9 +100,7 @@ def exact_distribution(space: DimensionSpace, n: int, start: WalkState,
     _check_start(space, start, n)
     column = [LaurentPoly.zero()] * space.dims[start.level]
     column[start.vertex] = LaurentPoly.x(start.position)
-    pushed = push_forward(space, column, start.level, n, budget)
-    return DisplacementHistogram("exact", {j: dict(f.items()) for j, f in enumerate(pushed)
-                                           if not f.is_zero()})
+    return DisplacementHistogram(tuple(push_forward(space, column, start.level, n, budget)))
 
 
 def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
@@ -126,7 +129,7 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
                 thresholds.append(-((-acc.numerator << 64) // acc.denominator))
             level_tables.append((outcomes, thresholds, len(outcomes) - 1))
         tables.append(level_tables)
-    masses: Dict[int, Dict[int, int]] = {}
+    counts = [{} for _ in range(space.dims[n])]  # counts[j]: displacement -> trials ending there
     base = _mix64(seed ^ 0x9E3779B97F4A7C15)
     for trial in range(trials):
         z = _mix64(base + trial)
@@ -135,26 +138,25 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
             outcomes, thresholds, last = level_tables[vtx]
             exp, vtx = outcomes[min(bisect_right(thresholds, _mix64(z + step)), last)]
             pos += exp
-        row = masses.setdefault(vtx, {})
+        row = counts[vtx]
         row[pos] = row.get(pos, 0) + 1
-    return DisplacementHistogram("empirical", masses, trials=trials)
+    return DisplacementHistogram(tuple(map(LaurentPoly._from_ints, counts)), trials)
 
 
 def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
-    """Total variation distance between two histograms (after normalizing)."""
-    pa, pb = a.normalized(), b.normalized()
-    keys = {(j, d) for h in (pa, pb) for j, row in h.items() for d in row}
-    diffs = [pa.get(j, {}).get(d, Fraction(0)) - pb.get(j, {}).get(d, Fraction(0))
-             for j, d in keys]
-    if any(isinstance(v, RatInterval) for v in diffs):
+    """Total variation distance: half the one-norm of the normalized column difference."""
+    if len(a.masses) != len(b.masses):
+        raise DimensionMismatch(f"laws on {len(a.masses)} and {len(b.masses)} vertices")
+    # an interval term, even a point one, makes the total mass an interval
+    if any(isinstance(h.total_mass(), RatInterval) for h in (a, b)):
         raise BadInput("tv_distance needs exact masses")
-    return sum_coeffs(map(abs, diffs)) / 2
+    return sum(((f - g).one_norm() for f, g in zip(a.normalized(), b.normalized())),
+               Fraction(0)) / 2
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:
-    rows = {str(j): {str(d): coeff_to_json(c) for d, c in sorted(h.masses[j].items())}
-            for j in sorted(h.masses)}
-    out = {"kind": h.kind, "masses": rows}
-    if h.kind == "empirical":
+    out = {"kind": h.kind,
+           "masses": {str(j): f.to_json() for j, f in enumerate(h.masses) if not f.is_zero()}}
+    if h.trials:
         out["trials"] = h.trials
     return out

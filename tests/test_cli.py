@@ -361,6 +361,36 @@ def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
             == "16da5104c283a944f9a650b67d288acb9a760fdfc8454e701c47f15769fbf3a7")
 
 
+def interval_walk_spec():
+    """Two levels; the root's edges and two edges into c carry interval probabilities."""
+    return {"levels": [["r"], ["a", "b"], ["c", "d"]],
+            "edges": [[{"id": "e0", "src": 0, "dst": 0, "p": ["1/3", "1/2"]},
+                       {"id": "e1", "src": 0, "dst": 1, "p": ["1/2", "2/3"]}],
+                      [{"id": "f0", "src": 0, "dst": 0, "p": "1/4"},
+                       {"id": "f1", "src": 0, "dst": 1, "p": "3/4"},
+                       {"id": "f2", "src": 1, "dst": 0, "p": ["1/5", "2/5"]},
+                       {"id": "f3", "src": 1, "dst": 0, "p": ["3/5", "4/5"]}]],
+            "orders": {"1/0": ["e0"], "1/1": ["e1"], "2/0": ["f2", "f0", "f3"], "2/1": ["f1"]}}
+
+
+def test_walk_report_bytes_are_pinned(capsys, tmp_path):
+    # stdout sha256 recorded while a walk law was a dict of dicts of Fractions
+    path = tmp_path / "interval_walk.json"
+    path.write_text(json.dumps(interval_walk_spec()))
+    pins = {
+        ("--preset", "circulant:4", "--depth", "5", "--exact", "--trials", "2000", "--seed", "3"):
+            "afa6973c76d4cadd3ac8a7c77607a47058fff25d7bac1626bf057eea10cd2e80",
+        ("--preset", "morse", "--depth", "4"):
+            "51f8ee89a1db7b8b98f2329848dcaa240bb734cb4e9d0eebe2daf9d2616de6b6",
+        (str(path), "--exact"):
+            "d1fac803a88e4ec56b46b0eb861df6cb419f1cb0377c86f12bc41242ef1bf77f",
+    }
+    for flags, digest in pins.items():
+        code, out, _ = run_cli(capsys, "walk", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # a report and an error report, each with stdout block-buffered and unbuffered
     buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
-from adicspace.laurent import (LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json, mat_mul,
-                               sum_coeffs, weighted_one_norm)
+from adicspace.laurent import LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json, mat_mul
 
 HALF = Fraction(1, 2)
 
@@ -172,16 +171,6 @@ def test_eval_at_one_matrix_and_column_sums():
     assert m.column_sums_at_one() == [Fraction(1), Fraction(1)]
 
 
-# -- weighted one-norm ------------------------------------------------------------
-
-def test_weighted_one_norm_basics():
-    assert weighted_one_norm([poly((0, 1), (1, 1))], [Fraction(1)]) == 2
-    col = [poly((0, HALF)), poly((5, HALF))]
-    assert weighted_one_norm(col, [Fraction(1), Fraction(1)]) == 1
-    with pytest.raises(DimensionMismatch):
-        weighted_one_norm(col, [Fraction(1)])
-
-
 @given(polys_st, polys_st)
 @settings(max_examples=40, deadline=None)
 def test_norm_submultiplicative_under_stochastic_scalar(f, g):
@@ -193,7 +182,7 @@ def test_norm_submultiplicative_under_stochastic_scalar(f, g):
     assert (fp * gp).one_norm() == fp.one_norm() * gp.one_norm()
 
 
-# -- exact coefficient sum ----------------------------------------------------------
+# -- exact coefficient sums ---------------------------------------------------------
 
 def naive_fold(values):
     """Left fold from Fraction(0), reordering so an interval term goes first."""
@@ -206,33 +195,11 @@ def naive_fold(values):
 sum_fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=30)
 intervals_st = st.tuples(sum_fractions_st, sum_fractions_st).map(
     lambda ab: RatInterval(min(ab), max(ab)))
-mixed_st = st.lists(st.one_of(st.integers(min_value=-9, max_value=9), sum_fractions_st,
-                              intervals_st), max_size=12)
-
-
-@given(mixed_st, st.integers(min_value=0, max_value=12))
-@settings(max_examples=200, deadline=None)
-def test_sum_coeffs_matches_naive_fold(values, cancel):
-    # appending negations of a prefix makes terms cancel, possibly to zero
-    values = values + [-v for v in values[:cancel]]
-    got, want = sum_coeffs(values), naive_fold(values)
-    assert type(got) is type(want)
-    assert got == want
-    assert sum_coeffs(iter(values)) == want
-
-
-def test_sum_coeffs_edge_cases():
-    assert sum_coeffs([]) == 0 and type(sum_coeffs([])) is Fraction
-    assert type(sum_coeffs([3, -3])) is Fraction
-    thirds = [Fraction(1, 3), Fraction(1, 5), Fraction(-8, 15)]
-    assert sum_coeffs(thirds) == 0
-    iv = RatInterval(Fraction(1, 7), Fraction(2, 7))
-    assert sum_coeffs([Fraction(1, 3), iv, 2]) == RatInterval(Fraction(52, 21), Fraction(55, 21))
 
 
 def _column_sums_per_entry(a):
     """Column sums at x = 1 with one evaluation per matrix position."""
-    return [sum_coeffs(a.entries[i][j].eval_at_one() for i in range(a.rows))
+    return [naive_fold([a.entries[i][j].eval_at_one() for i in range(a.rows)])
             for j in range(a.cols)]
 
 

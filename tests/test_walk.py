@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import walk as W
 from adicspace.dimspace import build_matrices, partial_product
-from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, RangeError
+from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, DimensionMismatch, RangeError
+from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges
+from adicspace.laurent import LaurentPoly, coeff_to_json
 from conftest import random_diagram
 
 HALF = Fraction(1, 2)
@@ -64,7 +67,7 @@ def test_step_depth_guard():
 def test_exact_distribution_odometer_uniform():
     sp = space_for(B.odometer_diagram(4))
     hist = W.exact_distribution(sp, 3, W.WalkState(0, 0, 0))
-    assert hist.masses == {0: {d: Fraction(1, 8) for d in range(8)}}
+    assert hist.masses == (LaurentPoly({d: Fraction(1, 8) for d in range(8)}),)
     assert hist.total_mass() == 1
 
 
@@ -74,15 +77,15 @@ def test_exact_distribution_matches_partial_product():
     sp = space_for(d)
     hist = W.exact_distribution(sp, 5, W.WalkState(3, 0, 0))
     prod = partial_product(sp, 0, 5)
-    for j, row in hist.masses.items():
-        entry = prod.entries[j][0]
-        assert row == {3 + e: c for e, c in entry.items()}
+    assert len(hist.masses) == sp.dims[5]
+    for j, column in enumerate(hist.masses):
+        assert column == LaurentPoly({3 + e: c for e, c in prod.entries[j][0].items()})
 
 
 def test_exact_distribution_level_zero_is_point_mass():
     sp = space_for(B.morse_diagram(3))
     hist = W.exact_distribution(sp, 0, W.WalkState(9, 0, 0))
-    assert hist.masses == {0: {9: Fraction(1)}}
+    assert hist.masses == (LaurentPoly({9: Fraction(1)}),)
 
 
 def test_circulant_digit_count_support():
@@ -91,8 +94,8 @@ def test_circulant_digit_count_support():
     sp = space_for(B.circulant_diagram(4, 4))
     hist = W.exact_distribution(sp, 4, W.WalkState(0, 0, 1))
     assert hist.total_mass() == 1
-    for j, row in hist.masses.items():
-        for d in row:
+    for j, column in enumerate(hist.masses):
+        for d in column.support():
             assert bin(d).count("1") % 4 == j
 
 
@@ -100,9 +103,8 @@ def test_exact_distribution_shift_equivariance():
     sp = space_for(B.circulant_diagram(3, 4))
     base = W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
     shifted = W.exact_distribution(sp, 4, W.WalkState(11, 0, 0))
-    assert shifted.masses == {
-        j: {d + 11: c for d, c in row.items()} for j, row in base.masses.items()
-    }
+    assert shifted.masses == tuple(LaurentPoly({d + 11: c for d, c in f.items()})
+                                   for f in base.masses)
 
 
 def test_simulate_deterministic_and_single_trial():
@@ -114,10 +116,10 @@ def test_simulate_deterministic_and_single_trial():
     assert c != a
     one = W.simulate(sp, 5, 1, seed=5)
     assert one.total_mass() == 1
-    (j, row), = one.masses.items()
-    (d, count), = row.items()
+    (j, column), = [(j, f) for j, f in enumerate(one.masses) if not f.is_zero()]
+    (d, count), = column.items()
     exact = W.exact_distribution(sp, 5, W.WalkState(0, 0, 0))
-    assert exact.masses[j][d] > 0
+    assert count == 1 and exact.masses[j].coeff(d) > 0
 
 
 def test_simulate_requires_positive_trials():
@@ -201,7 +203,7 @@ def test_exact_distribution_enclosure_mode():
     total = hist.total_mass()
     assert isinstance(total, RatInterval) and total.contains(1)
     # displacements into the first vertex stay below q(3)
-    assert all(0 <= disp < cf.q(3) for disp in hist.masses[0])
+    assert all(0 <= disp < cf.q(3) for disp in hist.masses[0].support())
 
 
 # Recorded from the Fraction-threshold sampler that preceded the integer one;
@@ -281,7 +283,7 @@ def test_exact_distribution_from_an_inner_vertex_matches_partial_product():
     prod = partial_product(sp, 1, 5)
     assert hist.total_mass() == 1
     for j in range(sp.dims[5]):
-        assert hist.masses.get(j, {}) == {e - 3: c for e, c in prod.entries[j][3].items()}
+        assert hist.masses[j] == LaurentPoly({e - 3: c for e, c in prod.entries[j][3].items()})
 
 
 def test_exact_walk_is_refused_over_the_path_budget():
@@ -305,3 +307,77 @@ def test_histogram_writes_an_interval_mass_as_a_pair():
     rows = W.histogram_to_json(W.exact_distribution(sp, 2, W.WalkState(0, 0, 0)))["masses"]
     masses = [c for row in rows.values() for c in row.values()]
     assert masses and all(isinstance(c, list) and len(c) == 2 for c in masses)
+
+
+def test_tv_distance_refuses_interval_mass_and_unequal_vertex_counts():
+    one = W.DisplacementHistogram((LaurentPoly.one(),))
+    point = W.DisplacementHistogram((LaurentPoly({0: RatInterval(1)}),))
+    assert point.masses == one.masses  # a point interval equals its rational, yet is refused
+    for a, b in ((point, one), (one, point), (point, point)):
+        with pytest.raises(BadInput):
+            W.tv_distance(a, b)
+    with pytest.raises(DimensionMismatch):
+        W.tv_distance(one, W.DisplacementHistogram((LaurentPoly.one(), LaurentPoly.zero())))
+
+
+# -- reference models: a walk law as vertex -> displacement -> mass dicts
+
+def reference_exact(space, n, start):
+    """vertex -> displacement -> probability, stepped out from ``start`` one level at a time."""
+    law = {(start.vertex, start.position): Fraction(1)}
+    for level in range(start.level, n):
+        nxt = {}
+        for (v, pos), mass in law.items():
+            for s, p in W.step_distribution(space, W.WalkState(pos, v, level)):
+                nxt[s.vertex, s.position] = nxt.get((s.vertex, s.position), 0) + mass * p
+        law = nxt
+    masses = {}
+    for (j, d), c in law.items():
+        masses.setdefault(j, {})[d] = c
+    return masses
+
+
+def reference_json(kind, masses, trials=0):
+    rows = {str(j): {str(d): coeff_to_json(c) for d, c in sorted(masses[j].items())}
+            for j in sorted(masses)}
+    out = {"kind": kind, "masses": rows}
+    if kind == "empirical":
+        out["trials"] = trials
+    return out
+
+
+def reference_tv(pa, pb):
+    keys = {(j, d) for h in (pa, pb) for j, row in h.items() for d in row}
+    return sum(abs(pa.get(j, {}).get(d, Fraction(0)) - pb.get(j, {}).get(d, Fraction(0)))
+               for j, d in keys) / 2
+
+
+def test_column_laws_match_the_dict_of_dicts_reference():
+    rng = random.Random(15)
+    cases = [(space_for(B.odometer_diagram(6)), 6, W.WalkState(0, 0, 0)),
+             (space_for(B.odometer_diagram(6)), 6, W.WalkState(7, 0, 2)),
+             (space_for(B.morse_diagram(6)), 6, W.WalkState(0, 0, 0)),
+             (space_for(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
+             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0)),
+             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
+    for _ in range(20):
+        sp = space_for(random_diagram(rng, depth=rng.randint(2, 5)))
+        level = rng.randint(0, sp.depth - 1)
+        start = W.WalkState(rng.randint(-9, 9), rng.randrange(sp.dims[level]), level)
+        cases.append((sp, rng.randint(level, sp.depth), start))
+    for sp, n, start in cases:
+        exact = W.exact_distribution(sp, n, start)
+        emp = W.simulate(sp, n, 300, seed=rng.randrange(1 << 31), start=start)
+        assert len(exact.masses) == len(emp.masses) == sp.dims[n]
+        ref_exact = reference_exact(sp, n, start)
+        ref_counts = {j: {d: int(c) for d, c in f.items()}
+                      for j, f in enumerate(emp.masses) if not f.is_zero()}
+        assert sum(c for row in ref_counts.values() for c in row.values()) == emp.total_mass() == 300
+        for got, want in ((W.histogram_to_json(exact), reference_json("exact", ref_exact)),
+                          (W.histogram_to_json(emp), reference_json("empirical", ref_counts, 300))):
+            assert got == want
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        ref_freqs = {j: {d: Fraction(c, 300) for d, c in row.items()} for j, row in ref_counts.items()}
+        assert W.tv_distance(exact, emp) == reference_tv(ref_exact, ref_freqs)
+        assert W.tv_distance(emp, exact) == W.tv_distance(exact, emp)
+        assert W.tv_distance(exact, exact) == 0
