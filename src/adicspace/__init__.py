@@ -10,7 +10,7 @@ from .dimspace import DimensionSpace, build_matrices, check_harmonic, horizon_no
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, cocycle, label_edges, path_bsum
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul
-from .rotation import CFExpansion, GrowthRule, alpha_n, convergents, rank_one_gap, \
+from .rotation import CFExpansion, GrowthRule, alpha_n, rank_one_gap, \
     rank_one_polys, rotation_diagram, summability_report
 from .stacking import SkyscraperPoint, Tower, build_tower, compare_with_rotation, \
     skyscraper_step, tower_map

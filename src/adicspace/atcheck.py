@@ -153,9 +153,8 @@ def _weighted_median(points: List[Tuple[Fraction, Fraction]]) -> Fraction:
     acc = 0
     for _, w, v in scaled:
         acc += w
-        if 2 * acc >= total:
+        if 2 * acc >= total:  # at the latest on the last point, where acc = total > 0
             return v
-    return scaled[-1][2]
 
 
 def _optimize_vector(targets, partners, vector):

@@ -8,9 +8,10 @@ The resulting cocycle increases by exactly 1 along the adic successor, and
 the b-sums of the paths into any vertex, read in adic order, are
 0, 1, ..., N_v - 1.
 
-So wmax(u) = N_u - 1, and :func:`label_edges` adds running path counts,
-b(e^{i+1}) = b(e^i) + N_{s(e^i)}; :func:`tables_from_b` is the one O(|E|)
-max/min recursion.  No path is enumerated: path counts grow exponentially.
+So wmax(u) = N_u - 1 and wmin(u) = 0: :func:`label_edges` writes the labels
+b(e^{i+1}) = b(e^i) + N_{s(e^i)} and both tables from the path counts N, and
+:func:`tables_from_b` is the O(|E|) max/min recursion for a supplied labeling.
+No path is enumerated: path counts grow exponentially.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def label_edges(d: OrderedBratteliDiagram) -> EdgeLabeling:
                 b[e.id] = total
                 total += count[(n, e.src)]
             count[(n + 1, v)] = total
-    return tables_from_b(d, b)
+    return EdgeLabeling(b, {u: c - 1 for u, c in count.items()}, dict.fromkeys(count, 0))
 
 
 def path_bsum(labeling: EdgeLabeling, p: FinitePath) -> int:

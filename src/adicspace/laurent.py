@@ -186,13 +186,9 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatInterval)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return _sum_products(((self, other),))
-
-    __rmul__ = __mul__  # a scalar on the left: scale() commutes with it
 
     def scale(self, c: Coeff) -> "LaurentPoly":
         return _sum_products(((self, LaurentPoly({0: c})),))
@@ -290,10 +286,10 @@ class LaurentMatrix:
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = len(entries)
         if rows == 0:
-            raise ValueError("matrix needs at least one row")
+            raise DimensionMismatch("matrix needs at least one row")
         cols = len(entries[0])
         if cols == 0 or any(len(r) != cols for r in entries):
-            raise ValueError("ragged or empty matrix")
+            raise DimensionMismatch("ragged or empty matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))

@@ -12,11 +12,13 @@ raise InsufficientDepth instead of silently widening a verdict.
 
 The two-vertex rotation diagram carries the explicit labeling
 b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
-with the parallel edges ordered by k and the cross edge last; the generic
-inductive labeling reproduces exactly these values (compare with
-:func:`compare_labelings`).  One builder writes E_n at a probability stay
-on the loops and out on the v_1 -> v_2 edge: M_n takes alpha(n)/alpha(n-1)
-and alpha(n+1)/alpha(n-1), and its rank-one approximant 1/a(n+1) and 0.
+with the parallel edges ordered by k and the cross edge last.  They are the
+running path counts of :func:`label_edges`: by induction N(v_1 at n) = q(n)
+and N(v_2 at n) = q(n-1), since the root is v_1 with q(0) = 1, q(-1) = 0, and
+a(n+1) q(n) + q(n-1) = q(n+1).  :func:`compare_labelings` checks it edge by
+edge.  One builder writes E_n at a probability stay on the loops and out on
+the v_1 -> v_2 edge: M_n takes alpha(n)/alpha(n-1) and alpha(n+1)/alpha(n-1),
+and its rank-one approximant 1/a(n+1) and 0.
 Level 0 is the n = 0 case of the same rule: the recurrences start at p(-1) = 1,
 q(-1) = 0, so alpha(-1) = |q(-1) alpha - p(-1)| = 1 divides the level-0
 probabilities alpha(0) and alpha(1).
@@ -78,11 +80,6 @@ class CFExpansion:
         end1 = Fraction(self.p(d), self.q(d))
         end2 = Fraction(self.p(d) + self.p(d - 1), self.q(d) + self.q(d - 1))
         return RatInterval(min(end1, end2), max(end1, end2))
-
-
-def convergents(cf: CFExpansion, n: int) -> Tuple[int, int]:
-    """The exact pair (p(n), q(n)); always coprime."""
-    return cf.p(n), cf.q(n)
 
 
 def alpha_n(cf: CFExpansion, n: int) -> RatInterval:

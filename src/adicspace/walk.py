@@ -18,6 +18,8 @@ computed once per trial and each step costs one round.  Sampling is pure
 integer comparison: a 64-bit draw u selects the first outcome whose
 cumulative probability cum satisfies u < ceil(cum * 2^64), which holds
 exactly when u/2^64 < cum, so the per-step sampling bias is below 2^-64.
+Each column is checked once to be an exact probability vector, so its last
+threshold is exactly 2^64 and no draw passes the last outcome.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
              start: WalkState | None = None) -> DisplacementHistogram:
     """Empirical histogram over `trials` independent trajectories.
 
-    Requires exact rational probabilities (enclosure-mode spaces cannot be
-    sampled without widening the verdicts).
+    Each step law must be exact positive rationals summing to 1, or it is a
+    ``BadInput`` naming its level and vertex (enclosures would widen verdicts).
     """
     if trials < 1:
         raise BadInput("trials must be >= 1")
@@ -122,12 +124,14 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         for v in range(space.dims[lvl]):
             outcomes, thresholds, acc = [], [], Fraction(0)
             for s, c in step_distribution(space, WalkState(0, v, lvl)):
-                if isinstance(c, RatInterval):
-                    raise BadInput("simulate needs exact rational probabilities")
+                if not (isinstance(c, Fraction) and c > 0):
+                    raise BadInput(f"level {lvl} vertex {v} has {c}, not an exact p > 0")
                 outcomes.append((s.position, s.vertex))
                 acc += c
                 thresholds.append(-((-acc.numerator << 64) // acc.denominator))
-            level_tables.append((outcomes, thresholds, len(outcomes) - 1))
+            if acc != 1:
+                raise BadInput(f"the step law of level {lvl} vertex {v} sums to {acc}, not 1")
+            level_tables.append((outcomes, thresholds))
         tables.append(level_tables)
     counts = [{} for _ in range(space.dims[n])]  # counts[j]: displacement -> trials ending there
     base = _mix64(seed ^ 0x9E3779B97F4A7C15)
@@ -135,8 +139,8 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         z = _mix64(base + trial)
         pos, vtx = start.position, start.vertex
         for step, level_tables in enumerate(tables):
-            outcomes, thresholds, last = level_tables[vtx]
-            exp, vtx = outcomes[min(bisect_right(thresholds, _mix64(z + step)), last)]
+            outcomes, thresholds = level_tables[vtx]
+            exp, vtx = outcomes[bisect_right(thresholds, _mix64(z + step))]
             pos += exp
         row = counts[vtx]
         row[pos] = row.get(pos, 0) + 1

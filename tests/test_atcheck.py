@@ -267,6 +267,12 @@ def test_greedy_rejects_zero_iters():
         AT.greedy_rank_one(a, 0)
 
 
+def test_greedy_rejects_a_non_square_matrix():
+    tall = LaurentMatrix([[LaurentPoly.one()], [LaurentPoly.x()]])
+    with pytest.raises(DimensionMismatch, match="square"):
+        AT.greedy_rank_one(tall, 1)
+
+
 def fraction_sort_median(points):
     """Reference lower weighted median: sort the Fractions themselves."""
     points = sorted(points, key=lambda vw: vw[0])

@@ -85,6 +85,27 @@ def test_constructor_checks_level_count_before_indexing():
                                  {(1, 0): ["e0"]})
 
 
+def test_constructor_rejects_duplicate_ids_and_sinks():
+    half = Fraction(1, 2)
+    twins = [[B.Edge("e0", 0, 0, 0, half), B.Edge("e0", 0, 0, 0, half)]]
+    with pytest.raises(BadInput, match="duplicate edge id 'e0'"):
+        B.OrderedBratteliDiagram([["r"], ["v"]], twins, {(1, 0): ["e0", "e0"]})
+    # vertex b of V_1 has an incoming edge but no outgoing one
+    edges = [[B.Edge("x", 0, 0, 0, half), B.Edge("y", 0, 0, 1, half)],
+             [B.Edge("z", 1, 0, 0, Fraction(1))]]
+    with pytest.raises(EmptyFiber, match="vertex 1/1 has no outgoing edge"):
+        B.OrderedBratteliDiagram([["r"], ["a", "b"], ["c"]], edges,
+                                 {(1, 0): ["x"], (1, 1): ["y"], (2, 0): ["z"]})
+
+
+def test_validate_rejects_malformed_order_keys():
+    for key in ("1", "1/0/0", "one/0", "1/x"):
+        spec = odometer_spec()
+        spec["orders"][key] = spec["orders"].pop("1/0")
+        with pytest.raises(BadInput, match="malformed order key"):
+            B.validate_diagram(spec)
+
+
 def test_validate_rejects_order_keys_of_no_vertex():
     for key in ("7/3", "0/0", "4/0", "1/1", "-1/0"):
         spec = odometer_spec()
@@ -252,6 +273,19 @@ def test_cylinder_measures_sum_to_one():
 def test_maximal_path_count_is_vertex_count():
     d = B.circulant_diagram(5, 4)
     assert [B.maximal_path_count(d, n) for n in range(4)] == [5, 5, 5, 5]
+    with pytest.raises(DepthExceeded):
+        B.maximal_path_count(d, d.depth)
+
+
+def test_adic_steps_refuse_a_path_that_is_not_one():
+    d = B.odometer_diagram(3)
+    e0, e1, e2 = (d.edges[n][0] for n in range(3))
+    for edges, message in (((), "empty path"),
+                           ((e1, e2), "path must start at the root"),
+                           ((e0, e2), "edges 'e0_0', 'e2_0' are not consecutive")):
+        for step in (B.successor, B.predecessor, B.cylinder_measure):
+            with pytest.raises(BadInput, match=message):
+                step(d, B.FinitePath(edges))
 
 
 def test_rotation_diagram_path_operations():

@@ -98,6 +98,12 @@ def test_missing_input_is_usage_error(capsys):
     assert json.loads(err)["error"]["code"] == "UsageError"
 
 
+def test_no_subcommand_prints_usage_and_exits_2(capsys):
+    code, out, err = run_cli(capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ")
+
+
 def test_circulant_preset_size(capsys):
     for preset in ("circulant:x", "circulant:", "circulantx"):
         code, _, err = run_cli(capsys, "validate", "--preset", preset, "--depth", "3")
@@ -168,6 +174,14 @@ def test_stack_map_and_compare(capsys):
     assert Fraction(body["compare"]["out_fraction"]) > 0
 
 
+def test_stack_compare_with_every_point_on_the_top_level(capsys):
+    # a stage-1 tower of cf 1 is one level, which is its top: no grid point is counted
+    code, out, _ = run_cli(capsys, "stack", "--cf", "1", "--stage", "1", "--compare")
+    assert code == 0
+    compare = json.loads(out)["compare"]
+    assert compare["counted"] == 0 and compare["values"] == []
+
+
 def test_at_subcommand_explicit(capsys):
     code, out, _ = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1",
                            "--explicit", "--greedy", "1")
@@ -175,6 +189,13 @@ def test_at_subcommand_explicit(capsys):
     assert body["explicit"]["error"] == "95/16"
     assert body["explicit"]["g_norm"] == "4"
     assert Fraction(body["greedy"]["error"]) <= Fraction(95, 16)
+
+
+def test_at_explicit_is_the_k_4_case(capsys):
+    code, out, err = run_cli(capsys, "at", "--k", "3", "--M", "1", "--N", "1", "--explicit")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "UsageError",
+                                        "message": "the explicit construction is the k = 4 case"}
 
 
 def test_at_budget_exceeded(capsys):

@@ -143,6 +143,14 @@ def test_check_harmonic_reports_residual_pattern():
     assert rep.residuals[1] == (HALF, -HALF)
 
 
+def test_check_harmonic_refuses_misshapen_rows():
+    sp = space_for(B.morse_diagram(3))  # dims (1, 2, 2, 2)
+    with pytest.raises(DimensionMismatch, match="one row vector per level"):
+        D.check_harmonic(sp, [[1], [1, 1], [1, 1]])
+    with pytest.raises(DimensionMismatch, match="mu_2 has length 3, expected 2"):
+        D.check_harmonic(sp, [[1], [1, 1], [1, 1, 1], [1, 1]])
+
+
 def test_state_eval_and_compatibility():
     sp = space_for(B.circulant_diagram(4, 5))
     ones = [Fraction(1)] * 4

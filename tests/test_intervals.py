@@ -18,6 +18,12 @@ def test_empty_interval_rejected():
         RatInterval(Fraction(1), Fraction(0))
 
 
+def test_inexact_endpoints_rejected():
+    for lo, hi in ((0.5, None), (Fraction(1, 2), 0.75), ("1/2", None)):
+        with pytest.raises(TypeError, match="exact rational"):
+            RatInterval(lo, hi)
+
+
 def test_arithmetic_endpoints():
     a = RatInterval(Fraction(1, 3), Fraction(1, 2))
     b = RatInterval(Fraction(-1), Fraction(2))

@@ -100,10 +100,14 @@ def test_wmin_zero_wmax_counts():
 
 
 def test_tables_from_external_b_match_dp():
-    d = B.odometer_diagram(4)
-    lab = label_edges(d)
-    again = tables_from_b(d, lab.b)
-    assert again.wmax == lab.wmax and again.wmin == lab.wmin
+    # label_edges writes the tables from path counts; tables_from_b runs the max/min recursion
+    rng = random.Random(16)
+    diagrams = [B.odometer_diagram(4), B.morse_diagram(5), B.circulant_diagram(3, 4)]
+    diagrams += [random_diagram(rng, depth=rng.randint(1, 5)) for _ in range(20)]
+    for d in diagrams:
+        lab = label_edges(d)
+        again = tables_from_b(d, lab.b)
+        assert again.wmax == lab.wmax and again.wmin == lab.wmin
 
 
 def test_labels_nonnegative_and_minimal_zero():

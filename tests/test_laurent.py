@@ -155,6 +155,25 @@ def test_mat_mul_dimension_mismatch():
         mat_mul(m, tall)
 
 
+def test_matrix_shape_errors_are_coded():
+    one = LaurentPoly.one()
+    for entries in ([], [[]], [[one, one], [one]], [[one], [one, one]]):
+        with pytest.raises(DimensionMismatch):
+            LaurentMatrix(entries)
+
+
+def test_poly_refuses_inexact_coefficients_and_scalar_products():
+    for c in (0.5, "1/2", None):
+        with pytest.raises(TypeError, match="unsupported coefficient"):
+            LaurentPoly({0: c})
+    # a scalar product is scale(); * takes two polynomials
+    for c in (2, HALF):
+        with pytest.raises(TypeError):
+            LaurentPoly.x() * c
+        with pytest.raises(TypeError):
+            c * LaurentPoly.x()
+
+
 matrices_st = st.lists(st.lists(polys_st, min_size=2, max_size=2), min_size=2, max_size=2)
 
 

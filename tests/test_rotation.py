@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -28,17 +29,18 @@ def eval_finite_cf(terms):
 def test_convergents_against_folding_oracle():
     cf = cf_increasing()
     for n in range(1, cf.depth + 1):
-        p, q = R.convergents(cf, n)
+        p, q = cf.p(n), cf.q(n)
         assert Fraction(p, q) == eval_finite_cf(cf.terms[:n])
         assert math.gcd(p, q) == 1
 
 
 def test_convergents_frozen_and_base_case():
     cf = cf_increasing()
-    assert R.convergents(cf, 0) == (0, 1)
-    assert [R.convergents(cf, n) for n in (1, 2, 3)] == [(1, 2), (3, 7), (13, 30)]
-    with pytest.raises(RangeError):
-        R.convergents(cf, 11)
+    assert (cf.p(0), cf.q(0)) == (0, 1)
+    assert [(cf.p(n), cf.q(n)) for n in (1, 2, 3)] == [(1, 2), (3, 7), (13, 30)]
+    for read, n in ((cf.p, 11), (cf.p, -2), (cf.q, 11), (cf.q, -2), (cf.a, 11), (cf.a, 0)):
+        with pytest.raises(RangeError):
+            read(n)
 
 
 def test_fibonacci_denominators():
@@ -81,6 +83,8 @@ def test_alpha_n_depth_guard():
     cf = cf_increasing()
     with pytest.raises(InsufficientDepth):
         R.alpha_n(cf, cf.depth - 1)
+    with pytest.raises(RangeError, match="n >= 0"):
+        R.alpha_n(cf, -1)
 
 
 def test_alpha_recurrence_within_enclosures():
@@ -129,6 +133,16 @@ def test_rotation_diagram_shape_and_measure():
 def test_rotation_diagram_depth_guard():
     with pytest.raises(InsufficientDepth):
         R.rotation_diagram(cf_increasing(6), 5)
+    with pytest.raises(BadInput, match="depth must be >= 1"):
+        R.rotation_diagram(cf_increasing(6), 0)
+
+
+def test_rank_one_builders_refuse_out_of_range_levels():
+    cf = cf_increasing()
+    with pytest.raises(InsufficientDepth, match=f"need {cf.depth + 1} terms"):
+        R.rank_one_polys(cf, cf.depth + 1)
+    with pytest.raises(RangeError, match="n >= 1"):
+        R.rank_one_gap(cf, 0)
 
 
 def test_rotation_matrices_match_diagram_route():
@@ -166,6 +180,18 @@ def test_explicit_labeling_matches_generic():
     assert report["agree"], report["mismatches"]
     small = R.CFExpansion([2, 1, 3, 1, 2, 4])
     assert R.compare_labelings(small, 4)["agree"]
+
+
+def test_rotation_path_counts_are_the_convergent_denominators():
+    # the induction behind the explicit labels: N(v_1 at n) = q(n), N(v_2 at n) = q(n - 1)
+    rng = random.Random(16)
+    for _ in range(12):
+        cf = R.CFExpansion([rng.randint(1, 6) for _ in range(rng.randint(3, 8))])
+        depth = cf.depth - 2
+        d, _ = R.rotation_diagram(cf, depth)
+        for n in range(1, depth + 1):
+            assert [B.count_paths_into(d, n, v) for v in (0, 1)] == [cf.q(n), cf.q(n - 1)]
+        assert R.compare_labelings(cf, depth)["agree"]
 
 
 def test_rotation_successor_increment_bruteforce():

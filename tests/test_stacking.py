@@ -172,6 +172,10 @@ def test_circle_distance_cases():
     assert near == RatInterval(Fraction(1, 10))
     wrapped = S.circle_distance(Fraction(19, 20), alpha)
     assert wrapped == RatInterval(Fraction(9, 20))  # min(11/20, 9/20)
+    # |9/10 - alpha| = [2/5, 17/30] straddles 1/2: the distance peaks at 1/2 (alpha = 2/5)
+    # and is least at alpha = 1/2, where it is 2/5
+    straddling = S.circle_distance(Fraction(9, 10), RatInterval(Fraction(1, 3), Fraction(1, 2)))
+    assert straddling == RatInterval(Fraction(2, 5), Fraction(1, 2))
 
 
 def test_compare_stage_one_single_value():
@@ -218,6 +222,24 @@ def test_limit_space_enclosure_contains_iterates():
     t6 = S.build_tower(cf, 6)
     assert t6.total_space < enc.hi
     assert enc.lo <= enc.hi < Fraction(17, 10)
+
+
+def test_limit_space_enclosure_refusals():
+    with pytest.raises(BadInput, match="certified growth rule"):
+        S.limit_space_enclosure(cf_increasing(12), None)
+    # the rule holds on 1, 2, but its tail bound from n = 1 is 1/(c^2 * 1) = 1
+    with pytest.raises(InsufficientDepth, match="tail bound"):
+        S.limit_space_enclosure(R.CFExpansion([1, 2]), R.GrowthRule("linear", Fraction(1)))
+
+
+def test_words_are_checked_against_the_quotients():
+    cf = R.CFExpansion([2, 3, 4])
+    for word, message in (((1, 1), "word length 2 != cf depth 3"),
+                          ((1, 4, 1), "digit 4 outside 1..3 at slot 2"),
+                          ((0, 1, 1), "digit 0 outside 1..2 at slot 1")):
+        for use in (S.check_word, S.odometer_step, S.column_height):
+            with pytest.raises(BadInput, match=message):
+                use(cf, word)
 
 
 def test_column_height_is_the_slot_label_cocycle():

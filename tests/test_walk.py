@@ -1,16 +1,17 @@
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 from adicspace import bratteli as B
 from adicspace import walk as W
-from adicspace.dimspace import build_matrices, partial_product
+from adicspace.dimspace import DimensionSpace, build_matrices, partial_product
 from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, DimensionMismatch, RangeError
 from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges
-from adicspace.laurent import LaurentPoly, coeff_to_json
+from adicspace.laurent import LaurentMatrix, LaurentPoly, coeff_to_json
 from conftest import random_diagram
 
 HALF = Fraction(1, 2)
@@ -381,3 +382,72 @@ def test_column_laws_match_the_dict_of_dicts_reference():
         assert W.tv_distance(exact, emp) == reference_tv(ref_exact, ref_freqs)
         assert W.tv_distance(emp, exact) == W.tv_distance(exact, emp)
         assert W.tv_distance(exact, exact) == 0
+
+
+# -- the sampler against the clamped step loop it replaced
+
+def clamped_simulate(space, n, trials, seed, start=W.WalkState(0, 0, 0)):
+    """Reference sampler: the same tables and draws, each step clamped to the last outcome.
+
+    Nothing checks the columns, so a column that is not a law is sampled
+    silently; on a law the clamp never acts.
+    """
+    tables = []
+    for lvl in range(start.level, n):
+        level_tables = []
+        for v in range(space.dims[lvl]):
+            outcomes, thresholds, acc = [], [], Fraction(0)
+            for s, c in W.step_distribution(space, W.WalkState(0, v, lvl)):
+                outcomes.append((s.position, s.vertex))
+                acc += c
+                thresholds.append(-((-acc.numerator << 64) // acc.denominator))
+            level_tables.append((outcomes, thresholds, len(outcomes) - 1))
+        tables.append(level_tables)
+    counts = [{} for _ in range(space.dims[n])]
+    base = W._mix64(seed ^ 0x9E3779B97F4A7C15)
+    for trial in range(trials):
+        z = W._mix64(base + trial)
+        pos, vtx = start.position, start.vertex
+        for step, level_tables in enumerate(tables):
+            outcomes, thresholds, last = level_tables[vtx]
+            exp, vtx = outcomes[min(bisect_right(thresholds, W._mix64(z + step)), last)]
+            pos += exp
+        row = counts[vtx]
+        row[pos] = row.get(pos, 0) + 1
+    return W.DisplacementHistogram(tuple(map(LaurentPoly._from_ints, counts)), trials)
+
+
+def test_simulate_matches_the_clamped_reference():
+    rng = random.Random(16)
+    cases = [(space_for(B.odometer_diagram(7)), 7, W.WalkState(0, 0, 0)),
+             (space_for(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
+             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
+    for _ in range(20):
+        sp = space_for(random_diagram(rng, depth=rng.randint(2, 5)))
+        level = rng.randint(0, sp.depth - 1)
+        start = W.WalkState(rng.randint(-9, 9), rng.randrange(sp.dims[level]), level)
+        cases.append((sp, rng.randint(level, sp.depth), start))
+    for sp, n, start in cases:
+        seed = rng.randrange(1 << 31)
+        got = W.simulate(sp, n, 400, seed, start=start)
+        assert got.masses == clamped_simulate(sp, n, 400, seed, start).masses
+        assert got.total_mass() == 400
+
+
+def one_by_one(terms):
+    """A hand-built 1x1 space whose one column is ``terms``, never validated."""
+    return DimensionSpace((LaurentMatrix([[LaurentPoly(terms)]]),), (1, 1))
+
+
+@pytest.mark.parametrize("terms, clamped, reason", [
+    ({0: Fraction(1, 4), 1: Fraction(1, 4)}, {0: 997, 1: 3003}, "sums to 1/2, not 1"),
+    ({0: Fraction(3, 4), 1: Fraction(3, 4)}, {0: 2972, 1: 1028}, "sums to 3/2, not 1"),
+    ({0: HALF, 1: -HALF, 2: Fraction(1)}, {2: 4000}, "has -1/2, not an exact p > 0"),
+    ({}, None, "sums to 0, not 1"),
+], ids=["sums-to-half", "sums-to-three-halves", "negative-term", "empty-column"])
+def test_simulate_refuses_a_column_that_is_not_a_law(terms, clamped, reason):
+    sp = one_by_one(terms)
+    with pytest.raises(BadInput, match=f"level 0 vertex 0 {reason}$"):
+        W.simulate(sp, 1, 4000, seed=1)
+    if clamped is not None:  # the clamped loop samples a wrong law without an error
+        assert clamped_simulate(sp, 1, 4000, 1).masses[0] == LaurentPoly._from_ints(clamped)
