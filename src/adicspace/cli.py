@@ -3,7 +3,9 @@
 Every subcommand reads JSON (or a bundled preset), computes exactly, and
 prints one JSON report to stdout (or --out FILE).  Reports carry the tool
 version and the sha256 of the input for reproducibility and contain no
-timestamps, so identical inputs give byte-identical output.  Module errors
+timestamps.  The environment is not read: `matrices`, `walk` and `at` size
+their exponential builds against --budget B (default 2**20), so a report's
+bytes and exit code depend only on argv and the input files.  Module errors
 exit 1 with {"error": {"code", "message"}}; usage problems exit 2.
 """
 
@@ -73,14 +75,6 @@ def _report(args, body: dict, payload: bytes) -> int:
     return 0
 
 
-def _budget(args) -> int:
-    """--budget where the subcommand has it, else $ADICSPACE_BUDGET, else the default."""
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("ADICSPACE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
-
-
 def cmd_validate(args) -> int:
     d, payload = _load_diagram(args)
     body = {
@@ -109,7 +103,7 @@ def cmd_matrices(args) -> int:
             lo, hi = (int(x) for x in args.product.split(".."))
         except ValueError as exc:
             raise UsageError(f"bad --product range {args.product!r}") from exc
-        matrix = dimspace.partial_product(space, lo, hi, _budget(args)).to_json()
+        matrix = dimspace.partial_product(space, lo, hi, args.budget).to_json()
         body["product"] = {"range": [lo, hi], "matrix": matrix}
     if args.norm:
         with open(args.norm) as fh:
@@ -118,7 +112,7 @@ def cmd_matrices(args) -> int:
             raise BadInput(f"--norm needs a JSON list of polynomial objects, not a {type(data).__name__}")
         vec = [LaurentPoly.from_json(p) for p in data]
         horizon = args.horizon if args.horizon is not None else space.depth
-        norm = dimspace.horizon_norm(space, vec, 0, horizon, _budget(args))
+        norm = dimspace.horizon_norm(space, vec, 0, horizon, args.budget)
         body["norm"] = {"horizon": horizon, "value": coeff_to_json(norm)}
     return _report(args, body, payload)
 
@@ -131,7 +125,7 @@ def cmd_walk(args) -> int:
     body = {"level": level}
     exact = None
     if args.exact or not args.trials:
-        exact = walk.exact_distribution(space, level, walk.WalkState(0, 0, 0), _budget(args))
+        exact = walk.exact_distribution(space, level, walk.WalkState(0, 0, 0), args.budget)
         body["exact"] = walk.histogram_to_json(exact)
     if args.trials:
         emp = walk.simulate(space, level, args.trials, args.seed)
@@ -202,7 +196,7 @@ def cmd_stack(args) -> int:
             "grid": rep.grid,
             "counted": rep.counted,
             "tolerance": str(rep.tolerance),
-            "out_fraction": str(rep.out_fraction),
+            "out_fraction": None if rep.out_fraction is None else str(rep.out_fraction),
             "values": [
                 {"value": str(s.value), "levels": s.level_count, "mass": s.grid_mass,
                  "distance": coeff_to_json(s.distance)}
@@ -213,15 +207,14 @@ def cmd_stack(args) -> int:
 
 
 def cmd_at(args) -> int:
-    budget = _budget(args)
     payload = json.dumps({"k": args.k, "M": args.M, "N": args.N}, sort_keys=True).encode()
-    a = atcheck.circulant_product(args.k, args.M, args.N, budget)
+    a = atcheck.circulant_product(args.k, args.M, args.N, args.budget)
     body = {"k": args.k, "M": args.M, "N": args.N,
             "column_mass": [str(v) for v in a.column_sums_at_one()]}
     if args.explicit:
         if args.k != 4:
             raise UsageError("the explicit construction is the k = 4 case")
-        cand = atcheck.explicit_candidate(args.M, args.N, budget)
+        cand = atcheck.explicit_candidate(args.M, args.N, args.budget)
         gsum = cand.row[0] + cand.row[1] + cand.row[2] + cand.row[3]
         body["explicit"] = {
             "error": str(atcheck.approximation_error(a, cand)),
@@ -229,7 +222,7 @@ def cmd_at(args) -> int:
             "g_norm": str(gsum.one_norm()),
         }
     if args.greedy:
-        cand = atcheck.greedy_rank_one(a, args.greedy, budget)
+        cand = atcheck.greedy_rank_one(a, args.greedy, args.budget)
         body["greedy"] = {"iters": args.greedy,
                           "error": str(atcheck.approximation_error(a, cand))}
     return _report(args, body, payload)
@@ -241,11 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"adicspace {__version__}")
     sub = ap.add_subparsers(dest="command")
 
-    def common(p, diagram=True):
+    def common(p, diagram=True, budget=False):
         if diagram:
             p.add_argument("diagram", nargs="?", help="diagram JSON file")
             p.add_argument("--preset", help="odometer | morse | circulant:K")
             p.add_argument("--depth", type=int, help="preset depth")
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="cap on each derived build: its terms, monomials or sweep "
+                                "pairs (default %(default)s)")
         p.add_argument("--out", help="write the report to FILE instead of stdout")
 
     p = sub.add_parser("validate", help="validate a diagram")
@@ -257,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_label)
 
     p = sub.add_parser("matrices", help="emit the dimension-space matrices")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--product", help="partial product range a..b")
     p.add_argument("--norm", help="vector JSON file for a horizon norm")
     p.add_argument("--horizon", type=int)
     p.set_defaults(fn=cmd_matrices)
 
     p = sub.add_parser("walk", help="random-walk distributions")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--level", type=int)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
@@ -294,13 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stack)
 
     p = sub.add_parser("at", help="circulant products and rank-one errors")
-    common(p, diagram=False)
+    common(p, diagram=False, budget=True)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--explicit", action="store_true")
     p.add_argument("--greedy", type=int, default=0)
-    p.add_argument("--budget", type=int, help="monomial budget cap")
     p.set_defaults(fn=cmd_at)
 
     return ap

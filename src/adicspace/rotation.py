@@ -86,7 +86,11 @@ def alpha_n(cf: CFExpansion, n: int) -> RatInterval:
     """Enclosure of alpha(n) = |q(n) alpha - p(n)|.
 
     Requires n <= depth - 2 so the enclosure can be certified to lie
-    strictly inside the open interval (1/(q(n)+q(n+1)), 1/q(n+1)).
+    strictly inside the open interval (1/(q(n)+q(n+1)), 1/q(n+1)).  As
+    alpha(n) = 1/(q(n+1) + q(n)/r), r the complete quotient at n + 2, and
+    alpha() lets r range over [a(depth), a(depth) + 1] at n = depth - 2,
+    the bracket fails exactly there when a(depth) = 1: r = 1 puts alpha(n)
+    on 1/(q(n)+q(n+1)), as cf 2,3,1 gives alpha(1) = [1/9, 1/8].
     """
     if n < 0:
         raise RangeError("alpha(n) needs n >= 0")

@@ -278,10 +278,9 @@ class RotationComparison:
     in_mass: int
 
     @property
-    def out_fraction(self) -> Fraction:
-        if self.counted == 0:
-            return Fraction(0)
-        return Fraction(self.counted - self.in_mass, self.counted)
+    def out_fraction(self) -> Optional[Fraction]:
+        """Share of counted points out of tolerance; None when none is counted (0/0)."""
+        return Fraction(self.counted - self.in_mass, self.counted) if self.counted else None
 
 
 def compare_with_rotation(t: Tower, cf: CFExpansion, grid: int,

@@ -1,20 +1,23 @@
+import argparse
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicspace import bratteli as B
 from adicspace import errors
-from adicspace.cli import main
+from adicspace.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +183,7 @@ def test_stack_compare_with_every_point_on_the_top_level(capsys):
     assert code == 0
     compare = json.loads(out)["compare"]
     assert compare["counted"] == 0 and compare["values"] == []
+    assert compare["out_fraction"] is None  # 0/0: nothing was compared
 
 
 def test_at_subcommand_explicit(capsys):
@@ -257,26 +261,61 @@ def test_budget_zero_is_refused_like_a_negative_budget(capsys):
         assert json.loads(out)["error"]["code"] == "BudgetExceeded", budget
 
 
-def test_budget_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("ADICSPACE_BUDGET", "64")  # below k * 2^(4M+1) = 128
-    code, out, _ = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1")
+def test_rotation_refuses_a_level_whose_bracket_the_enclosure_touches(capsys):
+    # the last quotient is 1, so alpha(depth - 2) reaches 1/(q(n) + q(n+1)): see rotation.alpha_n
+    for argv, n in ((["--cf", "2,3,1", "--matrices"], 1),
+                    (["--cf", "2,3,4,1", "--matrices"], 2)):  # the default --depth 2
+        code, out, err = run_cli(capsys, "rotation", *argv)
+        assert code == 1 and err == "", argv
+        assert json.loads(out)["error"] == {
+            "code": "InsufficientDepth", "message": f"alpha({n}) enclosure fails the strict bracket"}
+    code, out, _ = run_cli(capsys, "rotation", "--cf", "2,3,4,1", "--matrices", "--depth", "1")
+    assert code == 0 and len(json.loads(out)["matrices"]) == 1
+
+
+def test_every_option_is_in_the_readme_command_line_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {(name, option) for name, p in commands.items() for a in p._actions
+               for option in a.option_strings if option not in ("-h", "--help")}
+    assert len(commands) == 7 and len(options) > 40
+    missing = sorted((name, option) for name, option in options
+                     if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section))
+    assert missing == []
+
+
+def test_at_budget_below_the_first_product(capsys):
+    # below k * 2^(4M+1) = 128
+    code, out, _ = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1", "--budget", "64")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
-def test_walk_exact_is_refused_over_the_budget(monkeypatch, capsys):
+def test_walk_exact_is_refused_over_the_budget(capsys):
     code, out, err = run_cli(capsys, "walk", "--preset", "odometer", "--depth", "21", "--exact")
     assert code == 1 and err == ""
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
     argv = ("walk", "--preset", "odometer", "--depth", "5", "--exact")  # 32 paths
-    monkeypatch.setenv("ADICSPACE_BUDGET", "31")
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--budget", "31")
     assert code == 1 and json.loads(out)["error"]["code"] == "BudgetExceeded"
-    monkeypatch.setenv("ADICSPACE_BUDGET", "32")
-    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--budget", "32")[0] == 0
 
 
-def test_matrices_product_and_norm_follow_the_budget(tmp_path, monkeypatch, capsys):
+def test_reports_ignore_the_environment(monkeypatch, capsys):
+    commands = (["at", "--M", "1", "--N", "1"],
+                ["walk", "--preset", "odometer", "--depth", "5", "--exact"],
+                ["matrices", "--preset", "odometer", "--depth", "5", "--product", "0..5"])
+    monkeypatch.delenv("ADICSPACE_BUDGET", raising=False)
+    unset = [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in unset)
+    monkeypatch.setenv("ADICSPACE_BUDGET", "1")
+    for argv, (code, out, err) in zip(commands, unset):
+        assert run_cli(capsys, *argv) == (code, out, err), argv
+
+
+def test_matrices_product_and_norm_follow_the_budget(tmp_path, capsys):
     one, wide = tmp_path / "one.json", tmp_path / "wide.json"
     one.write_text(json.dumps([{"0": "1"}]))
     wide.write_text(json.dumps([{str(e): "1" for e in range(1025)}]))
@@ -285,12 +324,10 @@ def test_matrices_product_and_norm_follow_the_budget(tmp_path, monkeypatch, caps
     for depth, extra, size in (("5", ["--product", "0..5"], 32), ("5", ["--norm", str(one)], 32),
                                ("10", ["--norm", str(wide)], 2048)):
         argv = ("matrices", "--preset", "odometer", "--depth", depth, *extra)
-        monkeypatch.setenv("ADICSPACE_BUDGET", str(size - 1))
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--budget", str(size - 1))
         assert code == 1, extra
         assert json.loads(out)["error"]["message"].endswith(f"= {size} exceeds the budget {size - 1}")
-        monkeypatch.setenv("ADICSPACE_BUDGET", str(size))
-        assert run_cli(capsys, *argv)[0] == 0, extra
+        assert run_cli(capsys, *argv, "--budget", str(size))[0] == 0, extra
 
 
 def test_exponential_builds_are_refused_at_once(capsys):
@@ -513,10 +550,16 @@ def test_rational_flags_reject_zero_denominators_and_non_fractions(capsys):
 def test_seed_and_budget_only_where_they_are_read():
     for argv in (["validate", "--preset", "morse", "--depth", "2", "--seed", "1"],
                  ["stack", "--cf", "2,3", "--stage", "2", "--budget", "5"],
-                 ["walk", "--preset", "morse", "--depth", "2", "--budget", "5"],
+                 ["label", "--preset", "morse", "--depth", "2", "--budget", "5"],
+                 ["validate", "--preset", "morse", "--depth", "2", "--budget", "5"],
+                 ["rotation", "--cf", "2,3,4,5", "--budget", "5"],
                  ["at", "--M", "1", "--N", "1", "--seed", "1"]):
         code, _, err = run_quietly(argv)
         assert code == 2 and "unrecognized arguments" in err, argv
+    for argv in (["matrices", "--preset", "odometer", "--depth", "5", "--product", "0..5"],
+                 ["walk", "--preset", "odometer", "--depth", "5", "--exact"],
+                 ["at", "--M", "1", "--N", "1"]):
+        assert run_quietly(argv + ["--budget", "1048576"]) == run_quietly(argv), argv
 
 
 # -- fuzzing cli.main with hostile input -------------------------------------------
@@ -646,6 +689,9 @@ INT_FLAG_COMMANDS = {
     "--k": [["at", "--M", "1", "--N", "1"]],
     "--M": [["at", "--N", "1"]],
     "--N": [["at", "--M", "1"]],
+    "--budget": [["matrices", "--preset", "odometer", "--depth", "5", "--product", "0..5"],
+                 ["walk", "--preset", "odometer", "--depth", "5", "--exact"],
+                 ["at", "--M", "1", "--N", "1"]],
 }
 
 
@@ -654,6 +700,14 @@ INT_FLAG_COMMANDS = {
 def test_fuzz_integer_flags(flag, value, data):
     command = data.draw(st.sampled_from(INT_FLAG_COMMANDS[flag]))
     assert_coded_exit(command + [f"{flag}={value}"])
+
+
+@given(st.text("0123456789 -+_.ex", max_size=8)
+       | st.sampled_from(["9" * 5000, "-1", "0", "\u0663", "1e9"]),
+       st.sampled_from(INT_FLAG_COMMANDS["--budget"]))
+@settings(max_examples=50, deadline=None)
+def test_fuzz_budget_flag_text(text, command):
+    assert_coded_exit(command + [f"--budget={text}"])
 
 
 # Valid terms stay below 100 (every token is followed by a separator): the stage-2
@@ -677,17 +731,3 @@ def test_fuzz_cf_text(tmp_path_factory, text, from_file):
         source = [f"--cf={text}"]
     assert_coded_exit(["stack", *source, "--stage", "2"])
 
-
-@given(st.text("0123456789 -+_.ex", max_size=8)
-       | st.sampled_from(["9" * 5000, "-1", "0", "\u0663", "1e9"]))
-@settings(max_examples=50, deadline=None)
-def test_fuzz_budget_environment_variable(text):
-    saved = os.environ.get("ADICSPACE_BUDGET")
-    os.environ["ADICSPACE_BUDGET"] = text
-    try:
-        assert_coded_exit(["at", "--M", "1", "--N", "1"])
-    finally:
-        if saved is None:
-            del os.environ["ADICSPACE_BUDGET"]
-        else:
-            os.environ["ADICSPACE_BUDGET"] = saved

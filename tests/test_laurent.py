@@ -162,6 +162,15 @@ def test_matrix_shape_errors_are_coded():
             LaurentMatrix(entries)
 
 
+def test_mul_vector_refuses_a_vector_of_the_wrong_length():
+    one = LaurentPoly.one()
+    m = LaurentMatrix([[one, one]])
+    for vec in ([], [one], [one, one, one]):
+        with pytest.raises(DimensionMismatch, match=f"^vector length {len(vec)} != cols 2$"):
+            m.mul_vector(vec)
+    assert m.mul_vector([one, one]) == [LaurentPoly({0: Fraction(2)})]
+
+
 def test_poly_refuses_inexact_coefficients_and_scalar_products():
     for c in (0.5, "1/2", None):
         with pytest.raises(TypeError, match="unsupported coefficient"):

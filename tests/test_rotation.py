@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -87,6 +88,27 @@ def test_alpha_n_depth_guard():
         R.alpha_n(cf, -1)
 
 
+def test_alpha_n_strict_bracket_fails_exactly_at_a_last_quotient_of_1():
+    # alpha(n) = 1/(q(n+1) + q(n)/r) with r the complete quotient at n + 2; at
+    # n = depth - 2 the enclosure lets r = a(depth), which is the bound's r = 1
+    cf = R.CFExpansion([2, 3, 1])
+    assert cf.alpha() == RatInterval(Fraction(7, 16), Fraction(4, 9))
+    assert abs(cf.q(1) * cf.alpha() - cf.p(1)) == RatInterval(Fraction(1, 9), Fraction(1, 8))
+    assert Fraction(1, cf.q(1) + cf.q(2)) == Fraction(1, 9)
+    with pytest.raises(InsufficientDepth, match=r"^alpha\(1\) enclosure fails the strict bracket$"):
+        R.alpha_n(cf, 1)
+    for depth in range(2, 6):
+        for terms in itertools.product((1, 2, 3), repeat=depth):
+            cf = R.CFExpansion(list(terms))
+            for n in range(depth - 1):
+                if n == depth - 2 and terms[-1] == 1:
+                    with pytest.raises(InsufficientDepth):
+                        R.alpha_n(cf, n)
+                else:
+                    assert R.alpha_n(cf, n).strictly_inside(
+                        Fraction(1, cf.q(n) + cf.q(n + 1)), Fraction(1, cf.q(n + 1))), terms
+
+
 def test_alpha_recurrence_within_enclosures():
     cf = cf_increasing()
     for n in range(1, cf.depth - 2):
@@ -114,6 +136,13 @@ def test_summability_verdicts():
     repg = R.summability_report(powers, geo)
     assert repg.verdict == "CONVERGENT_CERTIFIED"
     assert repg.tail_bound == Fraction(1, 3 * 2 ** 15)
+
+
+def test_total_bound_needs_a_certified_tail():
+    ones = R.CFExpansion([1] * 10)
+    for rule in (None, R.GrowthRule("linear", Fraction(1))):  # no rule, and one that fails
+        rep = R.summability_report(ones, rule)
+        assert rep.tail_bound is None and rep.total_bound is None, rule
 
 
 def test_rotation_diagram_shape_and_measure():
