@@ -170,6 +170,16 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     return OrderedBratteliDiagram(levels, edges, orders)
 
 
+def truncate(d: OrderedBratteliDiagram, depth: int) -> OrderedBratteliDiagram:
+    """The first ``depth`` edge levels of ``d`` with their vertices and orders; ``d`` at its depth."""
+    if depth == d.depth:
+        return d
+    if not 1 <= depth < d.depth:
+        raise DepthExceeded(f"depth {depth} is outside 1..{d.depth}, the depth of the diagram")
+    orders = {key: [e.id for e in es] for key, es in d.in_edges.items() if key[0] <= depth}
+    return OrderedBratteliDiagram(d.levels[:depth + 1], d.edges[:depth], orders)
+
+
 def diagram_to_json(d: OrderedBratteliDiagram) -> dict:
     edges = [[{"id": e.id, "src": e.src, "dst": e.dst, "p": coeff_to_json(e.p)} for e in level]
              for level in d.edges]

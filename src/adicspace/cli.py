@@ -1,12 +1,12 @@
 """Command-line frontend.
 
 Every subcommand reads JSON (or a bundled preset), computes exactly, and
-prints one JSON report to stdout (or --out FILE).  Reports carry the tool
-version and the sha256 of the input for reproducibility and contain no
-timestamps.  The environment is not read: `matrices`, `walk` and `at` size
-their exponential builds against --budget B (default 2**20), so a report's
-bytes and exit code depend only on argv and the input files.  Module errors
-exit 1 with {"error": {"code", "message"}}; usage problems exit 2.
+prints one JSON report (to stdout or --out FILE) with the tool version, the
+input's sha256 and no timestamps.  A diagram report uses its first --depth N
+levels: a preset is built at N (default 8), a file is validated and cut to
+its first N (default all).  `matrices`, `walk` and `at` size their builds
+against --budget B (default 2**20); reports depend only on argv and files.
+Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _depth(args, default: int) -> int:
 
 
 def _load_diagram(args) -> tuple:
-    """Returns (diagram, input-bytes) from --preset or a JSON file path."""
+    """Returns (diagram, input-bytes): --preset at --depth, or a JSON file cut to --depth levels."""
     if getattr(args, "preset", None):
         depth = _depth(args, 8)
         name = args.preset
@@ -59,7 +59,8 @@ def _load_diagram(args) -> tuple:
         raise UsageError("need a diagram file or --preset")
     with open(args.diagram, "rb") as fh:
         payload = fh.read()
-    return bratteli.validate_diagram(json.loads(payload)), payload
+    d = bratteli.validate_diagram(json.loads(payload))
+    return bratteli.truncate(d, _depth(args, d.depth)), payload
 
 
 def _report(args, body: dict, payload: bytes) -> int:
@@ -96,8 +97,7 @@ def cmd_matrices(args) -> int:
     d, payload = _load_diagram(args)
     lab = labeling.label_edges(d)
     space = dimspace.build_matrices(d, lab)
-    shown = space.matrices[:_depth(args, space.depth)]
-    body = {"matrices": [m.to_json() for m in shown]}
+    body = {"matrices": [m.to_json() for m in space.matrices]}
     if args.product:
         try:
             lo, hi = (int(x) for x in args.product.split(".."))
@@ -121,14 +121,13 @@ def cmd_walk(args) -> int:
     d, payload = _load_diagram(args)
     lab = labeling.label_edges(d)
     space = dimspace.build_matrices(d, lab)
-    level = args.level if args.level is not None else space.depth
-    body = {"level": level}
+    body = {"level": space.depth}
     exact = None
     if args.exact or not args.trials:
-        exact = walk.exact_distribution(space, level, walk.WalkState(0, 0, 0), args.budget)
+        exact = walk.exact_distribution(space, space.depth, walk.WalkState(0, 0, 0), args.budget)
         body["exact"] = walk.histogram_to_json(exact)
     if args.trials:
-        emp = walk.simulate(space, level, args.trials, args.seed)
+        emp = walk.simulate(space, space.depth, args.trials, args.seed)
         body["empirical"] = walk.histogram_to_json(emp)
         if exact is not None:
             body["tv_distance"] = str(walk.tv_distance(exact, emp))
@@ -136,13 +135,13 @@ def cmd_walk(args) -> int:
 
 
 def _parse_cf(args) -> rotation.CFExpansion:
+    if bool(args.cf) == bool(args.cf_file):
+        raise UsageError("need exactly one of --cf and --cf-file")
     if args.cf_file:
         with open(args.cf_file) as fh:
             terms = [int(t) for t in fh.read().replace(",", " ").split()]
-    elif args.cf:
-        terms = [int(t) for t in args.cf.split(",")]
     else:
-        raise UsageError("need --cf or --cf-file")
+        terms = [int(t) for t in args.cf.split(",")]
     return rotation.CFExpansion(terms)
 
 
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         if diagram:
             p.add_argument("diagram", nargs="?", help="diagram JSON file")
             p.add_argument("--preset", help="odometer | morse | circulant:K")
-            p.add_argument("--depth", type=int, help="preset depth")
+            p.add_argument("--depth", type=int, help="use the first N levels (default: preset 8, file all)")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="cap on each derived build: its terms, monomials or sweep "
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="random-walk distributions")
     common(p, budget=True)
-    p.add_argument("--level", type=int)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0, help="simulation seed")
     p.add_argument("--exact", action="store_true")

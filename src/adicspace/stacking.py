@@ -297,8 +297,8 @@ def compare_with_rotation(t: Tower, cf: CFExpansion, grid: int,
     if grid < 1:
         raise BadInput("grid must be >= 1")
     alpha = cf.alpha()
-    den, starts = t.denominator, t.starts
-    first = [-(-s * grid // t.height) for s in range(t.height + 1)]  # ceil(s G / S)
+    den, starts, height = t.denominator, t.starts, len(t.starts)
+    first = [-(-s * grid // height) for s in range(height + 1)]  # ceil(s G / S)
     # translation mod 1 of level i -> i+1, keyed by its numerator over den
     by_key = {}
     for lo, hi in zip(starts, starts[1:]):

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from adicspace import bratteli as B
+from adicspace.dimspace import build_matrices
 from adicspace.errors import (BadInput, BadMeasure, BadOrder, BudgetExceeded, DepthExceeded,
                               EmptyFiber, MissingRoot)
 from adicspace.intervals import RatInterval
+from adicspace.labeling import label_edges
+from adicspace.walk import WalkState, exact_distribution
 from conftest import random_diagram
 
 
@@ -275,6 +278,26 @@ def test_maximal_path_count_is_vertex_count():
     assert [B.maximal_path_count(d, n) for n in range(4)] == [5, 5, 5, 5]
     with pytest.raises(DepthExceeded):
         B.maximal_path_count(d, d.depth)
+
+
+def test_truncate_keeps_the_labels_matrices_and_walk_law_of_its_levels():
+    rng = random.Random(18)
+    start = WalkState(0, 0, 0)
+    for _ in range(10):
+        d = random_diagram(rng, depth=4)
+        lab = label_edges(d)
+        space = build_matrices(d, lab)
+        for n in range(1, d.depth + 1):
+            cut = B.truncate(d, n)
+            cut_lab = label_edges(cut)
+            assert cut_lab.b == {e.id: lab.b[e.id] for level in d.edges[:n] for e in level}
+            cut_space = build_matrices(cut, cut_lab)
+            assert cut_space.matrices == space.matrices[:n]
+            assert exact_distribution(cut_space, n, start) == exact_distribution(space, n, start)
+        assert B.truncate(d, d.depth) is d
+        for depth in (0, -1, d.depth + 1):
+            with pytest.raises(DepthExceeded):
+                B.truncate(d, depth)
 
 
 def test_adic_steps_refuse_a_path_that_is_not_one():

@@ -66,15 +66,14 @@ def test_label_emits_integer_strings(capsys):
 
 
 def test_walk_exact_golden(capsys):
-    code, out, _ = run_cli(capsys, "walk", "--preset", "odometer", "--depth", "3",
-                           "--level", "3", "--exact")
+    code, out, _ = run_cli(capsys, "walk", "--preset", "odometer", "--depth", "3", "--exact")
     body = json.loads(out)
     assert body["exact"]["masses"] == {"0": {str(d): "1/8" for d in range(8)}}
 
 
 def test_walk_tv_report(capsys):
     code, out, _ = run_cli(capsys, "walk", "--preset", "morse", "--depth", "4",
-                           "--level", "4", "--exact", "--trials", "500", "--seed", "3")
+                           "--exact", "--trials", "500", "--seed", "3")
     body = json.loads(out)
     assert "empirical" in body and "tv_distance" in body
     assert Fraction(body["tv_distance"]) < Fraction(1, 2)
@@ -251,6 +250,44 @@ def test_depth_zero_is_refused_not_defaulted(tmp_path, capsys):
         assert json.loads(out)["error"]["code"] == "BadInput", argv
     code, out, _ = run_cli(capsys, "matrices", str(path), "--depth", "1")
     assert code == 0 and len(json.loads(out)["matrices"]) == 1
+
+
+def test_depth_cuts_a_diagram_file_to_the_preset_of_that_depth(tmp_path, capsys):
+    path = tmp_path / "morse4.json"
+    path.write_text(json.dumps(B.diagram_to_json(B.morse_diagram(4))))
+    commands = (["validate"], ["label"], ["matrices"], ["walk", "--exact"])
+    for command in commands:
+        bodies = []
+        for source in ([str(path)], ["--preset", "morse"]):
+            code, out, err = run_cli(capsys, *command, *source, "--depth", "2")
+            assert code == 0 and err == "", (command, source)
+            body = json.loads(out)
+            del body["input_sha256"]
+            bodies.append(body)
+        assert bodies[0] == bodies[1], command
+    for command in commands:
+        for depth, error in (("9", "DepthExceeded"), ("0", "BadInput")):
+            code, out, err = run_cli(capsys, *command, str(path), "--depth", depth)
+            assert code == 1 and err == "", (command, depth)
+            assert json.loads(out)["error"]["code"] == error, (command, depth)
+    root = tmp_path / "root.json"  # a diagram of depth 0 is read whole, as before
+    root.write_text(json.dumps({"levels": [["r"]], "edges": [], "orders": {}}))
+    code, out, _ = run_cli(capsys, "walk", str(root))
+    assert code == 0 and json.loads(out)["exact"]["masses"] == {"0": {"0": "1"}}
+    code, _, err = run_quietly(["walk", "--preset", "odometer", "--depth", "3", "--level", "3"])
+    assert code == 2 and "unrecognized arguments" in err
+
+
+def test_cf_and_cf_file_together_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cf.txt"
+    path.write_text("2 3 4 5")
+    for argv in (["rotation", "--cf", "2,3,4,5", "--cf-file", str(path), "--matrices"],
+                 ["stack", "--cf", "2,3", "--cf-file", str(path), "--stage", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "UsageError", argv
+        code, _, _ = run_cli(capsys, *[a for a in argv if a not in ("--cf", argv[2])])
+        assert code == 0, argv
 
 
 def test_budget_zero_is_refused_like_a_negative_budget(capsys):
@@ -679,13 +716,16 @@ def test_fuzz_rational_flags(flag_value):
 # out on purpose: they are legitimate work that takes seconds to minutes (a
 # 2^19-level odometer, a 2^20-monomial circulant class), not refusals.
 int_values = st.integers(-3, 12) | st.integers(1 << 40, 1 << 80)
+MORSE_FILE = "<morse-4.json>"  # test_fuzz_integer_flags writes a depth-4 Morse diagram here
 INT_FLAG_COMMANDS = {
     "--grid": [["stack", "--cf", "2,3,4", "--stage", "2", "--compare"]],
     "--stage": [["stack", "--cf", "2,3,4"]],
     "--depth": [["validate", "--preset", "odometer"], ["label", "--preset", "morse"],
                 ["walk", "--preset", "circulant:3", "--exact"],
                 ["matrices", "--preset", "odometer", "--product", "0..2"],
+                ["walk", MORSE_FILE, "--exact"],
                 ["rotation", "--cf", "1,2,3,4,5,6", "--matrices", "--polys", "--gaps"]],
+    "--seed": [["walk", "--preset", "odometer", "--depth", "3", "--trials", "5"]],
     "--k": [["at", "--M", "1", "--N", "1"]],
     "--M": [["at", "--N", "1"]],
     "--N": [["at", "--M", "1"]],
@@ -695,11 +735,35 @@ INT_FLAG_COMMANDS = {
 }
 
 
+# The integer flags left out of INT_FLAG_COMMANDS, each with its reason.
+INT_FLAG_EXCLUSIONS = {
+    "--trials": "asks for work linear in its value, so 2^40 trials would not finish",
+    "--greedy": "asks for work linear in its value, so 2^40 sweeps would not finish",
+    "--horizon": "needs a --norm file; test_fuzz_norm_vector_json fuzzes it",
+}
+
+
+def test_integer_flag_fuzz_table_follows_the_parser():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    int_options = {(name, option) for name, p in commands.items() for a in p._actions
+                   if a.type is int for option in a.option_strings}
+    assert set(INT_FLAG_COMMANDS) | set(INT_FLAG_EXCLUSIONS) == {o for _, o in int_options}
+    assert not set(INT_FLAG_COMMANDS) & set(INT_FLAG_EXCLUSIONS)
+    unfuzzed = sorted((name, option) for name, option in int_options
+                      if option in INT_FLAG_COMMANDS
+                      and all(argv[0] != name for argv in INT_FLAG_COMMANDS[option]))
+    assert unfuzzed == []
+
+
 @given(st.sampled_from(sorted(INT_FLAG_COMMANDS)), int_values, st.data())
 @settings(max_examples=80, deadline=None)
-def test_fuzz_integer_flags(flag, value, data):
+def test_fuzz_integer_flags(tmp_path_factory, flag, value, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-morse-4.json"
+    path.write_text(json.dumps(B.diagram_to_json(B.morse_diagram(4))))
     command = data.draw(st.sampled_from(INT_FLAG_COMMANDS[flag]))
-    assert_coded_exit(command + [f"{flag}={value}"])
+    assert_coded_exit([str(path) if arg == MORSE_FILE else arg for arg in command]
+                      + [f"{flag}={value}"])
 
 
 @given(st.text("0123456789 -+_.ex", max_size=8)
