@@ -6,16 +6,21 @@ input's sha256 and no timestamps.  A diagram report uses its first --depth N
 levels: a preset is built at N (default 8), a file is validated and cut to
 its first N (default all).  `matrices`, `walk` and `at` size their builds
 against --budget B (default 2**20); reports depend only on argv and files.
+A report is computed in full, then written in chunks: the bytes of json.dumps
+with sorted keys and a two-space indent, and a newline.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _enc
+from operator import itemgetter
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
@@ -63,16 +68,67 @@ def _load_diagram(args) -> tuple:
     return bratteli.truncate(d, _depth(args, d.depth)), payload
 
 
+_BATCH = 4096  # container items per joined chunk, so no chunk grows with the report
+
+
+def _write_json(obj, write, indent: str = "\n") -> None:
+    """Passes ``obj`` to ``write`` in chunks.
+
+    Joined, the chunks are json.dumps(obj) with sorted keys and indent 2.
+    Only dict (str keys), list, tuple, str, int, bool and None are written;
+    anything else is a TypeError.  ``indent`` is the newline and indentation
+    that close ``obj``.  A batch of str items, str-to-str dict entries or
+    (str, str) tuples is joined in one go; any other batch goes item by item.
+    """
+    if isinstance(obj, str):
+        write(_enc(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+    else:
+        is_dict = isinstance(obj, dict)
+        items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
+        inner = indent + "  "
+        lead, sep = ("{" if is_dict else "[") + inner, "," + inner
+        for start in range(0, len(items), _BATCH):
+            batch = items[start:start + _BATCH]
+            try:
+                if is_dict:
+                    # itemgetter of one key gives the value itself, not a 1-tuple
+                    values = itemgetter(*batch)(obj) if len(batch) > 1 else (obj[batch[0]],)
+                    parts = [f"{_enc(k)}: {_enc(v)}" for k, v in zip(batch, values)]
+                elif all(type(x) is tuple and len(x) == 2 for x in batch):
+                    pair = inner + "  "
+                    parts = [f"[{pair}{_enc(a)},{pair}{_enc(b)}{inner}]" for a, b in batch]
+                else:
+                    parts = [_enc(x) for x in batch]
+            except TypeError:  # not all str: the batch goes item by item
+                for x in batch:
+                    write(lead)
+                    lead = sep
+                    if is_dict:
+                        write(_enc(x) + ": ")
+                        x = obj[x]
+                    _write_json(x, write, inner)
+            else:
+                write(lead + sep.join(parts))
+                lead = sep
+        write(indent + ("}" if is_dict else "]"))
+
+
 def _report(args, body: dict, payload: bytes) -> int:
+    """Writes the computed report to --out or stdout; the two get the same bytes."""
     head = {"tool": {"name": "adicspace", "version": __version__},
             "input_sha256": hashlib.sha256(payload).hexdigest()}
     head.update(body)
-    text = json.dumps(head, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_json(head, fh.write)
+        fh.write("\n")
     return 0
 
 
@@ -320,17 +376,20 @@ def _dispatch(argv) -> int:
             return 2
         return args.fn(args)
     except UsageError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": exc.message}}),
-              file=sys.stderr)
+        _print_error(exc.code, exc.message, sys.stderr)
         return 2
     except AdicspaceError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": exc.message}}))
+        _print_error(exc.code, exc.message, sys.stdout)
         return 1
     except BrokenPipeError:
         raise  # an OSError, but not bad input: main handles it
     except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
-        print(json.dumps({"error": {"code": "BadInput", "message": str(exc)}}))
+        _print_error("BadInput", str(exc), sys.stdout)
         return 1
+
+
+def _print_error(code: str, message: str, stream) -> None:
+    print(json.dumps({"error": {"code": code, "message": message}}), file=stream)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicspace import bratteli as B
-from adicspace import errors
-from adicspace.cli import build_parser, main
+from adicspace import cli, errors
+from adicspace.cli import _BATCH, _write_json, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,21 @@ def test_out_file(tmp_path, capsys):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["ok"]
+
+
+# twelve partial quotients at stage 6: a tower of 6,804 intervals, more than one
+# writer batch, and a report of some 0.4 MB, several times a pipe's buffer
+MULTI_BATCH = ("stack", "--cf", "2,3,4,5,6,7,8,9,10,11,12,13", "--stage", "6")
+
+
+def test_out_file_has_the_stdout_bytes(tmp_path, capsys):
+    argv = (*MULTI_BATCH, "--compare")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["intervals"]) > _BATCH
+    target = tmp_path / "report.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_matrices_norm_flag(tmp_path, capsys):
@@ -502,6 +519,73 @@ def test_closed_stdout_exits_1_without_traceback():
                 os.close(write_end)
             assert proc.returncode == 1, argv
             assert "Traceback" not in proc.stderr and proc.stderr == "", argv
+
+
+def test_reader_closing_mid_report_exits_1_without_traceback():
+    # the reader takes the first 4 KB of a multi-batch report, then closes the pipe
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for env in (buffered, dict(buffered, PYTHONUNBUFFERED="1")):
+        proc = subprocess.Popen([sys.executable, "-m", "adicspace.cli", *MULTI_BATCH],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(4096)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1, env.get("PYTHONUNBUFFERED")
+        assert head.startswith(b'{\n  "height": ') and err == b"", err
+
+
+short_strs = st.lists(st.text(), max_size=9)
+json_leaves = (st.none() | st.booleans() | st.integers() | st.text() | short_strs
+               | st.lists(st.tuples(st.text(), st.text()), max_size=9)
+               | st.dictionaries(st.text(), st.text(), max_size=9))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)
+                  # one other item among str items
+                  | st.builds(lambda xs, x, i: [*xs[:i], x, *xs[i:]], short_strs, kids,
+                              st.integers(0, 9))),
+    max_leaves=8)
+
+
+def _json_dumps_mismatch(obj):
+    """None when the writer's chunks join to json.dumps(obj, sort_keys=True, indent=2),
+    else the first differing offset with some text around it on each side: a short
+    report where pytest's diff of two long strings takes minutes."""
+    chunks = []
+    _write_json(obj, chunks.append)
+    got, want = "".join(chunks), json.dumps(obj, sort_keys=True, indent=2)
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return i, got[max(0, i - 40):i + 40], want[max(0, i - 40):i + 40]
+
+
+@given(json_trees, st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_write_json_matches_json_dumps(obj, batch):
+    with mock.patch.object(cli, "_BATCH", batch):  # batches this small cross their boundaries often
+        assert _json_dumps_mismatch(obj) is None
+
+
+@pytest.mark.parametrize("n", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_write_json_matches_json_dumps_at_full_batches(n):
+    texts = ["a", "\u00e9\x00\u2028\U0001d11e", '"\\/']
+    obj = {"strs": [texts[i % 3] for i in range(n)],
+           "pairs": [(texts[i % 3], str(i)) for i in range(n)],
+           "map": {str(i): texts[i % 3] for i in range(n)},
+           "mixed": [*map(str, range(n)), 1, [], {}, ("a", "b")]}
+    assert _json_dumps_mismatch(obj) is None
+
+
+@pytest.mark.parametrize("bad", [
+    0.5, Fraction(1, 2), {"a"}, {1: "a"}, {"a": "b", 2: "c"}, [Fraction(1)],
+    ["a"] * (_BATCH + 5) + [0.5], [("a", "b")] * 3 + [("a", 0.5)], {"k": 1.0}, {("a", "b"): "c"},
+])
+def test_write_json_refuses_what_is_not_a_report_value(bad):
+    with pytest.raises(TypeError):
+        _write_json(bad, lambda chunk: None)
 
 
 def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
