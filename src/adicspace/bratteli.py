@@ -152,7 +152,7 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
                     raise ValueError(f"src {src!r} and dst {dst!r} must be JSON integers")
                 parsed.append(Edge(id=str(e["id"]), level=n, src=src, dst=dst,
                                    p=coeff_from_json(e["p"])))
-            except (KeyError, ValueError, ZeroDivisionError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise BadInput(f"malformed edge {e.get('id')!r} in E_{n}: {exc}") from exc
         edges.append(parsed)
     if not isinstance(raw_orders, dict):

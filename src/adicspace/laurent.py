@@ -46,9 +46,12 @@ _RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 
 def parse_rational(v) -> Fraction:
-    """An int or a "num/den" string; a float, bool, "0.5" or "1e9" is a ValueError."""
+    """An int or a "num/den" string; a float, bool, "0.5", "1e9" or "1/0" is a ValueError."""
     if type(v) is int or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"{v!r} has a zero denominator") from None
     raise ValueError(f'{v!r} is not a "num/den" string or an integer')
 
 
@@ -241,7 +244,7 @@ class LaurentPoly:
         for e, c in data.items():
             try:
                 terms[int(e)] = coeff_from_json(c)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
         return LaurentPoly(terms)
 

@@ -291,5 +291,5 @@ def parse_rule(text: str) -> GrowthRule:
         c = parse_rational(kv.get("c", "1"))
         g = parse_rational(kv.get("g", "2"))
         return GrowthRule(kind=kind, c=c, g=g)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise BadInput(f"cannot parse growth rule {text!r}") from exc

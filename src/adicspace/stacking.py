@@ -296,6 +296,8 @@ def compare_with_rotation(t: Tower, cf: CFExpansion, grid: int,
     """
     if grid < 1:
         raise BadInput("grid must be >= 1")
+    if tolerance < 0:
+        raise BadInput("tolerance must be >= 0")
     alpha = cf.alpha()
     den, starts, height = t.denominator, t.starts, len(t.starts)
     first = [-(-s * grid // height) for s in range(height + 1)]  # ceil(s G / S)

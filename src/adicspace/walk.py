@@ -14,16 +14,26 @@ The simulator draws from a counter-based generator: three chained rounds of
 the SplitMix64 finalizer over (seed, trial, step).  Trajectories are thus
 indexed by (seed, trial), independent, and reproducible in any order.  The
 (seed, trial) prefix of the counter is fixed along a trajectory, so it is
-computed once per trial and each step costs one round.  Sampling is pure
-integer comparison: a 64-bit draw u selects the first outcome whose
-cumulative probability cum satisfies u < ceil(cum * 2^64), which holds
-exactly when u/2^64 < cum, so the per-step sampling bias is below 2^-64.
-Each column is checked once to be an exact probability vector, so its last
-threshold is exactly 2^64 and no draw passes the last outcome.
+computed once per trial and each step costs one round.  No draw depends on
+the path taken, so a block of up to ``_BLOCK`` trials is mixed at once: the
+block's 64-bit words sit in the 128-bit lanes of one int, and each round is a
+few whole-int shifts, xors, masks and multiplies.  Masking before each
+multiply keeps every product inside its lane, so each lane gets exactly the
+draw that the scalar ``_mix64`` gives: the draws, and so every histogram for
+a seed, do not depend on the block size.  Memory is bounded by the block, not
+by the trial count.
+
+Sampling is pure integer comparison: a 64-bit draw u selects the first
+outcome whose cumulative probability cum satisfies u < ceil(cum * 2^64),
+which holds exactly when u/2^64 < cum, so the per-step sampling bias is
+below 2^-64.  Each column is checked once to be an exact probability vector,
+so its last threshold is exactly 2^64 and no draw passes the last outcome.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,12 +45,38 @@ from .intervals import RatInterval
 from .laurent import LaurentPoly
 
 _MASK = (1 << 64) - 1
+_BLOCK = 4096  # trials mixed together, one per 128-bit lane
 
 
 def _mix64(z: int) -> int:
     z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _pack(values) -> int:
+    """The 64-bit ``values`` as one int, value i in bits 128i..128i+63 and 0 above."""
+    words = array("Q", bytes(16 * len(values)))
+    words[0::2] = array("Q", values)
+    return int.from_bytes(words, sys.byteorder)
+
+
+def _unpack(z: int, lanes: int) -> array:
+    """The low 64 bits of each of the first ``lanes`` 128-bit lanes of z."""
+    return array("Q", z.to_bytes(16 * lanes, sys.byteorder))[0::2]
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``_mix64`` of each lane of z; ``mask`` holds _MASK in each lane.
+
+    A shift carries a neighbour lane's bits only into bits 64..127 of a lane,
+    and the mask clears them before the multiply, whose product is then below
+    2^128.  Bits 64..127 of each lane of the result are left uncleared.
+    """
+    z &= mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     return z ^ (z >> 31)
 
 
@@ -135,15 +171,22 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         tables.append(level_tables)
     counts = [{} for _ in range(space.dims[n])]  # counts[j]: displacement -> trials ending there
     base = _mix64(seed ^ 0x9E3779B97F4A7C15)
-    for trial in range(trials):
-        z = _mix64(base + trial)
-        pos, vtx = start.position, start.vertex
+    for first in range(0, trials, _BLOCK):
+        lanes = min(_BLOCK, trials - first)
+        one = _pack([1] * lanes)
+        mask = one * _MASK
+        # lane t holds _mix64(base + first + t), the trial's prefix, with bits 64..127 clear
+        z = _mix_lanes(_pack([(base + t) & _MASK for t in range(first, first + lanes)]), mask) & mask
+        pos, vtx = [start.position] * lanes, [start.vertex] * lanes
         for step, level_tables in enumerate(tables):
-            outcomes, thresholds = level_tables[vtx]
-            exp, vtx = outcomes[bisect_right(thresholds, _mix64(z + step))]
-            pos += exp
-        row = counts[vtx]
-        row[pos] = row.get(pos, 0) + 1
+            draws = _unpack(_mix_lanes(z + step * one, mask), lanes)
+            moves = [outcomes[bisect_right(thresholds, u)]
+                     for (outcomes, thresholds), u in zip([level_tables[v] for v in vtx], draws)]
+            pos = [p + exp for p, (exp, _) in zip(pos, moves)]
+            vtx = [v for _, v in moves]
+        for p, v in zip(pos, vtx):
+            row = counts[v]
+            row[p] = row.get(p, 0) + 1
     return DisplacementHistogram(tuple(map(LaurentPoly._from_ints, counts)), trials)
 
 

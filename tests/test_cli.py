@@ -503,6 +503,17 @@ def test_walk_report_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
+def test_walk_report_bytes_across_sampler_blocks_are_pinned(capsys):
+    # stdout sha256 recorded while each trial was mixed on its own; 9000 trials
+    # fill two sampler blocks of 4096 and part of a third
+    code, out, _ = run_cli(capsys, "walk", "--preset", "circulant:4", "--depth", "5",
+                           "--trials", "9000", "--seed", "336077931")
+    assert code == 0
+    assert json.loads(out)["empirical"]["trials"] == 9000
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "63183a35ba20e97eb244212d9f39b4e89d955dc4ec134417526ac66fb5c56a42")
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # a report and an error report, each with stdout block-buffered and unbuffered
     buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -604,6 +615,8 @@ def test_validate_rejects_json_float_and_bool_p(tmp_path, capsys):
             assert code == 1 and err == "", p
             error = json.loads(out)["error"]
             assert error["code"] == "BadInput" and "'e0'" in error["message"], p
+            if p == "1/0":
+                assert error["message"] == "malformed edge 'e0' in E_0: '1/0' has a zero denominator"
 
 
 def test_validate_rejects_non_integer_src_and_dst(tmp_path, capsys):
@@ -662,6 +675,14 @@ def test_rational_flags_reject_zero_denominators_and_non_fractions(capsys):
         code, out, err = run_cli(capsys, "stack", "--cf", "2,3", "--stage", "2", *flags)
         assert code == 1 and err == "", flags
         assert json.loads(out)["error"]["code"] == "BadInput", flags
+        if flags[-1] == "1/0":  # our message, not Python's "Fraction(1, 0)"
+            assert json.loads(out)["error"]["message"] == "'1/0' has a zero denominator"
+    # no distance >= 0 is within a negative tolerance; argparse takes "-1/9" only after "="
+    for tol in (("--tolerance", "-1"), ("--tolerance=-1/1000000",)):
+        code, out, err = run_cli(capsys, "stack", "--cf", "2,3,4", "--stage", "1", "--compare", *tol)
+        assert code == 1 and err == "", tol
+        assert json.loads(out)["error"] == {"code": "BadInput",
+                                            "message": "tolerance must be >= 0"}, tol
     for rule in ("linear:c=-1", "linear:c=0", "geometric:c=-1,g=2", "linear:c=1/0"):
         code, out, err = run_cli(capsys, "rotation", "--cf", "1,1,1,1,1,1", "--rule", rule)
         assert code == 1 and err == "", rule

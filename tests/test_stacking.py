@@ -210,6 +210,16 @@ def test_compare_rejects_empty_grid():
         S.compare_with_rotation(S.build_tower(cf, 2), cf, 0, Fraction(1, 10))
 
 
+def test_compare_rejects_negative_tolerance_and_accepts_zero():
+    # no circle distance is below a negative tolerance, so every out_fraction would read 1
+    cf = cf_increasing()
+    tower = S.build_tower(cf, 2)
+    for tol in (Fraction(-1), Fraction(-1, 10 ** 9)):
+        with pytest.raises(BadInput, match=r"^tolerance must be >= 0$"):
+            S.compare_with_rotation(tower, cf, 100, tol)
+    assert S.compare_with_rotation(tower, cf, 100, Fraction(0)).tolerance == 0
+
+
 def test_limit_space_enclosure_contains_iterates():
     cf = cf_increasing(12)
     enc = S.limit_space_enclosure(cf, R.GrowthRule("linear", Fraction(1)))

@@ -4,6 +4,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adicspace import bratteli as B
 from adicspace import walk as W
@@ -432,6 +434,66 @@ def test_simulate_matches_the_clamped_reference():
         got = W.simulate(sp, n, 400, seed, start=start)
         assert got.masses == clamped_simulate(sp, n, 400, seed, start).masses
         assert got.total_mass() == 400
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_simulate_matches_the_clamped_reference_at_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(W, "_BLOCK", block)
+    cases = [(space_for(B.morse_diagram(5)), 5, W.WalkState(0, 0, 0)),
+             (space_for(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1))]
+    for sp, n, start in cases:
+        for trials in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+            seed = 1000 * block + trials
+            assert W.simulate(sp, n, trials, seed, start=start) == \
+                clamped_simulate(sp, n, trials, seed, start), (block, trials)
+
+
+def test_simulate_matches_the_clamped_reference_over_several_blocks():
+    trials = 2 * W._BLOCK + 5
+    cases = [(space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0), 31),
+             (space_for(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1), 77)]
+    for sp, n, start, seed in cases:
+        got = W.simulate(sp, n, trials, seed, start=start)
+        assert got == clamped_simulate(sp, n, trials, seed, start)
+        assert got.total_mass() == trials
+
+
+WORDS = st.one_of(st.sampled_from([0, 1, 1 << 63, W._MASK]), st.integers(0, W._MASK))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WORDS, min_size=1, max_size=9), st.integers(0, 70))
+@example([W._MASK, W._MASK - 2, 0], 5)  # z + step passes 2^64 in two lanes and must wrap
+def test_lane_mixer_matches_mix64_value_by_value(values, step):
+    lanes = len(values)
+    one = W._pack([1] * lanes)
+    mask = one * W._MASK
+    z = W._pack(values)
+    assert list(W._unpack(z, lanes)) == values
+    assert list(W._unpack(W._mix_lanes(z, mask), lanes)) == [W._mix64(v) for v in values]
+    assert list(W._unpack(W._mix_lanes(z + step * one, mask), lanes)) == \
+        [W._mix64(v + step) for v in values]
+    # the step round as simulate runs it, on the trial prefixes with bits 64..127 cleared
+    prefix = W._mix_lanes(z, mask) & mask
+    assert list(W._unpack(W._mix_lanes(prefix + step * one, mask), lanes)) == \
+        [W._mix64(W._mix64(v) + step) for v in values]
+
+
+def test_simulate_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    sp = space_for(B.circulant_diagram(4, 5))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            W.simulate(sp, 5, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * W._BLOCK), peak(16 * W._BLOCK)
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def one_by_one(terms):
