@@ -9,8 +9,10 @@ the probabilities out of any vertex sum to 1 (exactly in rational mode, or
 as an interval containing 1 in enclosure mode).
 
 Depth is fixed at construction.  Operations act on finite paths
-(e_0, ..., e_n) from the root; the successor operation below is the finite
-restriction of the adic transformation: it fixes the terminal vertex.
+(e_0, ..., e_n) from the root.  A path into a vertex w is named by its rank
+0..N(w) - 1 in adic order (:func:`unrank`), and the successor operation
+below, rank r to r + 1, is the finite restriction of the adic
+transformation: it fixes the terminal vertex.
 
 JSON interchange format::
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -127,6 +130,18 @@ class OrderedBratteliDiagram:
     def k(self, n: int) -> int:
         return len(self.levels[n])
 
+    @cached_property
+    def path_counts(self) -> tuple:
+        """``path_counts[n][v]`` is N, the number of paths from the root into vertex v of V_n.
+
+        Built on first use, never by validation: N grows like 2^n.
+        """
+        counts = [(1,)]
+        for n in range(1, len(self.levels)):
+            counts.append(tuple(sum(counts[n - 1][e.src] for e in self.in_edges[(n, v)])
+                                for v in range(self.k(n))))
+        return tuple(counts)
+
 
 def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     """Build a diagram from the JSON interchange dict, or raise a coded error."""
@@ -190,92 +205,99 @@ def diagram_to_json(d: OrderedBratteliDiagram) -> dict:
 # -- path machinery ----------------------------------------------------------
 
 
+def fiber_labels(d: OrderedBratteliDiagram, level: int, vertex: int) -> list:
+    """b(e) for the in-edges e of the vertex in order: N summed over the sources
+    of the edges before e."""
+    below = d.path_counts[level - 1]
+    return list(itertools.accumulate((below[e.src] for e in d.in_edges[(level, vertex)][:-1]),
+                                     initial=0))
+
+
+def unrank(d: OrderedBratteliDiagram, level: int, vertex: int, r: int) -> Optional[FinitePath]:
+    """The path into the vertex of rank ``r`` in adic order; None when r is outside 0..N - 1.
+
+    The adic order compares the latest differing edge via the order at its
+    range vertex, so the paths through an in-edge e come after the b(e)
+    paths through the edges before it, and a path's rank is its b-sum.
+    Each level scans the fiber for the in-edge e with b(e) <= r < b(e) +
+    N(s(e)), subtracts b(e) and steps to s(e).
+    """
+    if not 0 <= r < count_paths_into(d, level, vertex):
+        return None
+    edges = []
+    for n in range(level, 0, -1):
+        below = d.path_counts[n - 1]
+        for e in d.in_edges[(n, vertex)]:
+            if r < below[e.src]:
+                break
+            r -= below[e.src]
+        edges.append(e)
+        vertex = e.src
+    return FinitePath(tuple(reversed(edges)))
+
+
 def minimal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
     """The adic-minimal path from the root into the given vertex."""
-    return _extreme_path_into(d, level, vertex, 0)
+    return unrank(d, level, vertex, 0)
 
 
 def maximal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
     """The adic-maximal path from the root into the given vertex."""
-    return _extreme_path_into(d, level, vertex, -1)
-
-
-def _extreme_path_into(d, level, vertex, end):
-    """The path through the in-edge at position ``end`` (0 or -1) of every fiber."""
-    edges = []
-    for n in range(level, 0, -1):
-        edges.append(d.in_edges[(n, vertex)][end])
-        vertex = edges[-1].src
-    return FinitePath(tuple(reversed(edges)))
+    return unrank(d, level, vertex, count_paths_into(d, level, vertex) - 1)
 
 
 def enumerate_paths(d: OrderedBratteliDiagram, n: int, v: Optional[int] = None) -> list:
     """All paths (e_0, ..., e_n), in adic order.
 
-    The adic order compares the latest differing edge via the order at its
-    range vertex.  When ``v`` is given only paths with r(e_n) = v are
-    produced; otherwise paths are grouped by terminal vertex in level order
-    (the adic order is only a partial order across distinct terminals).
+    When ``v`` is given only paths with r(e_n) = v are produced; otherwise
+    paths are grouped by terminal vertex in level order (the adic order is
+    only a partial order across distinct terminals).
     """
     if n >= d.depth:
         raise DepthExceeded(f"level {n} >= depth {d.depth}")
     vertices = range(d.k(n + 1)) if v is None else (v,)
-    return [FinitePath(p) for vtx in vertices for p in _paths_into(d, n + 1, vtx)]
-
-
-def _paths_into(d, level, vertex):
-    if level == 0:
-        return [()]
-    result = []
-    for e in d.in_edges[(level, vertex)]:
-        for prefix in _paths_into(d, level - 1, e.src):
-            result.append(prefix + (e,))
-    return result
+    return [unrank(d, n + 1, w, r) for w in vertices for r in range(count_paths_into(d, n + 1, w))]
 
 
 def count_paths_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> int:
-    counts = {(0, 0): 1}
-    for n in range(level):
-        for v in range(d.k(n + 1)):
-            counts[(n + 1, v)] = sum(counts[(n, e.src)] for e in d.in_edges[(n + 1, v)])
-    return counts[(level, vertex)]
+    if not (0 <= level <= d.depth and 0 <= vertex < d.k(level)):
+        raise BadInput(f"no vertex {level}/{vertex} in a diagram of depth {d.depth}")
+    return d.path_counts[level][vertex]
 
 
 def check_path(d: OrderedBratteliDiagram, p: FinitePath):
+    """Refuses anything but consecutive edges of ``d``, from the root."""
     if not p.edges:
         raise BadInput("empty path")
     if p.edges[0].level != 0 or p.edges[0].src != 0:
         raise BadInput("path must start at the root")
+    for e in p.edges:
+        if e not in d.in_edges.get((e.level + 1, e.dst), ()):
+            raise BadInput(f"edge {e.id!r} is not an edge of the diagram")
     for a, b in itertools.pairwise(p.edges):
         if b.level != a.level + 1 or b.src != a.dst:
             raise BadInput(f"edges {a.id!r}, {b.id!r} are not consecutive")
 
 
+def _rank(d: OrderedBratteliDiagram, p: FinitePath) -> int:
+    check_path(d, p)
+    return sum(fiber_labels(d, e.level + 1, e.dst)[d.in_edges[(e.level + 1, e.dst)].index(e)]
+               for e in p.edges)
+
+
 def successor(d: OrderedBratteliDiagram, p: FinitePath) -> Optional[FinitePath]:
-    """The next path in adic order with the same terminal vertex.
+    """The next path in adic order with the same terminal vertex: T, rank r to r + 1.
 
     Returns None when p is the adic-maximal path into its terminal vertex.
     """
-    return _adic_neighbor(d, p, +1)
+    r = _rank(d, p)
+    return unrank(d, *p.terminal, r + 1)
 
 
 def predecessor(d: OrderedBratteliDiagram, p: FinitePath) -> Optional[FinitePath]:
     """Inverse of :func:`successor`; None on the adic-minimal path."""
-    return _adic_neighbor(d, p, -1)
-
-
-def _adic_neighbor(d, p, step):
-    """The path one adic step away: ``step`` +1 is T, -1 is T^-1; None past the end."""
-    check_path(d, p)
-    end = 0 if step > 0 else -1
-    for m, e in enumerate(p.edges):
-        fiber = d.in_edges[(e.level + 1, e.dst)]
-        idx = fiber.index(e) + step
-        if 0 <= idx < len(fiber):
-            nxt = fiber[idx]
-            prefix = _extreme_path_into(d, m, nxt.src, end).edges
-            return FinitePath(prefix + (nxt,) + p.edges[m + 1 :])
-    return None
+    r = _rank(d, p)
+    return unrank(d, *p.terminal, r - 1)
 
 
 def cylinder_measure(d: OrderedBratteliDiagram, p: FinitePath):

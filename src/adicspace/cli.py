@@ -64,8 +64,16 @@ def _load_diagram(args) -> tuple:
         raise UsageError("need a diagram file or --preset")
     with open(args.diagram, "rb") as fh:
         payload = fh.read()
-    d = bratteli.validate_diagram(json.loads(payload))
+    d = bratteli.validate_diagram(_parse_json(payload))
     return bratteli.truncate(d, _depth(args, d.depth)), payload
+
+
+def _parse_json(payload):
+    """json.loads; input nested past the decoder's recursion limit is a BadInput."""
+    try:
+        return json.loads(payload)
+    except RecursionError:
+        raise BadInput("the JSON input nests too deeply for the decoder") from None
 
 
 _BATCH = 4096  # container items per joined chunk, so no chunk grows with the report
@@ -163,7 +171,7 @@ def cmd_matrices(args) -> int:
         body["product"] = {"range": [lo, hi], "matrix": matrix}
     if args.norm:
         with open(args.norm) as fh:
-            data = json.load(fh)
+            data = _parse_json(fh.read())
         if not isinstance(data, list):
             raise BadInput(f"--norm needs a JSON list of polynomial objects, not a {type(data).__name__}")
         vec = [LaurentPoly.from_json(p) for p in data]

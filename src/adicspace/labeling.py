@@ -8,10 +8,11 @@ The resulting cocycle increases by exactly 1 along the adic successor, and
 the b-sums of the paths into any vertex, read in adic order, are
 0, 1, ..., N_v - 1.
 
-So wmax(u) = N_u - 1 and wmin(u) = 0: :func:`label_edges` writes the labels
-b(e^{i+1}) = b(e^i) + N_{s(e^i)} and both tables from the path counts N, and
-:func:`tables_from_b` is the O(|E|) max/min recursion for a supplied labeling.
-No path is enumerated: path counts grow exponentially.
+So wmax(u) = N_u - 1 and wmin(u) = 0, and b(e^{i+1}) = b(e^i) + N_{s(e^i)}:
+the labels are the running sums of the diagram's path counts
+(:func:`~adicspace.bratteli.fiber_labels`), and a path's b-sum is its rank
+in adic order, the r of :func:`~adicspace.bratteli.unrank`.
+:func:`label_edges` reads them; no path is enumerated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .bratteli import FinitePath, OrderedBratteliDiagram
+from .bratteli import FinitePath, OrderedBratteliDiagram, fiber_labels
 from .errors import IncompatiblePaths
 
 VertexKey = Tuple[int, int]
@@ -32,30 +33,12 @@ class EdgeLabeling:
     wmin: Dict[VertexKey, int]  # vertex -> min path b-sum into it
 
 
-def tables_from_b(d: OrderedBratteliDiagram, b: Dict[str, int]) -> EdgeLabeling:
-    """DP tables for an externally supplied labeling (e.g. the rotation one)."""
-    wmax: Dict[VertexKey, int] = {(0, 0): 0}
-    wmin: Dict[VertexKey, int] = {(0, 0): 0}
-    for n in range(d.depth):
-        for v in range(d.k(n + 1)):
-            incoming = d.in_edges[(n + 1, v)]
-            wmax[(n + 1, v)] = max(wmax[(n, e.src)] + b[e.id] for e in incoming)
-            wmin[(n + 1, v)] = min(wmin[(n, e.src)] + b[e.id] for e in incoming)
-    return EdgeLabeling(b=dict(b), wmax=wmax, wmin=wmin)
-
-
 def label_edges(d: OrderedBratteliDiagram) -> EdgeLabeling:
-    """Run the construction over the whole diagram, as running path counts."""
-    b: Dict[str, int] = {}
-    count: Dict[VertexKey, int] = {(0, 0): 1}  # N: paths from the root into each vertex
-    for n in range(d.depth):
-        for v in range(d.k(n + 1)):
-            total = 0
-            for e in d.in_edges[(n + 1, v)]:
-                b[e.id] = total
-                total += count[(n, e.src)]
-            count[(n + 1, v)] = total
-    return EdgeLabeling(b, {u: c - 1 for u, c in count.items()}, dict.fromkeys(count, 0))
+    """The labels and both tables, read from the diagram's path counts."""
+    b = {e.id: label for (n, v), fiber in d.in_edges.items()
+         for e, label in zip(fiber, fiber_labels(d, n, v))}
+    wmax = {(n, v): c - 1 for n, level in enumerate(d.path_counts) for v, c in enumerate(level)}
+    return EdgeLabeling(b, wmax, dict.fromkeys(wmax, 0))
 
 
 def path_bsum(labeling: EdgeLabeling, p: FinitePath) -> int:

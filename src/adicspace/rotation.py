@@ -15,10 +15,12 @@ b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
 with the parallel edges ordered by k and the cross edge last.  They are the
 running path counts of :func:`label_edges`: by induction N(v_1 at n) = q(n)
 and N(v_2 at n) = q(n-1), since the root is v_1 with q(0) = 1, q(-1) = 0, and
-a(n+1) q(n) + q(n-1) = q(n+1).  :func:`compare_labelings` checks it edge by
-edge.  One builder writes E_n at a probability stay on the loops and out on
-the v_1 -> v_2 edge: M_n takes alpha(n)/alpha(n-1) and alpha(n+1)/alpha(n-1),
-and its rank-one approximant 1/a(n+1) and 0.
+a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` labels its
+diagram with :func:`label_edges`, and :func:`_level` writes the same labels
+explicitly for the level matrices.  That one builder writes E_n at a
+probability stay on the loops and out on the v_1 -> v_2 edge: M_n takes
+alpha(n)/alpha(n-1) and alpha(n+1)/alpha(n-1), and its rank-one approximant
+1/a(n+1) and 0.
 Level 0 is the n = 0 case of the same rule: the recurrences start at p(-1) = 1,
 q(-1) = 0, so alpha(-1) = |q(-1) alpha - p(-1)| = 1 divides the level-0
 probabilities alpha(0) and alpha(1).
@@ -35,7 +37,7 @@ from .bratteli import Edge, OrderedBratteliDiagram
 from .dimspace import level_matrix
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
 from .intervals import RatInterval
-from .labeling import EdgeLabeling, label_edges, tables_from_b
+from .labeling import EdgeLabeling, label_edges
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational
 
 
@@ -167,7 +169,7 @@ def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> Su
 
 
 def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagram, EdgeLabeling]:
-    """The two-vertex diagram of the rotation, with its explicit labeling.
+    """The two-vertex diagram of the rotation, with its labeling.
 
     Level n >= 1 has vertices (v_1, v_2); E_n consists of a(n+1) parallel
     edges v_1 -> v_1 (ordered by k), one edge v_2 -> v_1 (last in the
@@ -179,15 +181,14 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
     if depth > cf.depth - 2:
         raise InsufficientDepth(f"depth {depth} needs cf depth >= {depth + 2}")
     levels = [["v0"]] + [[f"v{n}_1", f"v{n}_2"] for n in range(1, depth + 1)]
-    edges, orders, b = [], {}, {}
+    edges, orders = [], {}
     alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
     for n in range(depth):
-        level_edges, labels = _level(cf, n, alphas[n + 1] / alphas[n], alphas[n + 2] / alphas[n])
+        level_edges, _ = _level(cf, n, alphas[n + 1] / alphas[n], alphas[n + 2] / alphas[n])
         edges.append(level_edges)
-        b.update(labels)
         orders.update({(n + 1, v): [e.id for e in level_edges if e.dst == v] for v in (0, 1)})
     diagram = OrderedBratteliDiagram(levels, edges, orders)
-    return diagram, tables_from_b(diagram, b)
+    return diagram, label_edges(diagram)
 
 
 def _level(cf: CFExpansion, n: int, stay, out) -> Tuple[List[Edge], Dict[str, int]]:
@@ -203,21 +204,6 @@ def _level(cf: CFExpansion, n: int, stay, out) -> Tuple[List[Edge], Dict[str, in
 def _level_matrix(cf: CFExpansion, n: int, stay, out) -> LaurentMatrix:
     """The matrix of :func:`_level`; V_0 has one vertex, so M_0 has one column."""
     return level_matrix(*_level(cf, n, stay, out), 2, 2 if n else 1)
-
-
-def compare_labelings(cf: CFExpansion, depth: int) -> dict:
-    """Generic inductive labeling vs the explicit rotation labeling.
-
-    Reports agreement edge by edge; nothing is asserted here.
-    """
-    diagram, explicit = rotation_diagram(cf, depth)
-    generic = label_edges(diagram)
-    mismatches = {
-        eid: (explicit.b[eid], generic.b[eid])
-        for eid in explicit.b
-        if explicit.b[eid] != generic.b[eid]
-    }
-    return {"agree": not mismatches, "mismatches": mismatches}
 
 
 # -- rank-one structure --------------------------------------------------------

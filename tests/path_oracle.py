@@ -1,0 +1,65 @@
+"""The path routes that do not read the diagram's path counts: test oracles.
+
+The library ranks paths through one path-count table per diagram
+(``OrderedBratteliDiagram.path_counts``, read by ``bratteli.fiber_labels``
+and ``bratteli.unrank``).  The routes here compute the same things another
+way, so tests compare two independent routes:
+
+- ``paths_into`` enumerates the paths into a vertex by recursion over fibers;
+- ``adic_neighbor`` moves the first edge that can move one place in its
+  fiber and rebuilds the prefix with ``extreme_path_into``;
+- ``count_paths_into`` runs the path-count recursion level by level;
+- ``tables_from_b`` runs the max/min recursion for any supplied labeling.
+"""
+
+from adicspace.bratteli import FinitePath
+from adicspace.labeling import EdgeLabeling
+
+
+def paths_into(d, level, vertex):
+    """Edge tuples of the paths from the root into the vertex, in adic order."""
+    if level == 0:
+        return [()]
+    return [prefix + (e,) for e in d.in_edges[(level, vertex)]
+            for prefix in paths_into(d, level - 1, e.src)]
+
+
+def extreme_path_into(d, level, vertex, end):
+    """The path through the in-edge at position ``end`` (0 or -1) of every fiber."""
+    edges = []
+    for n in range(level, 0, -1):
+        edges.append(d.in_edges[(n, vertex)][end])
+        vertex = edges[-1].src
+    return FinitePath(tuple(reversed(edges)))
+
+
+def adic_neighbor(d, p, step):
+    """The path one adic step away: ``step`` +1 is T, -1 is T^-1; None past the end."""
+    end = 0 if step > 0 else -1
+    for m, e in enumerate(p.edges):
+        fiber = d.in_edges[(e.level + 1, e.dst)]
+        idx = fiber.index(e) + step
+        if 0 <= idx < len(fiber):
+            nxt = fiber[idx]
+            prefix = extreme_path_into(d, m, nxt.src, end).edges
+            return FinitePath(prefix + (nxt,) + p.edges[m + 1:])
+    return None
+
+
+def count_paths_into(d, level, vertex):
+    counts = {(0, 0): 1}
+    for n in range(level):
+        for v in range(d.k(n + 1)):
+            counts[(n + 1, v)] = sum(counts[(n, e.src)] for e in d.in_edges[(n + 1, v)])
+    return counts[(level, vertex)]
+
+
+def tables_from_b(d, b):
+    """The labeling ``b`` with its wmax/wmin tables from the max/min recursion."""
+    wmax, wmin = {(0, 0): 0}, {(0, 0): 0}
+    for n in range(d.depth):
+        for v in range(d.k(n + 1)):
+            incoming = d.in_edges[(n + 1, v)]
+            wmax[(n + 1, v)] = max(wmax[(n, e.src)] + b[e.id] for e in incoming)
+            wmin[(n + 1, v)] = min(wmin[(n, e.src)] + b[e.id] for e in incoming)
+    return EdgeLabeling(b=dict(b), wmax=wmax, wmin=wmin)

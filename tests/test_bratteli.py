@@ -12,6 +12,7 @@ from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges
 from adicspace.walk import WalkState, exact_distribution
 from conftest import random_diagram
+import path_oracle as oracle
 
 
 def odometer_spec(depth=3, p0="1/2", p1="1/2"):
@@ -196,6 +197,12 @@ def test_enumerate_depth_guard():
     d = B.odometer_diagram(2)
     with pytest.raises(DepthExceeded):
         B.enumerate_paths(d, 2)
+    # a vertex that is not the diagram's is refused, a negative index included
+    for level, vertex in ((1, 1), (1, -1), (3, 0), (-1, 0)):
+        with pytest.raises(BadInput, match=f"no vertex {level}/{vertex} "):
+            B.unrank(d, level, vertex, 0)
+    with pytest.raises(BadInput, match="no vertex 1/1 "):
+        B.enumerate_paths(d, 0, v=1)
 
 
 # -- successor -------------------------------------------------------------------
@@ -237,12 +244,60 @@ def test_successor_cycles_through_enumeration():
     for d in diagrams:
         n = d.depth
         for v in range(d.k(n)):
-            expected = [x.ids() for x in B.enumerate_paths(d, n - 1, v=v)]
-            assert len(expected) == B.count_paths_into(d, n, v)
+            expected = [tuple(e.id for e in p) for p in oracle.paths_into(d, n, v)]
+            assert len(expected) == B.count_paths_into(d, n, v) == oracle.count_paths_into(d, n, v)
+            assert [p.ids() for p in B.enumerate_paths(d, n - 1, v=v)] == expected
             lo, hi = B.minimal_path_into(d, n, v), B.maximal_path_into(d, n, v)
             assert walk(d, lo, B.successor) == expected
             assert walk(d, hi, B.predecessor) == expected[::-1]
             assert B.predecessor(d, lo) is None and B.successor(d, hi) is None
+
+
+def test_unrank_matches_the_oracle_routes():
+    # rank r is the r-th path of the recursive enumeration, and T^(+-1) is r -> r +- 1
+    rng = random.Random(11)
+    for _ in range(30):
+        d = random_diagram(rng, depth=5, max_vertices=3)
+        for n, v in d.in_edges:
+            paths = [B.FinitePath(p) for p in oracle.paths_into(d, n, v)]
+            for r, p in enumerate(paths):
+                assert B.unrank(d, n, v, r) == p
+                assert oracle.adic_neighbor(d, p, +1) == B.unrank(d, n, v, r + 1)
+                assert oracle.adic_neighbor(d, p, -1) == B.unrank(d, n, v, r - 1)
+            assert B.unrank(d, n, v, -1) is None and B.unrank(d, n, v, len(paths)) is None
+            assert oracle.extreme_path_into(d, n, v, 0) == B.minimal_path_into(d, n, v)
+            assert oracle.extreme_path_into(d, n, v, -1) == B.maximal_path_into(d, n, v)
+
+
+def test_unrank_reads_one_path_of_two_to_the_sixty():
+    d = B.odometer_diagram(60)
+    r = 2 ** 59 + 12345
+    p = B.unrank(d, 60, 0, r)
+    # e{n}_0 < e{n}_1 and b(e{n}_1) = 2^n: the path spells r in binary, lowest bit first
+    assert [int(e.id[-1]) for e in p.edges] == [(r >> n) & 1 for n in range(60)]
+    assert B.successor(d, p) == B.unrank(d, 60, 0, r + 1)
+    assert B.predecessor(d, p) == B.unrank(d, 60, 0, r - 1)
+    assert B.unrank(d, 60, 0, 2 ** 60) is None
+    assert B.successor(d, B.maximal_path_into(d, 60, 0)) is None
+
+
+def test_enumeration_of_a_chain_deeper_than_the_recursion_limit():
+    depth = 1500
+    edges = [[B.Edge(f"e{n}", n, 0, 0, Fraction(1))] for n in range(depth)]
+    d = B.OrderedBratteliDiagram([["v"]] * (depth + 1), edges,
+                                 {(n + 1, 0): [f"e{n}"] for n in range(depth)})
+    (p,) = B.enumerate_paths(d, depth - 1)
+    assert p.edges == tuple(level[0] for level in edges)
+    assert B.successor(d, p) is None and B.predecessor(d, p) is None
+
+
+def test_path_counts_are_built_on_first_use():
+    # N doubles per level on the odometer: validation and truncation never count paths
+    d = B.validate_diagram(B.diagram_to_json(B.odometer_diagram(64)))
+    cut = B.truncate(d, 4)
+    assert "path_counts" not in vars(d) and "path_counts" not in vars(cut)
+    assert B.count_paths_into(cut, 4, 0) == 16
+    assert "path_counts" in vars(cut) and "path_counts" not in vars(d)
 
 
 def test_predecessor_inverts_successor():
@@ -303,9 +358,13 @@ def test_truncate_keeps_the_labels_matrices_and_walk_law_of_its_levels():
 def test_adic_steps_refuse_a_path_that_is_not_one():
     d = B.odometer_diagram(3)
     e0, e1, e2 = (d.edges[n][0] for n in range(3))
+    # an edge that is not the diagram's: a foreign id, and a diagram edge id with a far endpoint
+    foreign, far = B.Edge("zz", 0, 0, 0, Fraction(1, 3)), e0._replace(dst=5)
     for edges, message in (((), "empty path"),
                            ((e1, e2), "path must start at the root"),
-                           ((e0, e2), "edges 'e0_0', 'e2_0' are not consecutive")):
+                           ((e0, e2), "edges 'e0_0', 'e2_0' are not consecutive"),
+                           ((foreign, e1), "edge 'zz' is not an edge of the diagram"),
+                           ((far, e1), "edge 'e0_0' is not an edge of the diagram")):
         for step in (B.successor, B.predecessor, B.cylinder_measure):
             with pytest.raises(BadInput, match=message):
                 step(d, B.FinitePath(edges))

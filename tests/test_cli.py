@@ -417,6 +417,32 @@ def test_validate_rejects_malformed_levels_and_edges(tmp_path, capsys):
         assert json.loads(out)["error"]["code"] == "BadInput"
 
 
+DEEP_JSON = "[" * 100_000  # nested past the decoder's recursion limit
+
+
+def assert_too_deep(out, err):
+    assert err == ""
+    assert json.loads(out)["error"] == {"code": "BadInput",
+                                        "message": "the JSON input nests too deeply for the decoder"}
+
+
+def test_validate_refuses_json_nested_past_the_decoder(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "validate", str(deep))
+    assert code == 1
+    assert_too_deep(out, err)
+
+
+def test_norm_vector_refuses_json_nested_past_the_decoder(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "2",
+                             "--norm", str(deep))
+    assert code == 1
+    assert_too_deep(out, err)
+
+
 CF_STACK = ",".join(str(a) for a in range(2, 14))
 
 

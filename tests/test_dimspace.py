@@ -7,9 +7,10 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import dimspace as D
 from adicspace.errors import DimensionMismatch, RangeError
-from adicspace.labeling import label_edges, path_bsum, tables_from_b
+from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
+from path_oracle import tables_from_b
 
 HALF = Fraction(1, 2)
 

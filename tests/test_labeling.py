@@ -4,8 +4,9 @@ import pytest
 
 from adicspace import bratteli as B
 from adicspace.errors import IncompatiblePaths
-from adicspace.labeling import cocycle, label_edges, path_bsum, tables_from_b
+from adicspace.labeling import cocycle, label_edges, path_bsum
 from conftest import random_diagram
+from path_oracle import count_paths_into, paths_into, tables_from_b
 
 
 def test_odometer_labels_double_per_level():
@@ -60,7 +61,7 @@ def assert_successor_increment_and_consecutive(d, lab, max_level=None):
     depth = max_level or d.depth
     for n in range(depth):
         for v in range(d.k(n + 1)):
-            paths = B.enumerate_paths(d, n, v=v)
+            paths = [B.FinitePath(p) for p in paths_into(d, n + 1, v)]
             sums = [path_bsum(lab, p) for p in paths]
             assert sums == list(range(len(paths)))
             for p, q in zip(paths, paths[1:]):
@@ -96,11 +97,11 @@ def test_wmin_zero_wmax_counts():
         for n in range(d.depth + 1):
             for v in range(d.k(n)):
                 assert lab.wmin[(n, v)] == 0
-                assert lab.wmax[(n, v)] == B.count_paths_into(d, n, v) - 1
+                assert lab.wmax[(n, v)] == count_paths_into(d, n, v) - 1
 
 
 def test_tables_from_external_b_match_dp():
-    # label_edges writes the tables from path counts; tables_from_b runs the max/min recursion
+    # label_edges reads the path-count table; the oracle runs the max/min recursion
     rng = random.Random(16)
     diagrams = [B.odometer_diagram(4), B.morse_diagram(5), B.circulant_diagram(3, 4)]
     diagrams += [random_diagram(rng, depth=rng.randint(1, 5)) for _ in range(20)]

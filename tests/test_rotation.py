@@ -11,8 +11,9 @@ from adicspace import rotation as R
 from adicspace.dimspace import build_matrices
 from adicspace.errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
 from adicspace.intervals import RatInterval
-from adicspace.labeling import path_bsum
+from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentPoly
+from path_oracle import paths_into, tables_from_b
 
 
 def cf_increasing(depth=10):
@@ -204,11 +205,19 @@ def test_rotation_column_sums_enclose_one():
                 assert s == 1
 
 
+def explicit_labels(cf, depth):
+    """The labels k q(n) and a(n+1) q(n) that _level writes; they do not depend on p."""
+    labels = {}
+    for n in range(depth):
+        labels.update(R._level(cf, n, Fraction(1), Fraction(0))[1])
+    return labels
+
+
 def test_explicit_labeling_matches_generic():
-    report = R.compare_labelings(cf_increasing(), 5)
-    assert report["agree"], report["mismatches"]
-    small = R.CFExpansion([2, 1, 3, 1, 2, 4])
-    assert R.compare_labelings(small, 4)["agree"]
+    for cf, depth in ((cf_increasing(), 5), (R.CFExpansion([2, 1, 3, 1, 2, 4]), 4)):
+        d, lab = R.rotation_diagram(cf, depth)
+        # b, wmax and wmin against the max/min recursion over the explicit labels
+        assert lab == label_edges(d) == tables_from_b(d, explicit_labels(cf, depth))
 
 
 def test_rotation_path_counts_are_the_convergent_denominators():
@@ -220,7 +229,7 @@ def test_rotation_path_counts_are_the_convergent_denominators():
         d, _ = R.rotation_diagram(cf, depth)
         for n in range(1, depth + 1):
             assert [B.count_paths_into(d, n, v) for v in (0, 1)] == [cf.q(n), cf.q(n - 1)]
-        assert R.compare_labelings(cf, depth)["agree"]
+        assert label_edges(d).b == explicit_labels(cf, depth)
 
 
 def test_rotation_successor_increment_bruteforce():
@@ -230,7 +239,7 @@ def test_rotation_successor_increment_bruteforce():
     d, lab = R.rotation_diagram(cf, 4)
     for n in range(4):
         for v in range(d.k(n + 1)):
-            paths = B.enumerate_paths(d, n, v=v)
+            paths = [B.FinitePath(p) for p in paths_into(d, n + 1, v)]
             sums = [path_bsum(lab, p) for p in paths]
             assert sums == list(range(len(paths)))
             for p, q in zip(paths, paths[1:]):
