@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _enc
 from operator import itemgetter
@@ -291,9 +292,34 @@ def cmd_at(args) -> int:
     return _report(args, body, payload)
 
 
+_NUMBER_WORD = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads any word starting -<digit> or -.<digit> as a value.
+
+    argparse reads -1 and -0.5 as values but -1/2 as an unknown option, so
+    ``--map -1/2`` would be a usage error while ``--map=-1/2`` reaches the
+    program.  No option of this parser starts with a digit.  Subparsers take
+    the class of their parent, so one override covers every subcommand.
+
+    It also reads ``--flag=--`` as the value "--": argparse (Python 3.11 at
+    least) drops it and hands the program an empty list, which
+    ``--budget=--`` turned into a ``TypeError`` traceback.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NUMBER_WORD
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="adicspace",
-                                 description="exact diagram-to-dimension-space toolkit")
+    ap = _Parser(prog="adicspace", description="exact diagram-to-dimension-space toolkit")
     ap.add_argument("--version", action="version", version=f"adicspace {__version__}")
     sub = ap.add_subparsers(dest="command")
 

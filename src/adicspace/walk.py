@@ -15,26 +15,49 @@ the SplitMix64 finalizer over (seed, trial, step).  Trajectories are thus
 indexed by (seed, trial), independent, and reproducible in any order.  The
 (seed, trial) prefix of the counter is fixed along a trajectory, so it is
 computed once per trial and each step costs one round.  No draw depends on
-the path taken, so a block of up to ``_BLOCK`` trials is mixed at once: the
-block's 64-bit words sit in the 128-bit lanes of one int, and each round is a
-few whole-int shifts, xors, masks and multiplies.  Masking before each
-multiply keeps every product inside its lane, so each lane gets exactly the
-draw that the scalar ``_mix64`` gives: the draws, and so every histogram for
-a seed, do not depend on the block size.  Memory is bounded by the block, not
-by the trial count.
+the path taken, so a block of up to ``_BLOCK`` (2,048) trials is mixed at
+once: the block's 64-bit words sit in the lanes of one int, each lane two
+words wide (more when the positions need it), and each round is a few
+whole-int shifts, xors, masks and multiplies.  Masking before each multiply
+keeps every product inside its lane, so each lane gets exactly the draw that
+the scalar ``_mix64`` gives: the draws, and so every histogram for a seed, do
+not depend on the block size.
 
 Sampling is pure integer comparison: a 64-bit draw u selects the first
 outcome whose cumulative probability cum satisfies u < ceil(cum * 2^64),
 which holds exactly when u/2^64 < cum, so the per-step sampling bias is
 below 2^-64.  Each column is checked once to be an exact probability vector,
 so its last threshold is exactly 2^64 and no draw passes the last outcome.
+The choice is made for the whole block at once, with no bisect and no
+per-trial work: for a threshold 1 <= t <= 2^64, bit 64 of u + (2^64 - t) is
+set exactly when u >= t, and the sum stays below 2^65, inside its lane.  One
+shift and mask per distinct threshold of the level thus give a 0/1 lane mask
+ge[t].  The block's state is one 0/1 mask per vertex, the lanes of the trials
+at it, and one int of positions.  Outcome k of vertex v takes the lanes of v
+with ge[t_(k-1)] set and ge[t_k] clear; these masks nest, so the difference
+never borrows across lanes.  Those lanes move by the outcome's displacement
+and join the mask of its target vertex.  At the end of a block each lane
+holds position * K + vertex, which is unpacked once and counted with one
+``Counter``; only the distinct keys are decoded.  Memory is bounded by the
+block times the vertices and thresholds of one level, not by the trial count
+or the depth.
+
+A step thus costs a few whole-block operations per outcome of every occupied
+vertex of its level, where a per-trial bisect costs about one lookup per
+trial.  The lane choice wins on levels with few vertices and outcomes (the
+odometer, Morse and circulant:4 presets have at most 4 vertices and 8
+outcomes a level) and loses on wide ones: from about 16 outcomes a level a
+per-trial bisect is as fast, and circulant:32 (64 outcomes) is about twice
+as slow.  A wide level also holds one block-sized int per vertex and two per
+distinct threshold: the ``tracemalloc`` peak of a circulant:1000 walk is
+about 88 MiB, as its root has 1,000 thresholds.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -45,7 +68,8 @@ from .intervals import RatInterval
 from .laurent import LaurentPoly
 
 _MASK = (1 << 64) - 1
-_BLOCK = 4096  # trials mixed together, one per 128-bit lane
+_TOP = 1 << 64
+_BLOCK = 2048  # trials sampled together, one per lane
 
 
 def _mix64(z: int) -> int:
@@ -55,24 +79,25 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _pack(values) -> int:
-    """The 64-bit ``values`` as one int, value i in bits 128i..128i+63 and 0 above."""
-    words = array("Q", bytes(16 * len(values)))
-    words[0::2] = array("Q", values)
+def _pack(values, width: int = 2) -> int:
+    """The 64-bit ``values`` as one int of ``width``-word lanes, value i in lane i's low word."""
+    words = array("Q", bytes(8 * width * len(values)))
+    words[0::width] = array("Q", values)
     return int.from_bytes(words, sys.byteorder)
 
 
-def _unpack(z: int, lanes: int) -> array:
-    """The low 64 bits of each of the first ``lanes`` 128-bit lanes of z."""
-    return array("Q", z.to_bytes(16 * lanes, sys.byteorder))[0::2]
+def _unpack(z: int, lanes: int, width: int = 2) -> array:
+    """The low word of each of the first ``lanes`` ``width``-word lanes of z."""
+    return array("Q", z.to_bytes(8 * width * lanes, sys.byteorder))[0::width]
 
 
 def _mix_lanes(z: int, mask: int) -> int:
     """``_mix64`` of each lane of z; ``mask`` holds _MASK in each lane.
 
-    A shift carries a neighbour lane's bits only into bits 64..127 of a lane,
-    and the mask clears them before the multiply, whose product is then below
-    2^128.  Bits 64..127 of each lane of the result are left uncleared.
+    Lanes are at least two words wide.  A shift carries a neighbour lane's
+    bits only into bits 64 and up of a lane, and the mask clears them before
+    the multiply, whose product is then below 2^128.  Bits 64 and up of each
+    lane of the result are left uncleared.
     """
     z &= mask
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
@@ -152,41 +177,78 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         raise BadInput("trials must be >= 1")
     start = start or WalkState(0, 0, 0)
     _check_start(space, start, n)
-    # tables[lvl - start.level][v]: the step law from (0, v, lvl) as outcomes [(displacement,
-    # vertex)] and integer thresholds ceil(cum * 2^64) of the exact cumulative probabilities.
-    tables = []
+    # tables[lvl - start.level]: the step laws of level lvl as (laws, cuts, k(lvl + 1)).
+    # laws[v] lists the outcomes of vertex v as (threshold, displacement - lo, vertex), the
+    # threshold ceil(cum * 2^64) of the exact cumulative probability; lo is the level's least
+    # displacement and cuts its distinct thresholds below 2^64.
+    tables, offset, span = [], start.position, 0
     for lvl in range(start.level, n):
-        level_tables = []
+        laws = []
         for v in range(space.dims[lvl]):
-            outcomes, thresholds, acc = [], [], Fraction(0)
+            law, acc = [], Fraction(0)
             for s, c in step_distribution(space, WalkState(0, v, lvl)):
                 if not (isinstance(c, Fraction) and c > 0):
                     raise BadInput(f"level {lvl} vertex {v} has {c}, not an exact p > 0")
-                outcomes.append((s.position, s.vertex))
                 acc += c
-                thresholds.append(-((-acc.numerator << 64) // acc.denominator))
+                law.append((-((-acc.numerator << 64) // acc.denominator), s.position, s.vertex))
             if acc != 1:
                 raise BadInput(f"the step law of level {lvl} vertex {v} sums to {acc}, not 1")
-            level_tables.append((outcomes, thresholds))
-        tables.append(level_tables)
-    counts = [{} for _ in range(space.dims[n])]  # counts[j]: displacement -> trials ending there
+            laws.append(law)
+        moves = [b for law in laws for _, b, _ in law]
+        lo = min(moves)
+        offset, span = offset + lo, span + max(moves) - lo
+        tables.append(([[(t, b - lo, j) for t, b, j in law] for law in laws],
+                       {t for law in laws for t, _, _ in law} - {_TOP},
+                       space.dims[lvl + 1]))
+    # A trial ends at key = (position - offset) * K + vertex, below (span + 1) * K: one
+    # 64-bit word on every walk short of 2^64 positions, more words past that.
+    K = space.dims[n]
+    key_words = max(1, -(-((span + 1) * K - 1).bit_length() // 64))
+    width = max(2, key_words)  # words per lane
+    tally = Counter()
     base = _mix64(seed ^ 0x9E3779B97F4A7C15)
+    size = 0
     for first in range(0, trials, _BLOCK):
         lanes = min(_BLOCK, trials - first)
-        one = _pack([1] * lanes)
-        mask = one * _MASK
-        # lane t holds _mix64(base + first + t), the trial's prefix, with bits 64..127 clear
-        z = _mix_lanes(_pack([(base + t) & _MASK for t in range(first, first + lanes)]), mask) & mask
-        pos, vtx = [start.position] * lanes, [start.vertex] * lanes
-        for step, level_tables in enumerate(tables):
-            draws = _unpack(_mix_lanes(z + step * one, mask), lanes)
-            moves = [outcomes[bisect_right(thresholds, u)]
-                     for (outcomes, thresholds), u in zip([level_tables[v] for v in vtx], draws)]
-            pos = [p + exp for p, (exp, _) in zip(pos, moves)]
-            vtx = [v for _, v in moves]
-        for p, v in zip(pos, vtx):
-            row = counts[v]
-            row[p] = row.get(p, 0) + 1
+        if lanes != size:  # the first block and a short last one
+            size = lanes
+            one = _pack([1] * lanes, width)
+            mask = one * _MASK
+            ramp = _pack(range(lanes), width)
+            lift = {}  # lift[t]: 2^64 - t in every lane, for the thresholds of one level
+        # lane t holds _mix64(base + first + t), the trial's prefix, with bits 64 and up clear
+        z = _mix_lanes(((base + first) & _MASK) * one + ramp, mask) & mask
+        at = [0] * space.dims[start.level]  # at[v]: 1 in the lanes of the trials now at v
+        at[start.vertex] = one
+        pos = 0  # each lane: the trial's displacement less the lo of the levels so far
+        for step, (laws, cuts, k_next) in enumerate(tables):
+            u = _mix_lanes(z + step * one, mask) & mask
+            lift = {t: lift[t] if t in lift else (_TOP - t) * one for t in cuts}
+            # ge[t]: 1 in the lanes where u >= t, which is bit 64 of u + 2^64 - t
+            ge = {t: (u + lift[t]) >> 64 & one for t in cuts}
+            nxt = [0] * k_next
+            for here, law in zip(at, laws):
+                if not here:
+                    continue
+                for t, b, j in law:
+                    rest = here & ge.get(t, 0)  # the lanes past this outcome; none past 2^64
+                    sel = here - rest  # rest lies inside here, so no lane borrows
+                    here = rest
+                    if b:
+                        pos += sel * b
+                    nxt[j] |= sel
+            at = nxt
+        key = pos * K + sum(j * m for j, m in enumerate(at) if j and m)
+        if key_words == 1:
+            tally.update(_unpack(key, lanes, width))
+        else:  # a key is its words, low first
+            tally.update(zip(*(_unpack(key >> 64 * i, lanes, width) for i in range(key_words))))
+    counts = [{} for _ in range(K)]  # counts[j]: displacement -> trials ending there
+    for key, c in tally.items():
+        if key_words > 1:
+            key = sum(w << 64 * i for i, w in enumerate(key))
+        p, j = divmod(key, K)
+        counts[j][offset + p] = c
     return DisplacementHistogram(tuple(map(LaurentPoly._from_ints, counts)), trials)
 
 

@@ -19,6 +19,7 @@ from adicspace import walk as W
 from adicspace.labeling import cocycle, label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
+from path_oracle import adic_neighbor, paths_into
 
 HALF = Fraction(1, 2)
 
@@ -82,18 +83,20 @@ def test_criterion_3_circulant_golden():
 
 
 def check_labeling_properties(d, lab, failures, tag):
+    # paths and successors come from the oracle routes, which do not read the path
+    # counts that label_edges reads
     for n in range(d.depth):
         for v in range(d.k(n + 1)):
-            paths = B.enumerate_paths(d, n, v=v)
+            paths = [B.FinitePath(edges) for edges in paths_into(d, n + 1, v)]
             sums = [path_bsum(lab, p) for p in paths]
             if sums != list(range(len(paths))):
                 failures.append(f"{tag}: b-sums into vertex {n + 1}/{v} not consecutive")
                 return
             for p, q in zip(paths, paths[1:]):
-                if cocycle(lab, p, q) != 1 or B.successor(d, p).ids() != q.ids():
+                if cocycle(lab, p, q) != 1 or adic_neighbor(d, p, +1).ids() != q.ids():
                     failures.append(f"{tag}: successor increment fails at {n + 1}/{v}")
                     return
-            if B.successor(d, paths[-1]) is not None:
+            if adic_neighbor(d, paths[-1], +1) is not None:
                 failures.append(f"{tag}: maximal path has a successor at {n + 1}/{v}")
                 return
 

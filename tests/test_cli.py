@@ -160,6 +160,42 @@ def test_console_entry_point_runs():
     assert body["polys"][2] == {"0": "1/4", "7": "1/4", "14": "1/4", "21": "1/4"}
 
 
+def test_python_dash_m_runs_the_cli_from_a_checkout(capsys):
+    argv = ["validate", "--preset", "odometer", "--depth", "3"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "adicspace", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode()) == (0, out.encode())
+
+
+def test_rational_flags_take_a_negative_value_with_or_without_equals(capsys):
+    stack = ["stack", "--cf", "2,3,4", "--stage", "2"]
+    for flag, extra, error in (("--map", [], "PointOutsideTower"),
+                               ("--tolerance", ["--compare"], "BadInput")):
+        for value in ("-1/2", "-1", "-1/-2"):
+            outcomes = []
+            for spelling in ([flag, value], [f"{flag}={value}"]):
+                code, out, err = run_cli(capsys, *stack, *extra, *spelling)
+                assert err == "", spelling
+                outcomes.append((code, json.loads(out)["error"]))
+            assert outcomes[0] == outcomes[1], (flag, value)
+            code, error_body = outcomes[0]
+            assert code == 1 and error_body["code"] == (error if value != "-1/-2" else "BadInput")
+
+
+def test_a_flag_given_the_value_double_dash_is_read_as_that_value(capsys):
+    product = ["matrices", "--preset", "odometer", "--depth", "5", "--product", "0..5"]
+    for argv in (product + ["--budget=--"], ["walk", "--preset", "odometer", "--depth=--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value: '--'" in capsys.readouterr().err, argv
+    code, out, err = run_cli(capsys, "validate", "--preset=--")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "UsageError", "message": "unknown preset '--'"}
+
+
 def test_rotation_gaps_subcommand(capsys):
     code, out, _ = run_cli(capsys, "rotation", "--cf", "2,3,4,5,6,7,8,9,10,11",
                            "--gaps", "--depth", "7")

@@ -458,7 +458,51 @@ def test_simulate_matches_the_clamped_reference_over_several_blocks():
         assert got.total_mass() == trials
 
 
+@pytest.mark.parametrize("depth", [70, 130])  # positions past 2^64, and past 2^128
+def test_simulate_matches_the_clamped_reference_past_two_to_the_64(depth):
+    sp = space_for(B.odometer_diagram(depth))
+    got = W.simulate(sp, depth, 300, seed=depth)
+    assert got == clamped_simulate(sp, depth, 300, depth)
+    assert max(got.masses[0].support()) >= 1 << (depth - 6)
+
+
+def test_simulate_matches_the_clamped_reference_when_only_the_key_passes_two_to_the_64():
+    # positions fit in one word; position * K + vertex does not
+    sp = space_for(B.circulant_diagram(4, 64))
+    start = W.WalkState(5, 2, 3)
+    spans = [[e for row in m.entries for f in row for e in f.support()]
+             for m in sp.matrices[start.level:64]]
+    span, k = sum(max(exps) - min(exps) for exps in spans), sp.dims[64]
+    assert k > 1 and span + 1 <= 1 << 64 < (span + 1) * k
+    for trials, seed in ((1, 4), (300, 64)):
+        got = W.simulate(sp, 64, trials, seed, start=start)
+        assert got == clamped_simulate(sp, 64, trials, seed, start)
+        assert got.total_mass() == trials
+
+
+def test_zero_step_walk_is_the_start_state():
+    sp = space_for(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
+    start = W.WalkState(-3, 3, 1)
+    trials = 2 * W._BLOCK + 5
+    got = W.simulate(sp, 1, trials, seed=8, start=start)
+    assert got == clamped_simulate(sp, 1, trials, 8, start)
+    assert got.masses == (LaurentPoly.zero(),) * 3 + (LaurentPoly._from_ints({-3: trials}),)
+
+
 WORDS = st.one_of(st.sampled_from([0, 1, 1 << 63, W._MASK]), st.integers(0, W._MASK))
+THRESHOLDS = st.one_of(st.sampled_from([1, 1 << 63, W._MASK, 1 << 64]), st.integers(1, 1 << 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WORDS, min_size=1, max_size=9), THRESHOLDS)
+@example([0, W._MASK, 1 << 63], 1 << 64)  # the last threshold: no lane passes it
+@example([0, W._MASK, (1 << 63) - 1], 1 << 63)
+def test_lane_mask_is_the_scalar_comparison_lane_by_lane(values, t):
+    # bit 64 of u + 2^64 - t is set exactly when u >= t, and never carries into the next lane
+    lanes = len(values)
+    one = W._pack([1] * lanes)
+    ge = (W._pack(values) + ((1 << 64) - t) * one) >> 64 & one
+    assert list(W._unpack(ge, lanes)) == [int(u >= t) for u in values]
 
 
 @settings(max_examples=300, deadline=None)
@@ -496,6 +540,28 @@ def test_simulate_memory_is_bounded_by_the_block():
     assert large <= small + 64 * 1024, (small, large)
 
 
+def test_simulate_memory_does_not_grow_with_the_depth():
+    import tracemalloc
+
+    # one vertex per level and a threshold of its own at every level
+    def chain(depth):
+        laws = [{0: Fraction(1, m), 1: Fraction(m - 1, m)} for m in range(3, depth + 3)]
+        return DimensionSpace(tuple(LaurentMatrix([[LaurentPoly(t)]]) for t in laws),
+                              (1,) * (depth + 1))
+
+    def peak(depth):
+        sp = chain(depth)
+        tracemalloc.start()
+        try:
+            W.simulate(sp, depth, 2 * W._BLOCK, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shallow, deep = peak(8), peak(64)
+    assert deep <= shallow + 64 * 1024, (shallow, deep)
+
+
 def one_by_one(terms):
     """A hand-built 1x1 space whose one column is ``terms``, never validated."""
     return DimensionSpace((LaurentMatrix([[LaurentPoly(terms)]]),), (1, 1))
@@ -513,3 +579,12 @@ def test_simulate_refuses_a_column_that_is_not_a_law(terms, clamped, reason):
         W.simulate(sp, 1, 4000, seed=1)
     if clamped is not None:  # the clamped loop samples a wrong law without an error
         assert clamped_simulate(sp, 1, 4000, 1).masses[0] == LaurentPoly._from_ints(clamped)
+
+
+def test_simulate_matches_the_clamped_reference_on_negative_displacements():
+    # a labeling never gives a negative exponent, but a hand-built space may
+    steps = ({-7: Fraction(1, 3), 2: Fraction(2, 3)}, {-1: HALF, 0: Fraction(1, 4), 1 << 70: Fraction(1, 4)})
+    sp = DimensionSpace(tuple(LaurentMatrix([[LaurentPoly(t)]]) for t in steps), (1, 1, 1))
+    got = W.simulate(sp, 2, 500, seed=9, start=W.WalkState(4, 0, 0))
+    assert got == clamped_simulate(sp, 2, 500, 9, W.WalkState(4, 0, 0))
+    assert min(got.masses[0].support()) == 4 - 8
