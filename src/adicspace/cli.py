@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -222,8 +223,10 @@ def cmd_rotation(args) -> int:
         "verdict": report.verdict,
         "tail_bound": None if report.tail_bound is None else str(report.tail_bound),
     }
+    # one dimension space serves --matrices and --gaps, built where the first of them reads it
+    space = functools.cache(lambda: dimspace.build_matrices(*rotation.rotation_diagram(cf, depth)))
     if args.matrices:
-        body["matrices"] = [rotation.rotation_matrix(cf, n).to_json() for n in range(depth)]
+        body["matrices"] = [m.to_json() for m in space().matrices]
     if args.polys:
         import warnings
 
@@ -232,7 +235,7 @@ def cmd_rotation(args) -> int:
             polys = rotation.rank_one_polys(cf, depth, rule)
         body["polys"] = [p.to_json() for p in polys]
     if args.gaps:
-        gaps = [rotation.rank_one_gap(cf, n) for n in range(1, depth)]
+        gaps = [rotation.level_gap(cf, n, space().matrices[n]) for n in range(1, depth)]
         body["gaps"] = [{"n": g.n, "gap": coeff_to_json(g.gap),
                          "tail_bound": None if g.tail_bound is None else str(g.tail_bound)}
                         for g in gaps]

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .bratteli import Edge, OrderedBratteliDiagram
+from .bratteli import OrderedBratteliDiagram
 from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling
@@ -32,19 +32,17 @@ class DimensionSpace:
         return len(self.matrices)
 
 
-def level_matrix(edges: Iterable[Edge], b: Mapping[str, int], rows: int,
-                 cols: int) -> LaurentMatrix:
-    """The rows x cols matrix whose entry (dst, src) collects p(e) x^{b(e)} over the edges."""
-    terms = [[{} for _ in range(cols)] for _ in range(rows)]
-    for e in edges:
-        entry, exp = terms[e.dst][e.src], b[e.id]
-        entry[exp] = entry[exp] + e.p if exp in entry else e.p
-    return LaurentMatrix([[LaurentPoly(t) for t in row] for row in terms])
-
-
 def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> DimensionSpace:
-    mats = tuple(level_matrix(d.edges[n], labeling.b, d.k(n + 1), d.k(n)) for n in range(d.depth))
-    return DimensionSpace(matrices=mats, dims=tuple(d.k(n) for n in range(d.depth + 1)))
+    """The M_n of a labeled diagram; all entries with no edge share one zero polynomial."""
+    zero, mats = LaurentPoly.zero(), []
+    for n in range(d.depth):
+        terms = {}  # (dst, src) -> exponent -> coefficient, for the pairs with an edge
+        for e in d.edges[n]:
+            entry, exp = terms.setdefault((e.dst, e.src), {}), labeling.b[e.id]
+            entry[exp] = entry[exp] + e.p if exp in entry else e.p
+        mats.append(LaurentMatrix([[LaurentPoly(terms[i, j]) if (i, j) in terms else zero
+                                    for j in range(d.k(n))] for i in range(d.k(n + 1))]))
+    return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))
 
 
 def _extent(p: LaurentPoly) -> tuple:

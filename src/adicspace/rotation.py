@@ -15,12 +15,11 @@ b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
 with the parallel edges ordered by k and the cross edge last.  They are the
 running path counts of :func:`label_edges`: by induction N(v_1 at n) = q(n)
 and N(v_2 at n) = q(n-1), since the root is v_1 with q(0) = 1, q(-1) = 0, and
-a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` labels its
-diagram with :func:`label_edges`, and :func:`_level` writes the same labels
-explicitly for the level matrices.  That one builder writes E_n at a
-probability stay on the loops and out on the v_1 -> v_2 edge: M_n takes
-alpha(n)/alpha(n-1) and alpha(n+1)/alpha(n-1), and its rank-one approximant
-1/a(n+1) and 0.
+a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` writes no label:
+:func:`label_edges` labels its diagram, and :func:`build_matrices` reads each
+M_n off it, with alpha(n)/alpha(n-1) on the loops and alpha(n+1)/alpha(n-1)
+on the v_1 -> v_2 edge.  The rank-one approximant of M_n has 1/a(n+1) and 0
+there instead, so it is M_n with P_n at (0, 0) and 0 at (1, 0).
 Level 0 is the n = 0 case of the same rule: the recurrences start at p(-1) = 1,
 q(-1) = 0, so alpha(-1) = |q(-1) alpha - p(-1)| = 1 divides the level-0
 probabilities alpha(0) and alpha(1).
@@ -31,10 +30,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bratteli import Edge, OrderedBratteliDiagram
-from .dimspace import level_matrix
+from .dimspace import build_matrices
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges
@@ -174,36 +173,25 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
     Level n >= 1 has vertices (v_1, v_2); E_n consists of a(n+1) parallel
     edges v_1 -> v_1 (ordered by k), one edge v_2 -> v_1 (last in the
     order), and one edge v_1 -> v_2.  Probabilities are enclosures derived
-    from the alpha(n); the v_2 -> v_1 edge has exact probability 1.
+    from the alpha(n); the v_2 -> v_1 edge has exact probability 1.  Level n
+    reads alpha(n+1), then checks a(n+1): a refusal names the first that fails.
     """
     if depth < 1:
         raise BadInput("depth must be >= 1")
-    if depth > cf.depth - 2:
-        raise InsufficientDepth(f"depth {depth} needs cf depth >= {depth + 2}")
-    levels = [["v0"]] + [[f"v{n}_1", f"v{n}_2"] for n in range(1, depth + 1)]
-    edges, orders = [], {}
-    alphas = [Fraction(1)] + [alpha_n(cf, n) for n in range(depth + 1)]  # alphas[n + 1] = alpha(n)
-    for n in range(depth):
-        level_edges, _ = _level(cf, n, alphas[n + 1] / alphas[n], alphas[n + 2] / alphas[n])
-        edges.append(level_edges)
-        orders.update({(n + 1, v): [e.id for e in level_edges if e.dst == v] for v in (0, 1)})
+    levels, edges, orders = [["v0"]], [], {}
+    alphas = [Fraction(1), alpha_n(cf, 0)]  # alphas[n + 1] = alpha(n)
+    for n in range(depth):  # a depth past the cf is refused by alpha_n, before anything is built
+        alphas.append(alpha_n(cf, n + 1))
+        levels.append([f"v{n + 1}_1", f"v{n + 1}_2"])
+        stay, out = alphas[n + 1] / alphas[n], alphas[n + 2] / alphas[n]
+        into_v1 = [Edge(f"e{n}_11_{k + 1}", n, 0, 0, stay)
+                   for k in range(check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP))]
+        if n:  # the root has no v_2, so E_0 has no cross edge
+            into_v1.append(Edge(f"e{n}_21", n, 1, 0, Fraction(1)))
+        edges.append(into_v1 + [Edge(f"e{n}_12", n, 0, 1, out)])
+        orders[n + 1, 0], orders[n + 1, 1] = [e.id for e in into_v1], [f"e{n}_12"]
     diagram = OrderedBratteliDiagram(levels, edges, orders)
     return diagram, label_edges(diagram)
-
-
-def _level(cf: CFExpansion, n: int, stay, out) -> Tuple[List[Edge], Dict[str, int]]:
-    """E_n in order with its labels; p = stay on the loops and p = out on the v_1 -> v_2 edge."""
-    a_next, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
-    labeled = [(Edge(f"e{n}_11_{k + 1}", n, 0, 0, stay), k * q) for k in range(a_next)]
-    if n:  # the root has no v_2, so E_0 has no cross edge
-        labeled.append((Edge(f"e{n}_21", n, 1, 0, Fraction(1)), a_next * q))
-    labeled.append((Edge(f"e{n}_12", n, 0, 1, out), 0))
-    return [e for e, _ in labeled], {e.id: label for e, label in labeled}
-
-
-def _level_matrix(cf: CFExpansion, n: int, stay, out) -> LaurentMatrix:
-    """The matrix of :func:`_level`; V_0 has one vertex, so M_0 has one column."""
-    return level_matrix(*_level(cf, n, stay, out), 2, 2 if n else 1)
 
 
 # -- rank-one structure --------------------------------------------------------
@@ -211,27 +199,24 @@ def _level_matrix(cf: CFExpansion, n: int, stay, out) -> LaurentMatrix:
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
-    prev = alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
-    return _level_matrix(cf, n, alpha_n(cf, n) / prev, alpha_n(cf, n + 1) / prev)
+    return build_matrices(*rotation_diagram(cf, n + 1)).matrices[n]
 
 
-def _approximant(cf: CFExpansion, n: int) -> LaurentMatrix:
-    """The rank-one approximant of M_n: the same level at stay = 1/a(n+1) and out = 0."""
-    return _level_matrix(cf, n, Fraction(1, cf.a(n + 1)), Fraction(0))
+def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:
+    """P_n = (1/a(n+1)) (1 + x^{q(n)} + ... + x^{(a(n+1)-1) q(n)})."""
+    a, q = check_budget(f"a({n + 1})", cf.a(n + 1), SIZE_CAP), cf.q(n)
+    return LaurentPoly._from_ints(dict.fromkeys(range(0, a * q, q), 1), a)
 
 
 def rank_one_polys(cf: CFExpansion, count: int, rule: Optional[GrowthRule] = None) -> List[LaurentPoly]:
-    """P_n = (1/a(n+1)) (1 + x^{q(n)} + ... + x^{(a(n+1)-1) q(n)}), n < count.
-
-    P_n is the (0, 0) entry of the approximant of M_n (see :func:`rank_one_gap`).
-    """
+    """P_n for n < count, the (0, 0) entry of the rank-one approximant of M_n."""
     if count > cf.depth:
         raise InsufficientDepth(f"need {count} terms, have {cf.depth}")
     report = summability_report(cf, rule)
     if report.verdict != "CONVERGENT_CERTIFIED":
         warnings.warn("summability not certified; the rank-one identification is heuristic",
                       stacklevel=2)
-    return [_approximant(cf, n).entries[0][0] for n in range(count)]
+    return [_rank_one_poly(cf, n) for n in range(count)]
 
 
 @dataclass(frozen=True)
@@ -246,27 +231,27 @@ class GapReport:
     tail_bound: Optional[Fraction]   # 2/(a(n+1) a(n+2)) when available
 
 
-def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
-    """Entrywise l1 gap between M_n and the column-row product approximant.
+def level_gap(cf: CFExpansion, n: int, m: LaurentMatrix) -> GapReport:
+    """Entrywise l1 gap between m = M_n, n >= 1, and the column-row product approximant.
 
-    The approximant is the same rotation level at stay = 1/a(n+1) and out = 0:
-    it replaces the first-column ratio alpha(n)/alpha(n-1) by 1/a(n+1) and
-    drops the corner entry alpha(n+1)/alpha(n-1); the two error components
-    are equal, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly (up to
-    enclosure width).
+    The approximant differs from M_n only in entry (0, 0), P_n, and the corner
+    (1, 0), 0 in place of alpha(n+1)/alpha(n-1); the two error components are
+    equal, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly (up to enclosure
+    width).
     """
     if n < 1:
-        raise RangeError("rank_one_gap needs n >= 1")
-    m, approx = rotation_matrix(cf, n).entries, _approximant(cf, n).entries
-    norms = [(m[i][j] - approx[i][j]).one_norm() for i in range(2) for j in range(2)]
-    gap = sum(norms, Fraction(0))
-    first, corner = RatInterval.coerce(norms[0]), RatInterval.coerce(norms[2])
-    two_ratio = 2 * (alpha_n(cf, n + 1) / alpha_n(cf, n - 1))
-    tail = None
-    if n + 2 <= cf.depth:
-        tail = Fraction(2, cf.a(n + 1) * cf.a(n + 2))
-    return GapReport(n=n, gap=RatInterval.coerce(gap), first_entry_component=first,
-                     corner_component=corner, two_alpha_ratio=two_ratio, tail_bound=tail)
+        raise RangeError("a rank-one gap needs n >= 1")
+    (m00, _), (m10, _) = m.entries
+    first = RatInterval.coerce((m00 - _rank_one_poly(cf, n)).one_norm())
+    corner = RatInterval.coerce(m10.one_norm())
+    tail = Fraction(2, cf.a(n + 1) * cf.a(n + 2)) if n + 2 <= cf.depth else None
+    return GapReport(n=n, gap=first + corner, first_entry_component=first,
+                     corner_component=corner, two_alpha_ratio=2 * m10.coeff(0), tail_bound=tail)
+
+
+def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:
+    """:func:`level_gap` of M_n, read off a rotation diagram of depth n + 1."""
+    return level_gap(cf, n, rotation_matrix(cf, n))
 
 
 def parse_rule(text: str) -> GrowthRule:

@@ -184,13 +184,17 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
     tables, offset, span = [], start.position, 0
     for lvl in range(start.level, n):
         laws = []
-        for v in range(space.dims[lvl]):
+        # column v of M_lvl read once, its outcomes in step_distribution's order
+        for v, column in enumerate(zip(*space.matrices[lvl].entries)):
             law, acc = [], Fraction(0)
-            for s, c in step_distribution(space, WalkState(0, v, lvl)):
-                if not (isinstance(c, Fraction) and c > 0):
-                    raise BadInput(f"level {lvl} vertex {v} has {c}, not an exact p > 0")
-                acc += c
-                law.append((-((-acc.numerator << 64) // acc.denominator), s.position, s.vertex))
+            for j, entry in enumerate(column):
+                if entry.is_zero():
+                    continue
+                for b, c in entry.items():
+                    if not (isinstance(c, Fraction) and c > 0):
+                        raise BadInput(f"level {lvl} vertex {v} has {c}, not an exact p > 0")
+                    acc += c
+                    law.append((-((-acc.numerator << 64) // acc.denominator), b, j))
             if acc != 1:
                 raise BadInput(f"the step law of level {lvl} vertex {v} sums to {acc}, not 1")
             laws.append(law)

@@ -363,6 +363,38 @@ def test_rotation_refuses_a_level_whose_bracket_the_enclosure_touches(capsys):
     assert code == 0 and len(json.loads(out)["matrices"]) == 1
 
 
+def test_rotation_refusals_come_in_report_order(capsys):
+    # --matrices, then --polys, then --gaps; each builds level by level, reading alpha(n+1)
+    # before it checks a(n+1), and --gaps builds nothing at depth 1
+    depth = ("InsufficientDepth", "alpha(3) needs two spare terms beyond 3")
+    for argv, error in (
+            (["--cf", "2,3", "--gaps"], None),
+            (["--cf", "2,3,1", "--gaps"], None),
+            (["--cf", "2,3", "--matrices"],
+             ("InsufficientDepth", "alpha(1) needs two spare terms beyond 1")),
+            (["--cf", "2,3,4", "--polys", "--gaps", "--depth", "4"],
+             ("InsufficientDepth", "need 4 terms, have 3")),
+            (["--cf", "2,3,4,5", "--matrices", "--depth", "4"], depth),
+            (["--cf", "2,3,4,5", "--gaps", "--depth", "4"], depth),
+            (["--cf", "2,3,4,5", "--matrices", "--depth", str(1 << 40)], depth),
+            (["--cf", "2,3,4,1", "--polys", "--gaps"],
+             ("InsufficientDepth", "alpha(2) enclosure fails the strict bracket")),
+            (["--cf", "2,3000000,4,5,6", "--gaps", "--polys"],
+             ("BudgetExceeded", "a(2) = 3000000 exceeds the budget 1048576")),
+            # --gaps reads M_0 too, so it checks a(1) as --matrices does
+            (["--cf", "2000000,3,4,5", "--gaps"],
+             ("BudgetExceeded", "a(1) = 2000000 exceeds the budget 1048576")),
+            (["--cf", "2000000,3,4,5", "--matrices"],
+             ("BudgetExceeded", "a(1) = 2000000 exceeds the budget 1048576"))):
+        code, out, err = run_cli(capsys, "rotation", *argv)
+        assert err == "", argv
+        if error is None:
+            assert code == 0 and json.loads(out)["gaps"] == [], argv
+        else:
+            assert code == 1, argv
+            assert json.loads(out) == {"error": {"code": error[0], "message": error[1]}}, argv
+
+
 def test_every_option_is_in_the_readme_command_line_section():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -739,7 +771,7 @@ def test_rational_flags_reject_zero_denominators_and_non_fractions(capsys):
         assert json.loads(out)["error"]["code"] == "BadInput", flags
         if flags[-1] == "1/0":  # our message, not Python's "Fraction(1, 0)"
             assert json.loads(out)["error"]["message"] == "'1/0' has a zero denominator"
-    # no distance >= 0 is within a negative tolerance; argparse takes "-1/9" only after "="
+    # no distance >= 0 is within a negative tolerance, given as its own argument or after "="
     for tol in (("--tolerance", "-1"), ("--tolerance=-1/1000000",)):
         code, out, err = run_cli(capsys, "stack", "--cf", "2,3,4", "--stage", "1", "--compare", *tol)
         assert code == 1 and err == "", tol

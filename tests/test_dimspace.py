@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -53,6 +54,21 @@ def test_circulant_matrices_golden():
         sp = space_for(B.circulant_diagram(k, 6))
         for n in range(5):
             assert sp.matrices[n + 1] == circulant_closed(k, n)
+
+
+def test_wide_sparse_levels_share_one_zero():
+    # circulant:300 has 2 edges into each of 300 vertices: 600 of 90,000 entries are nonzero
+    d = B.circulant_diagram(300, 3)
+    lab = label_edges(d)
+    tracemalloc.start()
+    try:
+        space = D.build_matrices(d, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"build_matrices peaked at {peak / 2 ** 20:.1f} MiB"
+    assert len({id(e) for m in space.matrices for row in m.entries for e in row
+                if e.is_zero()}) == 1
 
 
 def test_parallel_edges_with_equal_labels_add():

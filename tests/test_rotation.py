@@ -12,7 +12,7 @@ from adicspace.dimspace import build_matrices
 from adicspace.errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
 from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges, path_bsum
-from adicspace.laurent import LaurentPoly
+from adicspace.laurent import LaurentMatrix, LaurentPoly
 from path_oracle import paths_into, tables_from_b
 
 
@@ -175,13 +175,24 @@ def test_rank_one_builders_refuse_out_of_range_levels():
         R.rank_one_gap(cf, 0)
 
 
+def closed_form_matrix(cf, n):
+    """M_n written out: stay x^{k q(n)} over k < a(n+1), x^{a(n+1) q(n)} and out = alpha(n+1)/alpha(n-1)."""
+    prev = R.alpha_n(cf, n - 1) if n else Fraction(1)  # alpha(-1) = 1
+    stay, out = R.alpha_n(cf, n) / prev, R.alpha_n(cf, n + 1) / prev
+    a, q = cf.a(n + 1), cf.q(n)
+    first = [LaurentPoly({k * q: stay for k in range(a)}), LaurentPoly({0: out})]
+    if not n:  # V_0 has one vertex, so M_0 has one column
+        return LaurentMatrix([[first[0]], [first[1]]])
+    return LaurentMatrix([[first[0], LaurentPoly.x(a * q)], [first[1], LaurentPoly.zero()]])
+
+
 def test_rotation_matrices_match_diagram_route():
     # the second input has single-loop fibers, where a(n+1) = 1
     for cf, depth in ((cf_increasing(), 5), (R.CFExpansion([2, 1, 3, 1, 2, 4, 1, 2]), 6)):
         d, lab = R.rotation_diagram(cf, depth)
         space = build_matrices(d, lab)
         for n in range(depth):
-            assert space.matrices[n] == R.rotation_matrix(cf, n)
+            assert space.matrices[n] == R.rotation_matrix(cf, n) == closed_form_matrix(cf, n)
 
 
 def test_rotation_matrix_shapes_and_entries():
@@ -206,10 +217,14 @@ def test_rotation_column_sums_enclose_one():
 
 
 def explicit_labels(cf, depth):
-    """The labels k q(n) and a(n+1) q(n) that _level writes; they do not depend on p."""
+    """The closed-form labels of E_n: k q(n) on loop k + 1, a(n+1) q(n) on the cross edge, 0 out."""
     labels = {}
     for n in range(depth):
-        labels.update(R._level(cf, n, Fraction(1), Fraction(0))[1])
+        a, q = cf.a(n + 1), cf.q(n)
+        labels.update({f"e{n}_11_{k + 1}": k * q for k in range(a)})
+        if n:  # the root has no v_2, so E_0 has no cross edge
+            labels[f"e{n}_21"] = a * q
+        labels[f"e{n}_12"] = 0
     return labels
 
 
@@ -337,7 +352,7 @@ def test_partial_quotient_cap_guards_every_builder(monkeypatch):
     monkeypatch.setattr(R, "SIZE_CAP", 4)
     assert R.rotation_matrix(cf, 0).entries[0][0].num_terms() == 2
     for build in (lambda: R.rotation_matrix(cf, 1), lambda: R.rank_one_gap(cf, 1),
-                  lambda: R.rotation_diagram(cf, 2), lambda: R._approximant(cf, 1)):
+                  lambda: R.rotation_diagram(cf, 2)):
         with pytest.raises(BudgetExceeded, match=r"a\(2\) = 5"):
             build()
     with warnings.catch_warnings():
