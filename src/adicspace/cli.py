@@ -6,8 +6,9 @@ input's sha256 and no timestamps.  A diagram report uses its first --depth N
 levels: a preset is built at N (default 8), a file is validated and cut to
 its first N (default all).  `matrices`, `walk` and `at` size their builds
 against --budget B (default 2**20); reports depend only on argv and files.
-A report is computed in full, then written in chunks: the bytes of json.dumps
-with sorted keys and a two-space indent, and a newline.
+A report is computed and checked in full, then written in chunks: the bytes of
+json.dumps with sorted keys and a two-space indent, and a newline.  Only the
+text of a LaurentPoly is made while it is written.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 """
 
@@ -26,7 +27,7 @@ from operator import itemgetter
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
-from .errors import DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError
+from .errors import DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError, check_digits
 from .laurent import LaurentPoly, coeff_to_json, parse_rational
 
 PRESETS = {
@@ -84,11 +85,14 @@ _BATCH = 4096  # container items per joined chunk, so no chunk grows with the re
 def _write_json(obj, write, indent: str = "\n") -> None:
     """Passes ``obj`` to ``write`` in chunks.
 
-    Joined, the chunks are json.dumps(obj) with sorted keys and indent 2.
-    Only dict (str keys), list, tuple, str, int, bool and None are written;
+    Joined, the chunks are json.dumps(obj) with sorted keys and indent 2,
+    where a LaurentPoly stands for its ``to_json()`` dict.  Only dict (str
+    keys), list, tuple, str, int, bool, None and LaurentPoly are written;
     anything else is a TypeError.  ``indent`` is the newline and indentation
-    that close ``obj``.  A batch of str items, str-to-str dict entries or
-    (str, str) tuples is joined in one go; any other batch goes item by item.
+    that close ``obj``.  A LaurentPoly formats its own text
+    (:meth:`LaurentPoly.json_chunks`).  A batch of str items, str-to-str dict
+    entries or (str, str) tuples is joined in one go; any other batch goes
+    item by item.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -96,6 +100,9 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         write(int.__repr__(obj))
+    elif isinstance(obj, LaurentPoly):
+        for chunk in obj.json_chunks(indent, _BATCH):
+            write(chunk)
     elif not isinstance(obj, (dict, list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     elif not obj:
@@ -142,6 +149,24 @@ def _report(args, body: dict, payload: bytes) -> int:
     return 0
 
 
+def _writable(what: str, polys):
+    """``polys``, LaurentPoly in lists or tuples, if no coefficient is too long to write.
+
+    A LaurentPoly is formatted while the report is written, so its
+    coefficients are checked here, before the first byte.  Its exponents
+    are below a number checked or written earlier: the labels, which
+    ``label_edges`` checks, or for ``rotation --polys`` the q of the alpha
+    enclosure.
+    """
+    def widest(obj) -> int:
+        if isinstance(obj, LaurentPoly):
+            return obj.widest_int()
+        return max(map(widest, obj), default=0)
+
+    check_digits(f"a coefficient of {what}", widest(polys))
+    return polys
+
+
 def cmd_validate(args) -> int:
     d, payload = _load_diagram(args)
     body = {
@@ -163,14 +188,14 @@ def cmd_matrices(args) -> int:
     d, payload = _load_diagram(args)
     lab = labeling.label_edges(d)
     space = dimspace.build_matrices(d, lab)
-    body = {"matrices": [m.to_json() for m in space.matrices]}
+    body = {"matrices": _writable("the matrices", [m.entries for m in space.matrices])}
     if args.product:
         try:
             lo, hi = (int(x) for x in args.product.split(".."))
         except ValueError as exc:
             raise UsageError(f"bad --product range {args.product!r}") from exc
-        matrix = dimspace.partial_product(space, lo, hi, args.budget).to_json()
-        body["product"] = {"range": [lo, hi], "matrix": matrix}
+        matrix = dimspace.partial_product(space, lo, hi, args.budget).entries
+        body["product"] = {"range": [lo, hi], "matrix": _writable("the product", matrix)}
     if args.norm:
         with open(args.norm) as fh:
             data = _parse_json(fh.read())
@@ -226,14 +251,14 @@ def cmd_rotation(args) -> int:
     # one dimension space serves --matrices and --gaps, built where the first of them reads it
     space = functools.cache(lambda: dimspace.build_matrices(*rotation.rotation_diagram(cf, depth)))
     if args.matrices:
-        body["matrices"] = [m.to_json() for m in space().matrices]
+        body["matrices"] = _writable("the matrices", [m.entries for m in space().matrices])
     if args.polys:
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             polys = rotation.rank_one_polys(cf, depth, rule)
-        body["polys"] = [p.to_json() for p in polys]
+        body["polys"] = _writable("the polys", polys)
     if args.gaps:
         gaps = [rotation.level_gap(cf, n, space().matrices[n]) for n in range(1, depth)]
         body["gaps"] = [{"n": g.n, "gap": coeff_to_json(g.gap),

@@ -82,5 +82,21 @@ def check_budget(what: str, size: int, budget: int) -> int:
     return size
 
 
+TEXT_DIGITS = 4300  # Python's default limit on int-to-str: the most digits a report writes
+_TEXT_CAP = 10 ** TEXT_DIGITS
+
+
+def check_digits(what: str, x: int) -> None:
+    """A BudgetExceeded naming ``what`` when |x| has more than TEXT_DIGITS digits.
+
+    The digits are counted without ``str(x)``, which Python refuses for them.
+    """
+    if abs(x) >= _TEXT_CAP:
+        digits = abs(x).bit_length() * 30102 // 100000  # at most the digit count
+        while 10 ** digits <= abs(x):
+            digits += 1
+        check_budget(f"the decimal digits of {what}", digits, TEXT_DIGITS)
+
+
 class UsageError(AdicspaceError):
     code = "UsageError"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .bratteli import FinitePath, OrderedBratteliDiagram, fiber_labels
-from .errors import IncompatiblePaths
+from .errors import IncompatiblePaths, check_digits
 
 VertexKey = Tuple[int, int]
 
@@ -34,7 +34,14 @@ class EdgeLabeling:
 
 
 def label_edges(d: OrderedBratteliDiagram) -> EdgeLabeling:
-    """The labels and both tables, read from the diagram's path counts."""
+    """The labels and both tables, read from the diagram's path counts.
+
+    The largest label into a level is its largest N - 1.  A level where that
+    has more than TEXT_DIGITS digits is refused before anything is labeled,
+    since no report could write it.
+    """
+    for n, level in enumerate(d.path_counts):
+        check_digits(f"the largest label into level {n}", max(level) - 1)
     b = {e.id: label for (n, v), fiber in d.in_edges.items()
          for e, label in zip(fiber, fiber_labels(d, n, v))}
     wmax = {(n, v): c - 1 for n, level in enumerate(d.path_counts) for v, c in enumerate(level)}

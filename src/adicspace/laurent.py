@@ -25,14 +25,17 @@ Canonical form: zero coefficients are never stored (for an interval, zero
 means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
 equals, and hashes like, its rational.  ``_terms`` is a read-only view as
 exponent -> ``Fraction`` or ``RatInterval``, and ``items``/``coeff`` give
-coefficients the same way.  Iteration and serialization are ordered by
-exponent, making every derived report deterministic.
+coefficients the same way.  Iteration and :meth:`LaurentPoly.to_json` are
+ordered by exponent; the report text of :meth:`LaurentPoly.json_chunks` is
+ordered by exponent string, as ``json.dumps(sort_keys=True)`` orders keys.
+Either way every derived report is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, Union
@@ -235,6 +238,59 @@ class LaurentPoly:
             out[str(e)] = s
         return out
 
+    def widest_int(self) -> int:
+        """The largest absolute value of an int in the text of the coefficients, or 0.
+
+        A rational coefficient is written reduced, so its two ints are at most
+        its numerator over ``_den`` and ``_den``.
+        """
+        ends = [x for c in self._ivals.values() for f in (c.lo, c.hi)
+                for x in (f.numerator, f.denominator)]
+        return max(self._den, *map(abs, ends), max(map(abs, self._nums.values()), default=0))
+
+    def json_chunks(self, indent: str, batch: int):
+        """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` nested at ``indent``.
+
+        ``indent`` is the newline and indentation that close the object; each
+        chunk holds at most ``batch`` items.  Each term is formatted once, as
+        '"e": text', with one text per distinct numerator.  A key is made of
+        '-' and digits, which all sort above '"', so items sorted as strings
+        come in the key order of ``sort_keys``.
+
+        The items of more than one batch are made and sorted one group of
+        :func:`_key_groups` at a time, and each batch is cut off the end of its
+        group as it is yielded, so the strings of one group at most are held
+        at once.
+        """
+        if self.is_zero():
+            yield "{}"
+            return
+        inner = indent + "  "
+        pair = inner + "  "
+        den, nums, ivals = self._den, self._nums, self._ivals
+        # fraction_text is digits, '-' and '/': quoting it is its JSON string
+        text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
+        lead, sep = "{" + inner, "," + inner
+        exps, iexps = sorted(nums), sorted(ivals)
+        if len(exps) + len(iexps) > batch:
+            groups = zip(_key_groups(exps), _key_groups(iexps))
+        else:  # one batch is held whole anyway
+            groups = [(exps, iexps)]
+        del exps, iexps
+        for group, igroup in groups:
+            items = [f'"{e}": {t}' for e, t in
+                     zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
+            items += [f'"{e}": [{pair}"{c.lo}",{pair}"{c.hi}"{inner}]'
+                      for e, c in zip(igroup, map(ivals.__getitem__, igroup))]
+            items.sort(reverse=True)
+            while items:
+                chunk = items[-batch:]
+                del items[-batch:]
+                chunk.reverse()
+                yield lead + sep.join(chunk)
+                lead = sep
+        yield indent + "}"
+
     @staticmethod
     def from_json(data: Mapping[str, object]) -> "LaurentPoly":
         """Inverse of :meth:`to_json`; a malformed term is a ``BadInput`` naming its exponent."""
@@ -247,6 +303,23 @@ class LaurentPoly:
             except ValueError as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
         return LaurentPoly(terms)
+
+
+def _key_groups(exps: list) -> list:
+    """Ascending exponents in ten groups: those <= 0, then those whose first digit is 1 to 9.
+
+    Each group's keys are one run of the keys in string order.  Those of one
+    digit count and one first digit are a range of ``exps``.
+    """
+    i = bisect_right(exps, 0)
+    groups = [exps[:i]] + [[] for _ in range(9)]
+    while i < len(exps):
+        ten = 10 ** (len(str(exps[i])) - 1)  # exps[i] is the least of its digit count
+        for digit in range(1, 10):
+            j = bisect_left(exps, (digit + 1) * ten, i)
+            groups[digit] += exps[i:j]
+            i = j
+    return groups
 
 
 _new = LaurentPoly.__new__
@@ -327,9 +400,6 @@ class LaurentMatrix:
 
     def __repr__(self):
         return f"LaurentMatrix({self.rows}x{self.cols})"
-
-    def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.entries]
 
 
 def _sum_products(pairs) -> LaurentPoly:

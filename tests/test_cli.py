@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,10 @@ from hypothesis import strategies as st
 from adicspace import bratteli as B
 from adicspace import cli, errors
 from adicspace.cli import _BATCH, _write_json, build_parser, main
+from adicspace.dimspace import build_matrices, partial_product
+from adicspace.intervals import RatInterval
+from adicspace.labeling import label_edges
+from adicspace.laurent import LaurentPoly
 
 
 def run_cli(capsys, *argv):
@@ -545,26 +550,110 @@ def non_dyadic_spec(depth):
     return {"levels": levels, "edges": edges, "orders": orders}
 
 
-def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
-    # stdout sha256 recorded before every Laurent product went through one kernel
-    pins = {
+def interval_spec(depth):
+    """non_dyadic_spec with interval probabilities on the w and x edges of the last level.
+
+    At depth 10 the product's entry into v_1 has 6,765 terms, 5,168 of them
+    intervals, and the entry into v_0 has 4,181 rational terms.
+    """
+    spec = non_dyadic_spec(depth)
+    for e in spec["edges"][-1]:
+        if e["id"][0] in "wx":
+            e["p"] = ["1/6", "1/4"] if e["id"][0] == "w" else ["2/5", "1/2"]
+    return spec
+
+
+def product_pins(tmp_path):
+    """(argv, stdout sha256) of the pinned product and rotation reports."""
+    non_dyadic, interval = tmp_path / "non_dyadic.json", tmp_path / "interval.json"
+    non_dyadic.write_text(json.dumps(non_dyadic_spec(9)))
+    interval.write_text(json.dumps(interval_spec(10)))
+    return {
+        # recorded before every Laurent product went through one kernel
         ("matrices", "--preset", "circulant:4", "--depth", "8", "--product", "0..8"):
             "cdad6b47c5fbd784c7654c0fdd554d6fa11e5a45618998560b5624fd05133ed7",
         ("rotation", "--cf", CF_STACK, "--matrices", "--polys", "--gaps"):
             "4ce5c25bc3e5ef1b5ad6c70ef9771a5e45529096028a76aed503fec870bb3a99",
+        # a non-dyadic product, whose terms have unlike reduced denominators;
+        # recorded while each coefficient was stored as a Fraction
+        ("matrices", str(non_dyadic), "--product", "0..9"):
+            "16da5104c283a944f9a650b67d288acb9a760fdfc8454e701c47f15769fbf3a7",
+        # entries of more than one batch, one mixing interval and rational terms;
+        # recorded while each polynomial was written through its to_json() dict
+        ("matrices", str(interval), "--product", "0..10"):
+            "cfc0cd9fce360958638759ad1295ba70a11af4377ffded4f225964568b2e8d9c",
     }
-    for argv, digest in pins.items():
+
+
+def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
+    for argv, digest in product_pins(tmp_path).items():
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-    # A non-dyadic product, whose terms have unlike reduced denominators;
-    # stdout sha256 recorded while each coefficient was stored as a Fraction.
-    path = tmp_path / "non_dyadic.json"
-    path.write_text(json.dumps(non_dyadic_spec(9)))
-    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..9")
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "16da5104c283a944f9a650b67d288acb9a760fdfc8454e701c47f15769fbf3a7")
+
+
+def test_reports_write_polynomials_without_their_json_dicts(capsys, tmp_path):
+    refused = mock.patch.object(LaurentPoly, "to_json", side_effect=AssertionError("to_json"))
+    with refused:
+        for argv, digest in product_pins(tmp_path).items():
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_writing_a_product_peaks_below_its_json_dicts():
+    d = B.odometer_diagram(16)
+    product = partial_product(build_matrices(d, label_edges(d)), 0, 16).entries
+    assert len(product[0][0].support()) == 2 ** 16
+
+    def peak(write_body):
+        tracemalloc.start()
+        try:
+            write_body()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    direct = peak(lambda: _write_json(product, lambda chunk: None))
+    dicts = peak(lambda: _write_json([[p.to_json() for p in row] for row in product],
+                                     lambda chunk: None))
+    assert direct < dicts, (direct, dicts)
+
+
+def test_too_long_labels_are_refused_before_labeling(capsys):
+    # 2^14285 paths reach level 14285: its largest label has 4,301 digits
+    for argv in (["matrices", "--product", "0..14300"], ["label"], ["walk", "--trials", "1"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--preset", "odometer", "--depth", "14300")
+        assert time.perf_counter() - started < 5, argv  # about 0.6 s each, most of it the preset
+        assert code == 1 and err == "", argv
+        assert json.loads(out) == {"error": {"code": "BudgetExceeded", "message":
+                                             "the decimal digits of the largest label into level "
+                                             "14285 = 4301 exceeds the budget 4300"}}, argv
+
+
+def test_too_long_coefficients_are_refused_before_the_first_byte(capsys, tmp_path):
+    # each level multiplies the denominator of the stay-at-v_0 path by 10^1000
+    big = 10 ** 1000
+    spec = {"levels": [["r"]] + [[f"a{n}", f"b{n}"] for n in range(1, 6)],
+            "edges": [[{"id": "s0", "src": 0, "dst": 0, "p": f"1/{big}"},
+                       {"id": "t0", "src": 0, "dst": 1, "p": f"{big - 1}/{big}"}]],
+            "orders": {"1/0": ["s0"], "1/1": ["t0"]}}
+    for n in range(1, 5):
+        spec["edges"].append([{"id": f"s{n}", "src": 0, "dst": 0, "p": f"1/{big}"},
+                              {"id": f"t{n}", "src": 0, "dst": 1, "p": f"{big - 1}/{big}"},
+                              {"id": f"u{n}", "src": 1, "dst": 1, "p": "1"}])
+        spec["orders"][f"{n + 1}/0"] = [f"s{n}"]
+        spec["orders"][f"{n + 1}/1"] = [f"t{n}", f"u{n}"]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..4")
+    assert code == 0 and "1" + "0" * 4000 in out  # 10^4000 has 4,001 digits
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..5")
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "BudgetExceeded", "message":
+                                         "the decimal digits of a coefficient of the product "
+                                         "= 5001 exceeds the budget 4300"}}
 
 
 def interval_walk_spec():
@@ -660,7 +749,8 @@ def _json_dumps_mismatch(obj):
     report where pytest's diff of two long strings takes minutes."""
     chunks = []
     _write_json(obj, chunks.append)
-    got, want = "".join(chunks), json.dumps(obj, sort_keys=True, indent=2)
+    got = "".join(chunks)
+    want = json.dumps(obj, sort_keys=True, indent=2, default=LaurentPoly.to_json)
     if got == want:
         return None
     i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
@@ -674,13 +764,45 @@ def test_write_json_matches_json_dumps(obj, batch):
         assert _json_dumps_mismatch(obj) is None
 
 
+# exponents whose strings sort unlike their values, and some past 64 bits
+exponents_st = st.sampled_from([-10, -2, -1, 0, 1, 2, 10]) | st.integers(-2 ** 70, 2 ** 70)
+rationals_st = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+intervals_st = st.builds(lambda lo, width: RatInterval(lo, lo + width), rationals_st,
+                         st.just(Fraction(0)) | st.fractions(min_value=0, max_value=2,
+                                                             max_denominator=12))
+report_polys_st = st.dictionaries(exponents_st, rationals_st | intervals_st,
+                                  max_size=9).map(LaurentPoly)
+
+
+@st.composite
+def nested_polys(draw):
+    """A polynomial at depth 0 to 3 of lists, dicts and (poly, poly) tuples."""
+    node = draw(report_polys_st)
+    for kind in draw(st.lists(st.sampled_from(["list", "dict", "pair"]), max_size=3)):
+        other = draw(report_polys_st)
+        node = {"list": [node, other], "dict": {"b": node, "a": other, "c": "s"},
+                "pair": (node, other)}[kind]
+    return node
+
+
+@given(nested_polys(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_write_json_matches_json_dumps_with_polynomials(obj, batch):
+    with mock.patch.object(cli, "_BATCH", batch):
+        assert _json_dumps_mismatch(obj) is None
+
+
 @pytest.mark.parametrize("n", [_BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
 def test_write_json_matches_json_dumps_at_full_batches(n):
     texts = ["a", "\u00e9\x00\u2028\U0001d11e", '"\\/']
+    poly = LaurentPoly({e - n // 2: Fraction(1, 1 + e % 7) if e % 3 else RatInterval(-e, 1)
+                        for e in range(n)})
+    assert poly.num_terms() == n
     obj = {"strs": [texts[i % 3] for i in range(n)],
            "pairs": [(texts[i % 3], str(i)) for i in range(n)],
            "map": {str(i): texts[i % 3] for i in range(n)},
-           "mixed": [*map(str, range(n)), 1, [], {}, ("a", "b")]}
+           "mixed": [*map(str, range(n)), 1, [], {}, ("a", "b")],
+           "poly": [[poly, LaurentPoly.zero()]]}
     assert _json_dumps_mismatch(obj) is None
 
 

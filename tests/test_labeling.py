@@ -1,9 +1,10 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from adicspace import bratteli as B
-from adicspace.errors import IncompatiblePaths
+from adicspace.errors import BudgetExceeded, IncompatiblePaths
 from adicspace.labeling import cocycle, label_edges, path_bsum
 from conftest import random_diagram
 from path_oracle import count_paths_into, paths_into, tables_from_b
@@ -25,6 +26,18 @@ def test_morse_labels_frozen():
     assert lab.b["e2_1_0"] == 2 and lab.b["e2_0_1"] == 2
     assert lab.b["e3_1_0"] == 4 and lab.b["e3_0_1"] == 4
     assert lab.b["e1_0_0"] == 0 and lab.b["e1_1_1"] == 0
+
+
+def test_labels_of_at_most_4300_digits_are_made_and_longer_ones_refused():
+    # a diagram is read only through its path counts and its (here empty) fibers
+    for top in (10 ** 4300, 10 ** 4300 - 1):
+        lab = label_edges(SimpleNamespace(path_counts=((1,), (2, top)), in_edges={}))
+        assert lab.wmax[1, 1] == top - 1
+    for top, digits in ((10 ** 4300 + 1, 4301), (10 ** 4301 + 1, 4302), (2 ** 20000, 6021)):
+        with pytest.raises(BudgetExceeded) as exc:
+            label_edges(SimpleNamespace(path_counts=((1,), (2, 3), (top, 1)), in_edges={}))
+        assert exc.value.message == ("the decimal digits of the largest label into level 2 "
+                                     f"= {digits} exceeds the budget 4300")
 
 
 def test_odometer_bsums():
