@@ -7,8 +7,9 @@ levels: a preset is built at N (default 8), a file is validated and cut to
 its first N (default all).  `matrices`, `walk` and `at` size their builds
 against --budget B (default 2**20); reports depend only on argv and files.
 A report is computed and checked in full, then written in chunks: the bytes of
-json.dumps with sorted keys and a two-space indent, and a newline.  Only the
-text of a LaurentPoly is made while it is written.
+json.dumps with sorted keys and a two-space indent, and a newline.  Every
+LaurentPoly of a report, a walk law's masses too, is put in the body as itself;
+only its text is made while it is written, after its coefficients are checked.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 """
 
@@ -47,7 +48,9 @@ def _depth(args, default: int) -> int:
 
 def _load_diagram(args) -> tuple:
     """Returns (diagram, input-bytes): --preset at --depth, or a JSON file cut to --depth levels."""
-    if getattr(args, "preset", None):
+    if args.preset and args.diagram:
+        raise UsageError("need a diagram file or --preset, not both")
+    if args.preset:
         depth = _depth(args, 8)
         name = args.preset
         kind, colon, size = name.partition(":")
@@ -63,7 +66,7 @@ def _load_diagram(args) -> tuple:
             raise UsageError(f"unknown preset {name!r}")
         payload = json.dumps(bratteli.diagram_to_json(d), sort_keys=True).encode()
         return d, payload
-    if not getattr(args, "diagram", None):
+    if not args.diagram:
         raise UsageError("need a diagram file or --preset")
     with open(args.diagram, "rb") as fh:
         payload = fh.read()
@@ -89,10 +92,12 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     where a LaurentPoly stands for its ``to_json()`` dict.  Only dict (str
     keys), list, tuple, str, int, bool, None and LaurentPoly are written;
     anything else is a TypeError.  ``indent`` is the newline and indentation
-    that close ``obj``.  A LaurentPoly formats its own text
-    (:meth:`LaurentPoly.json_chunks`).  A batch of str items, str-to-str dict
-    entries or (str, str) tuples is joined in one go; any other batch goes
-    item by item.
+    that close ``obj``.  Every container is written in batches of at most
+    ``_BATCH`` items, so no chunk grows with the report.  A batch of str
+    items, str-to-str dict entries or (str, str) tuples is joined in one go;
+    any other batch goes item by item.  A LaurentPoly formats its own item
+    text (:meth:`LaurentPoly.json_items`), and each batch is cut off the end
+    of its list of items, so the strings are freed as they are written.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -100,22 +105,23 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         write(int.__repr__(obj))
-    elif isinstance(obj, LaurentPoly):
-        for chunk in obj.json_chunks(indent, _BATCH):
-            write(chunk)
-    elif not isinstance(obj, (dict, list, tuple)):
+    elif not isinstance(obj, (dict, list, tuple, LaurentPoly)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif not obj:
-        write("{}" if isinstance(obj, dict) else "[]")
     else:
-        is_dict = isinstance(obj, dict)
-        items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
+        is_poly = isinstance(obj, LaurentPoly)
+        is_dict = is_poly or isinstance(obj, dict)
         inner = indent + "  "
         lead, sep = ("{" if is_dict else "[") + inner, "," + inner
-        for start in range(0, len(items), _BATCH):
-            batch = items[start:start + _BATCH]
+        if is_poly:
+            batches = _cut(obj.json_items(inner, _BATCH))
+        else:
+            items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
+            batches = (items[i:i + _BATCH] for i in range(0, len(items), _BATCH))
+        for batch in batches:
             try:
-                if is_dict:
+                if is_poly:
+                    parts = batch
+                elif is_dict:
                     # itemgetter of one key gives the value itself, not a 1-tuple
                     values = itemgetter(*batch)(obj) if len(batch) > 1 else (obj[batch[0]],)
                     parts = [f"{_enc(k)}: {_enc(v)}" for k, v in zip(batch, values)]
@@ -135,7 +141,18 @@ def _write_json(obj, write, indent: str = "\n") -> None:
             else:
                 write(lead + sep.join(parts))
                 lead = sep
-        write(indent + ("}" if is_dict else "]"))
+        close = "}" if is_dict else "]"
+        write(indent + close if lead == sep else lead[0] + close)  # empty: lead is the opener
+
+
+def _cut(groups):
+    """``_BATCH`` items at a time, cut off the end of each descending list, emptying it."""
+    for items in groups:
+        while items:
+            batch = items[-_BATCH:]
+            del items[-_BATCH:]
+            batch.reverse()
+            yield batch
 
 
 def _report(args, body: dict, payload: bytes) -> int:
@@ -216,6 +233,7 @@ def cmd_walk(args) -> int:
     exact = None
     if args.exact or not args.trials:
         exact = walk.exact_distribution(space, space.depth, walk.WalkState(0, 0, 0), args.budget)
+        _writable("the exact law", exact.masses)
         body["exact"] = walk.histogram_to_json(exact)
     if args.trials:
         emp = walk.simulate(space, space.depth, args.trials, args.seed)

@@ -25,10 +25,11 @@ Canonical form: zero coefficients are never stored (for an interval, zero
 means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
 equals, and hashes like, its rational.  ``_terms`` is a read-only view as
 exponent -> ``Fraction`` or ``RatInterval``, and ``items``/``coeff`` give
-coefficients the same way.  Iteration and :meth:`LaurentPoly.to_json` are
-ordered by exponent; the report text of :meth:`LaurentPoly.json_chunks` is
-ordered by exponent string, as ``json.dumps(sort_keys=True)`` orders keys.
-Either way every derived report is deterministic.
+coefficients the same way.  Iteration and :meth:`LaurentPoly.to_json`, the
+library's JSON view, are ordered by exponent.  A report's text of a
+polynomial is made by one method, :meth:`LaurentPoly.json_items`, ordered by
+exponent string as ``json.dumps(sort_keys=True)`` orders keys.  Either way
+every derived report is deterministic.
 """
 
 from __future__ import annotations
@@ -224,19 +225,8 @@ class LaurentPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        """Exponent -> "n/d" as ``str(Fraction)`` gives it, or ["lo", "hi"] for an interval."""
-        den, nums, ivals = self._den, self._nums, self._ivals
-        out, text = {}, {}  # text: numerator -> its "n/d", so equal coefficients share a string
-        for e in sorted([*nums, *ivals]):
-            n = nums.get(e)
-            if n is None:
-                out[str(e)] = coeff_to_json(ivals[e])
-                continue
-            s = text.get(n)
-            if s is None:
-                s = text[n] = fraction_text(n, den)
-            out[str(e)] = s
-        return out
+        """The library view: exponent -> ``coeff_to_json`` of its coefficient, ascending."""
+        return {str(e): coeff_to_json(c) for e, c in self.items()}
 
     def widest_int(self) -> int:
         """The largest absolute value of an int in the text of the coefficients, or 0.
@@ -248,29 +238,22 @@ class LaurentPoly:
                 for x in (f.numerator, f.denominator)]
         return max(self._den, *map(abs, ends), max(map(abs, self._nums.values()), default=0))
 
-    def json_chunks(self, indent: str, batch: int):
-        """``json.dumps(self.to_json(), sort_keys=True, indent=2)`` nested at ``indent``.
+    def json_items(self, indent: str, batch: int):
+        """The items of ``json.dumps(self.to_json(), sort_keys=True, indent=2)``, in lists.
 
-        ``indent`` is the newline and indentation that close the object; each
-        chunk holds at most ``batch`` items.  Each term is formatted once, as
-        '"e": text', with one text per distinct numerator.  A key is made of
-        '-' and digits, which all sort above '"', so items sorted as strings
-        come in the key order of ``sort_keys``.
-
-        The items of more than one batch are made and sorted one group of
-        :func:`_key_groups` at a time, and each batch is cut off the end of its
-        group as it is yielded, so the strings of one group at most are held
-        at once.
+        ``indent`` is the newline and indentation before each item.  Each term
+        is formatted once, as '"e": text', with one text per distinct
+        numerator.  A key is '-' and digits, which all sort above '"', so items
+        sorted as strings come in the key order of ``sort_keys``.  Each list is
+        sorted descending, for its reader to take items off its end.  A
+        polynomial of more than ``batch`` terms comes one group of
+        :func:`_key_groups` at a time: a reader that empties each list before
+        it asks for the next holds one group's strings at most.
         """
-        if self.is_zero():
-            yield "{}"
-            return
-        inner = indent + "  "
-        pair = inner + "  "
+        pair = indent + "  "
         den, nums, ivals = self._den, self._nums, self._ivals
         # fraction_text is digits, '-' and '/': quoting it is its JSON string
         text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
-        lead, sep = "{" + inner, "," + inner
         exps, iexps = sorted(nums), sorted(ivals)
         if len(exps) + len(iexps) > batch:
             groups = zip(_key_groups(exps), _key_groups(iexps))
@@ -280,16 +263,10 @@ class LaurentPoly:
         for group, igroup in groups:
             items = [f'"{e}": {t}' for e, t in
                      zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
-            items += [f'"{e}": [{pair}"{c.lo}",{pair}"{c.hi}"{inner}]'
+            items += [f'"{e}": [{pair}"{c.lo}",{pair}"{c.hi}"{indent}]'
                       for e, c in zip(igroup, map(ivals.__getitem__, igroup))]
             items.sort(reverse=True)
-            while items:
-                chunk = items[-batch:]
-                del items[-batch:]
-                chunk.reverse()
-                yield lead + sep.join(chunk)
-                lead = sep
-        yield indent + "}"
+            yield items
 
     @staticmethod
     def from_json(data: Mapping[str, object]) -> "LaurentPoly":

@@ -8,7 +8,8 @@ the walk commutes with the Z-shift of the position coordinate.
 A law at level n is a column of Laurent polynomials, one per vertex j of
 V_n, with the mass at (d, j) as the coefficient of x^d in entry j: the
 exact law is the start column pushed forward through the M_n, and the
-empirical law holds integer counts.
+empirical law holds integer counts.  A law's report block holds these
+polynomials themselves, for the report writer to format.
 
 The simulator draws from a counter-based generator: three chained rounds of
 the SplitMix64 finalizer over (seed, trial, step).  Trajectories are thus
@@ -268,8 +269,9 @@ def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:
+    """A law's report block: kind, nonzero masses by vertex as LaurentPoly, trials if empirical."""
     out = {"kind": h.kind,
-           "masses": {str(j): f.to_json() for j, f in enumerate(h.masses) if not f.is_zero()}}
+           "masses": {str(j): f for j, f in enumerate(h.masses) if not f.is_zero()}}
     if h.trials:
         out["trials"] = h.trials
     return out

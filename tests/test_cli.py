@@ -107,6 +107,19 @@ def test_missing_input_is_usage_error(capsys):
     assert json.loads(err)["error"]["code"] == "UsageError"
 
 
+def test_a_diagram_file_with_a_preset_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "odometer.json"
+    path.write_text(json.dumps(B.diagram_to_json(B.odometer_diagram(2))))
+    for diagram in ("/nonexistent.json", str(path)):
+        for command in ("validate", "label", "matrices", "walk"):
+            code, out, err = run_cli(capsys, command, diagram, "--preset", "odometer", "--depth", "2")
+            assert code == 2 and out == "", (command, diagram)
+            assert json.loads(err) == {"error": {"code": "UsageError", "message":
+                                                 "need a diagram file or --preset, not both"}}
+    for argv in ([str(path)], ["--preset", "odometer", "--depth", "2"]):
+        assert run_cli(capsys, "validate", *argv)[0] == 0, argv
+
+
 def test_no_subcommand_prints_usage_and_exits_2(capsys):
     code, out, err = run_cli(capsys)
     assert code == 2 and out == ""
@@ -595,7 +608,7 @@ def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
 def test_reports_write_polynomials_without_their_json_dicts(capsys, tmp_path):
     refused = mock.patch.object(LaurentPoly, "to_json", side_effect=AssertionError("to_json"))
     with refused:
-        for argv, digest in product_pins(tmp_path).items():
+        for argv, digest in {**product_pins(tmp_path), **walk_pins(tmp_path)}.items():
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
@@ -620,6 +633,29 @@ def test_writing_a_product_peaks_below_its_json_dicts():
     assert direct < dicts, (direct, dicts)
 
 
+def test_writing_a_polynomial_holds_one_group_of_items_at_once():
+    # items of exponents 1xxxx and 2xxxx are two groups of 4,096 items, 64 batches each;
+    # a 200-digit denominator makes every item string long and the batches hold few
+    size, den = 4096, 10 ** 200
+
+    def poly(*firsts):
+        return LaurentPoly._from_ints({f * 10 ** 4 + i: 1 + i % 2 for f in firsts
+                                       for i in range(size)}, den)
+
+    def peak(p):
+        tracemalloc.start()
+        try:
+            _write_json(p, lambda chunk: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(cli, "_BATCH", 64):
+        one_group, two_groups = peak(poly(1)), peak(poly(1, 2))
+    # about 1.0 when each group is freed before the next is made, 1.9 when both are held
+    assert two_groups < 1.4 * one_group, (one_group, two_groups)
+
+
 def test_too_long_labels_are_refused_before_labeling(capsys):
     # 2^14285 paths reach level 14285: its largest label has 4,301 digits
     for argv in (["matrices", "--product", "0..14300"], ["label"], ["walk", "--trials", "1"]):
@@ -632,8 +668,8 @@ def test_too_long_labels_are_refused_before_labeling(capsys):
                                              "14285 = 4301 exceeds the budget 4300"}}, argv
 
 
-def test_too_long_coefficients_are_refused_before_the_first_byte(capsys, tmp_path):
-    # each level multiplies the denominator of the stay-at-v_0 path by 10^1000
+def long_coefficient_spec():
+    """Five levels; each multiplies the denominator of the stay-at-v_0 path by 10^1000."""
     big = 10 ** 1000
     spec = {"levels": [["r"]] + [[f"a{n}", f"b{n}"] for n in range(1, 6)],
             "edges": [[{"id": "s0", "src": 0, "dst": 0, "p": f"1/{big}"},
@@ -645,8 +681,12 @@ def test_too_long_coefficients_are_refused_before_the_first_byte(capsys, tmp_pat
                               {"id": f"u{n}", "src": 1, "dst": 1, "p": "1"}])
         spec["orders"][f"{n + 1}/0"] = [f"s{n}"]
         spec["orders"][f"{n + 1}/1"] = [f"t{n}", f"u{n}"]
+    return spec
+
+
+def test_too_long_coefficients_are_refused_before_the_first_byte(capsys, tmp_path):
     path = tmp_path / "long.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(long_coefficient_spec()))
     code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..4")
     assert code == 0 and "1" + "0" * 4000 in out  # 10^4000 has 4,001 digits
     code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..5")
@@ -654,6 +694,20 @@ def test_too_long_coefficients_are_refused_before_the_first_byte(capsys, tmp_pat
     assert json.loads(out) == {"error": {"code": "BudgetExceeded", "message":
                                          "the decimal digits of a coefficient of the product "
                                          "= 5001 exceeds the budget 4300"}}
+
+
+def test_a_walk_law_too_long_to_write_is_refused_before_the_first_byte(capsys, tmp_path):
+    # the stay-at-v_0 path has probability 1/10^5000, written with 5,001 digits
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(long_coefficient_spec()))
+    for flags in (["--exact"], ["--exact", "--trials", "10"]):
+        code, out, err = run_cli(capsys, "walk", str(path), *flags)
+        assert code == 1 and err == "", flags
+        assert json.loads(out) == {"error": {"code": "BudgetExceeded", "message":
+                                             "the decimal digits of a coefficient of the exact "
+                                             "law = 5001 exceeds the budget 4300"}}, flags
+    code, out, _ = run_cli(capsys, "walk", str(path), "--depth", "4", "--exact")
+    assert code == 0 and "1" + "0" * 4000 in out  # 10^4000 has 4,001 digits
 
 
 def interval_walk_spec():
@@ -668,22 +722,33 @@ def interval_walk_spec():
             "orders": {"1/0": ["e0"], "1/1": ["e1"], "2/0": ["f2", "f0", "f3"], "2/1": ["f1"]}}
 
 
-def test_walk_report_bytes_are_pinned(capsys, tmp_path):
-    # stdout sha256 recorded while a walk law was a dict of dicts of Fractions
-    path = tmp_path / "interval_walk.json"
-    path.write_text(json.dumps(interval_walk_spec()))
-    pins = {
-        ("--preset", "circulant:4", "--depth", "5", "--exact", "--trials", "2000", "--seed", "3"):
-            "afa6973c76d4cadd3ac8a7c77607a47058fff25d7bac1626bf057eea10cd2e80",
-        ("--preset", "morse", "--depth", "4"):
+def walk_pins(tmp_path):
+    """(argv, stdout sha256) of the pinned walk reports."""
+    small, interval = tmp_path / "interval_walk.json", tmp_path / "interval.json"
+    small.write_text(json.dumps(interval_walk_spec()))
+    interval.write_text(json.dumps(interval_spec(10)))
+    return {
+        # recorded while a walk law was a dict of dicts of Fractions
+        ("walk", "--preset", "circulant:4", "--depth", "5", "--exact", "--trials", "2000",
+         "--seed", "3"): "afa6973c76d4cadd3ac8a7c77607a47058fff25d7bac1626bf057eea10cd2e80",
+        ("walk", "--preset", "morse", "--depth", "4"):
             "51f8ee89a1db7b8b98f2329848dcaa240bb734cb4e9d0eebe2daf9d2616de6b6",
-        (str(path), "--exact"):
+        ("walk", str(small), "--exact"):
             "d1fac803a88e4ec56b46b0eb861df6cb419f1cb0377c86f12bc41242ef1bf77f",
+        # recorded while each mass was written through its to_json() dict; the
+        # interval law has masses of more than one batch, interval pairs among them
+        ("walk", "--preset", "circulant:4", "--depth", "5", "--exact", "--trials", "1000",
+         "--seed", "7"): "b7ad20bfa15732970ff4ee74d5f1f70c6ed223687ccc2e930ffed84c02beca6e",
+        ("walk", str(interval), "--exact"):
+            "dbe5d244cceefd5ddb22de808d1dafb1210dabc426602e5b053b0a30f1ef7591",
     }
-    for flags, digest in pins.items():
-        code, out, _ = run_cli(capsys, "walk", *flags)
+
+
+def test_walk_report_bytes_are_pinned(capsys, tmp_path):
+    for argv, digest in walk_pins(tmp_path).items():
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_walk_report_bytes_across_sampler_blocks_are_pinned(capsys):

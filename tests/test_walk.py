@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from adicspace import bratteli as B
 from adicspace import walk as W
+from adicspace.cli import _write_json
 from adicspace.dimspace import DimensionSpace, build_matrices, partial_product
 from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, DimensionMismatch, RangeError
 from adicspace.intervals import RatInterval
@@ -21,6 +22,13 @@ HALF = Fraction(1, 2)
 
 def space_for(d):
     return build_matrices(d, label_edges(d))
+
+
+def written(block) -> str:
+    """The report text of a ``histogram_to_json`` block."""
+    chunks = []
+    _write_json(block, chunks.append)
+    return "".join(chunks)
 
 
 def test_odometer_step_distribution():
@@ -156,11 +164,13 @@ def test_one_step_expectation_of_harmonic_vector():
 def test_histogram_json_sorted():
     sp = space_for(B.morse_diagram(4))
     hist = W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
-    data = W.histogram_to_json(hist)
+    block = W.histogram_to_json(hist)
+    data = json.loads(written(block))
     assert data["kind"] == "exact"
-    for row in data["masses"].values():
-        keys = [int(k) for k in row]
-        assert keys == sorted(keys)
+    for j, row in data["masses"].items():
+        assert list(row) == sorted(row)  # the report: keys in string order, as sort_keys gives
+        keys = [int(k) for k in block["masses"][j].to_json()]  # the library view
+        assert keys == sorted(keys) == sorted(map(int, row))
 
 
 def test_pulled_back_harmonic_vector_is_exact():
@@ -221,7 +231,7 @@ MORSE6_COUNTS = {
 
 def test_simulate_bytes_pinned_morse():
     sp = space_for(B.morse_diagram(6))
-    got = W.histogram_to_json(W.simulate(sp, 6, 2000, seed=12345))
+    got = json.loads(written(W.histogram_to_json(W.simulate(sp, 6, 2000, seed=12345))))
     assert got == {
         "kind": "empirical",
         "masses": {str(j): {str(d): str(c) for d, c in enumerate(counts)}
@@ -234,7 +244,8 @@ def test_simulate_bytes_pinned_random_diagram_nonzero_start():
     d = random_diagram(random.Random(2024), depth=5)
     sp = space_for(d)
     assert sp.dims == (1, 4, 2, 3, 2, 4)
-    got = W.histogram_to_json(W.simulate(sp, 5, 500, seed=77, start=W.WalkState(-3, 3, 1)))
+    got = json.loads(written(W.histogram_to_json(
+        W.simulate(sp, 5, 500, seed=77, start=W.WalkState(-3, 3, 1)))))
     assert got == {
         "kind": "empirical",
         "masses": {
@@ -307,7 +318,8 @@ def test_histogram_writes_an_interval_mass_as_a_pair():
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
     sp = build_matrices(*R.rotation_diagram(cf, 2))
-    rows = W.histogram_to_json(W.exact_distribution(sp, 2, W.WalkState(0, 0, 0)))["masses"]
+    rows = json.loads(written(W.histogram_to_json(
+        W.exact_distribution(sp, 2, W.WalkState(0, 0, 0)))))["masses"]
     masses = [c for row in rows.values() for c in row.values()]
     assert masses and all(isinstance(c, list) and len(c) == 2 for c in masses)
 
@@ -376,10 +388,11 @@ def test_column_laws_match_the_dict_of_dicts_reference():
         ref_counts = {j: {d: int(c) for d, c in f.items()}
                       for j, f in enumerate(emp.masses) if not f.is_zero()}
         assert sum(c for row in ref_counts.values() for c in row.values()) == emp.total_mass() == 300
-        for got, want in ((W.histogram_to_json(exact), reference_json("exact", ref_exact)),
-                          (W.histogram_to_json(emp), reference_json("empirical", ref_counts, 300))):
-            assert got == want
-            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for got, want in ((written(W.histogram_to_json(exact)), reference_json("exact", ref_exact)),
+                          (written(W.histogram_to_json(emp)),
+                           reference_json("empirical", ref_counts, 300))):
+            assert json.loads(got) == want
+            assert got == json.dumps(want, sort_keys=True, indent=2)
         ref_freqs = {j: {d: Fraction(c, 300) for d, c in row.items()} for j, row in ref_counts.items()}
         assert W.tv_distance(exact, emp) == reference_tv(ref_exact, ref_freqs)
         assert W.tv_distance(emp, exact) == W.tv_distance(exact, emp)
