@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, BadInput, BudgetExceeded, DimensionMismatch, check_budget
 from .intervals import RatInterval
@@ -127,8 +127,11 @@ def explicit_candidate(M: int, N: int, budget: int = DEFAULT_BUDGET) -> RankOneC
     return RankOneCandidate(column=tuple(phis), row=(gs[0], gs[3], gs[2], gs[1]))
 
 
-def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Fraction:
-    """Entrywise l1 distance between the matrix and the column-row product."""
+def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Union[Fraction, RatInterval]:
+    """Entrywise l1 distance between the matrix and the column-row product.
+
+    A ``Fraction``, or a ``RatInterval`` enclosing it when an entry holds an interval.
+    """
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")
     return sum(((a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()

@@ -236,16 +236,6 @@ def unrank(d: OrderedBratteliDiagram, level: int, vertex: int, r: int) -> Option
     return FinitePath(tuple(reversed(edges)))
 
 
-def minimal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
-    """The adic-minimal path from the root into the given vertex."""
-    return unrank(d, level, vertex, 0)
-
-
-def maximal_path_into(d: OrderedBratteliDiagram, level: int, vertex: int) -> FinitePath:
-    """The adic-maximal path from the root into the given vertex."""
-    return unrank(d, level, vertex, count_paths_into(d, level, vertex) - 1)
-
-
 def enumerate_paths(d: OrderedBratteliDiagram, n: int, v: Optional[int] = None) -> list:
     """All paths (e_0, ..., e_n), in adic order.
 

@@ -19,7 +19,10 @@ a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` writes no label:
 :func:`label_edges` labels its diagram, and :func:`build_matrices` reads each
 M_n off it, with alpha(n)/alpha(n-1) on the loops and alpha(n+1)/alpha(n-1)
 on the v_1 -> v_2 edge.  The rank-one approximant of M_n has 1/a(n+1) and 0
-there instead, so it is M_n with P_n at (0, 0) and 0 at (1, 0).
+there instead, so it is M_n with P_n at (0, 0) and 0 at (1, 0): the column
+(1, 0) times the row (P_n, M_n(0, 1)).  :func:`level_gap` is the
+:func:`approximation_error` of M_n against it, the l1 error that ``at``
+reports for the circulant products.
 Level 0 is the n = 0 case of the same rule: the recurrences start at p(-1) = 1,
 q(-1) = 0, so alpha(-1) = |q(-1) alpha - p(-1)| = 1 divides the level-0
 probabilities alpha(0) and alpha(1).
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .atcheck import RankOneCandidate, approximation_error
 from .bratteli import Edge, OrderedBratteliDiagram
 from .dimspace import build_matrices
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
@@ -123,11 +127,14 @@ class GrowthRule:
         # a(n) >= c n (or c g^n) says nothing when c <= 0, and the tail bounds divide by c^2
         if self.c <= 0:
             raise BadInput(f"growth rule needs c > 0, got c = {self.c}")
+        # c g^n with g <= 1 does not grow, and the geometric tail bound divides by 1 - g^-2
+        if self.kind == "geometric" and self.g <= 1:
+            raise BadInput(f"geometric growth rule needs g > 1, got g = {self.g}")
 
     def holds_for(self, cf: CFExpansion) -> bool:
         if self.kind == "linear":
             return all(cf.a(n) >= self.c * n for n in range(1, cf.depth + 1))
-        return self.g > 1 and all(cf.a(n) >= self.c * self.g ** n for n in range(1, cf.depth + 1))
+        return all(cf.a(n) >= self.c * self.g ** n for n in range(1, cf.depth + 1))
 
     def tail_bound(self, start: int) -> Fraction:
         """Certified bound on the sum of 1/(a(n)a(n+1)) over n >= start."""
@@ -143,12 +150,6 @@ class SummabilityReport:
     partial_sum: Fraction
     verdict: str  # "CONVERGENT_CERTIFIED" | "INCONCLUSIVE"
     tail_bound: Optional[Fraction]
-
-    @property
-    def total_bound(self) -> Optional[Fraction]:
-        if self.tail_bound is None:
-            return None
-        return self.partial_sum + self.tail_bound
 
 
 def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> SummabilityReport:
@@ -225,28 +226,23 @@ class GapReport:
 
     n: int
     gap: RatInterval                 # exact enclosure of the full l1 gap
-    first_entry_component: RatInterval
-    corner_component: RatInterval
-    two_alpha_ratio: RatInterval     # 2 alpha(n+1)/alpha(n-1)
     tail_bound: Optional[Fraction]   # 2/(a(n+1) a(n+2)) when available
 
 
 def level_gap(cf: CFExpansion, n: int, m: LaurentMatrix) -> GapReport:
-    """Entrywise l1 gap between m = M_n, n >= 1, and the column-row product approximant.
+    """The l1 error of m = M_n, n >= 1, against the column-row product approximant.
 
     The approximant differs from M_n only in entry (0, 0), P_n, and the corner
-    (1, 0), 0 in place of alpha(n+1)/alpha(n-1); the two error components are
-    equal, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly (up to enclosure
+    (1, 0), 0 in place of alpha(n+1)/alpha(n-1); the two entries are equally
+    far off, so the gap equals 2 alpha(n+1)/alpha(n-1) exactly (up to enclosure
     width).
     """
     if n < 1:
         raise RangeError("a rank-one gap needs n >= 1")
-    (m00, _), (m10, _) = m.entries
-    first = RatInterval.coerce((m00 - _rank_one_poly(cf, n)).one_norm())
-    corner = RatInterval.coerce(m10.one_norm())
+    cand = RankOneCandidate(column=(LaurentPoly.one(), LaurentPoly.zero()),
+                            row=(_rank_one_poly(cf, n), m.entries[0][1]))
     tail = Fraction(2, cf.a(n + 1) * cf.a(n + 2)) if n + 2 <= cf.depth else None
-    return GapReport(n=n, gap=first + corner, first_entry_component=first,
-                     corner_component=corner, two_alpha_ratio=2 * m10.coeff(0), tail_bound=tail)
+    return GapReport(n=n, gap=RatInterval.coerce(approximation_error(m, cand)), tail_bound=tail)
 
 
 def rank_one_gap(cf: CFExpansion, n: int) -> GapReport:

@@ -221,7 +221,7 @@ def test_successor_keeps_terminal_vertex():
     rng = random.Random(7)
     d = random_diagram(rng, depth=4)
     for v in range(d.k(4)):
-        p = B.minimal_path_into(d, 4, v)
+        p = B.unrank(d, 4, v, 0)
         while p is not None:
             assert p.terminal == (4, v)
             p = B.successor(d, p)
@@ -247,7 +247,7 @@ def test_successor_cycles_through_enumeration():
             expected = [tuple(e.id for e in p) for p in oracle.paths_into(d, n, v)]
             assert len(expected) == B.count_paths_into(d, n, v) == oracle.count_paths_into(d, n, v)
             assert [p.ids() for p in B.enumerate_paths(d, n - 1, v=v)] == expected
-            lo, hi = B.minimal_path_into(d, n, v), B.maximal_path_into(d, n, v)
+            lo, hi = B.unrank(d, n, v, 0), B.unrank(d, n, v, len(expected) - 1)
             assert walk(d, lo, B.successor) == expected
             assert walk(d, hi, B.predecessor) == expected[::-1]
             assert B.predecessor(d, lo) is None and B.successor(d, hi) is None
@@ -265,8 +265,8 @@ def test_unrank_matches_the_oracle_routes():
                 assert oracle.adic_neighbor(d, p, +1) == B.unrank(d, n, v, r + 1)
                 assert oracle.adic_neighbor(d, p, -1) == B.unrank(d, n, v, r - 1)
             assert B.unrank(d, n, v, -1) is None and B.unrank(d, n, v, len(paths)) is None
-            assert oracle.extreme_path_into(d, n, v, 0) == B.minimal_path_into(d, n, v)
-            assert oracle.extreme_path_into(d, n, v, -1) == B.maximal_path_into(d, n, v)
+            assert oracle.extreme_path_into(d, n, v, 0) == B.unrank(d, n, v, 0)
+            assert oracle.extreme_path_into(d, n, v, -1) == B.unrank(d, n, v, len(paths) - 1)
 
 
 def test_unrank_reads_one_path_of_two_to_the_sixty():
@@ -278,7 +278,7 @@ def test_unrank_reads_one_path_of_two_to_the_sixty():
     assert B.successor(d, p) == B.unrank(d, 60, 0, r + 1)
     assert B.predecessor(d, p) == B.unrank(d, 60, 0, r - 1)
     assert B.unrank(d, 60, 0, 2 ** 60) is None
-    assert B.successor(d, B.maximal_path_into(d, 60, 0)) is None
+    assert B.successor(d, B.unrank(d, 60, 0, 2 ** 60 - 1)) is None
 
 
 def test_enumeration_of_a_chain_deeper_than_the_recursion_limit():
@@ -315,7 +315,7 @@ def test_cylinder_measures_frozen():
     d = B.odometer_diagram(3)
     assert B.cylinder_measure(d, path_by_bits(d, (0, 1, 0))) == Fraction(1, 8)
     m = B.morse_diagram(2)
-    p = B.minimal_path_into(m, 2, 0)
+    p = B.unrank(m, 2, 0, 0)
     assert B.cylinder_measure(m, p) == Fraction(1, 4)
 
 

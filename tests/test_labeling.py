@@ -43,8 +43,8 @@ def test_labels_of_at_most_4300_digits_are_made_and_longer_ones_refused():
 def test_odometer_bsums():
     d = B.odometer_diagram(3)
     lab = label_edges(d)
-    minimal = B.minimal_path_into(d, 3, 0)
-    maximal = B.maximal_path_into(d, 3, 0)
+    minimal = B.unrank(d, 3, 0, 0)
+    maximal = B.unrank(d, 3, 0, B.count_paths_into(d, 3, 0) - 1)
     assert path_bsum(lab, minimal) == 0
     assert path_bsum(lab, maximal) == 7
     assert cocycle(lab, minimal, maximal) == 7
@@ -55,19 +55,19 @@ def test_morse_maximal_bsum_counts_paths():
     # three levels past the root fan-out: 8 paths, so the maximal b-sum is 7
     d = B.morse_diagram(4)
     lab = label_edges(d)
-    maximal = B.maximal_path_into(d, 4, 0)
+    maximal = B.unrank(d, 4, 0, B.count_paths_into(d, 4, 0) - 1)
     assert path_bsum(lab, maximal) == B.count_paths_into(d, 4, 0) - 1 == 7
 
 
 def test_cocycle_rejects_incompatible():
     d = B.morse_diagram(3)
     lab = label_edges(d)
-    p = B.minimal_path_into(d, 3, 0)
-    q = B.minimal_path_into(d, 3, 1)
+    p = B.unrank(d, 3, 0, 0)
+    q = B.unrank(d, 3, 1, 0)
     with pytest.raises(IncompatiblePaths):
         cocycle(lab, p, q)
     with pytest.raises(IncompatiblePaths):
-        cocycle(lab, p, B.minimal_path_into(d, 2, 0))
+        cocycle(lab, p, B.unrank(d, 2, 0, 0))
 
 
 def assert_successor_increment_and_consecutive(d, lab, max_level=None):

@@ -124,7 +124,7 @@ def test_summability_verdicts():
     rep = R.summability_report(cf, linear)
     assert rep.verdict == "CONVERGENT_CERTIFIED"
     assert rep.tail_bound == Fraction(1, cf.depth)
-    assert rep.total_bound == rep.partial_sum + rep.tail_bound
+    assert rep.partial_sum == Fraction(1, 2) - Fraction(1, 11)  # sum 1/(k(k+1)) over k = 2..10
 
     ones = R.CFExpansion([1] * 10)
     rep1 = R.summability_report(ones, R.GrowthRule("linear", Fraction(1)))
@@ -143,7 +143,7 @@ def test_total_bound_needs_a_certified_tail():
     ones = R.CFExpansion([1] * 10)
     for rule in (None, R.GrowthRule("linear", Fraction(1))):  # no rule, and one that fails
         rep = R.summability_report(ones, rule)
-        assert rep.tail_bound is None and rep.total_bound is None, rule
+        assert rep.tail_bound is None and rep.partial_sum == 9, rule
 
 
 def test_rotation_diagram_shape_and_measure():
@@ -291,14 +291,21 @@ def test_rank_one_polys_warns_without_certificate():
 
 
 def test_rank_one_gap_identity_and_bound():
-    cf = cf_increasing()
-    for n in range(1, 8):
-        rep = R.rank_one_gap(cf, n)
-        # the two error components agree, and the gap is their sum
-        assert rep.first_entry_component.intersects(rep.corner_component)
-        assert rep.gap.intersects(rep.two_alpha_ratio)
-        assert rep.tail_bound == Fraction(2, cf.a(n + 1) * cf.a(n + 2))
-        assert rep.gap.hi < rep.tail_bound
+    cfs = [cf_increasing(), R.CFExpansion([1] * 12 + [2]), R.CFExpansion([2, 1, 2, 3, 2, 3, 2]),
+           cf_increasing(40)]
+    for cf in cfs:
+        for n in range(1, cf.depth - 2):
+            rep = R.rank_one_gap(cf, n)
+            # the gap is 2 alpha(n+1)/alpha(n-1), read off the alphas and not off M_n
+            assert rep.gap.intersects(2 * R.alpha_n(cf, n + 1) / R.alpha_n(cf, n - 1))
+            # the two entries the approximant changes are equally far off
+            (m00, _), (m10, _) = R.rotation_matrix(cf, n).entries
+            a = cf.a(n + 1)
+            p_n = LaurentPoly({k * cf.q(n): Fraction(1, a) for k in range(a)})
+            first = RatInterval.coerce((m00 - p_n).one_norm())
+            assert first.intersects(RatInterval.coerce(m10.one_norm()))
+            assert rep.tail_bound == Fraction(2, cf.a(n + 1) * cf.a(n + 2))
+            assert rep.gap.hi < rep.tail_bound
 
 
 def test_rank_one_gap_unit_quotient_degenerate():
@@ -333,13 +340,16 @@ def test_growth_rule_kind_is_checked_at_construction():
 
 def test_growth_rule_needs_positive_c():
     # a(n) >= c n with c <= 0 holds for every expansion, and 1/(c^2 start) needs c > 0:
-    # a(n) = 1 gives the divergent series sum 1/(a(n) a(n+1)), so nothing may certify it
+    # a(n) = 1 gives the divergent series sum 1/(a(n) a(n+1)), so nothing may certify it;
+    # c g^n with g <= 1 does not grow either
     ones = R.CFExpansion([1] * 6)
-    for kind, c in (("linear", -1), ("linear", 0), ("geometric", -1), ("geometric", 0)):
+    for kind, c, g in (("linear", -1, 2), ("linear", 0, 2), ("geometric", -1, 2), ("geometric", 0, 2),
+                       ("geometric", 1, "1/2"), ("geometric", 1, 0), ("geometric", 1, -2),
+                       ("geometric", 1, 1)):
         with pytest.raises(BadInput):
-            R.GrowthRule(kind, Fraction(c), Fraction(2))
+            R.GrowthRule(kind, Fraction(c), Fraction(g))
         with pytest.raises(BadInput):
-            R.parse_rule(f"{kind}:c={c}")
+            R.parse_rule(f"{kind}:c={c},g={g}")
     for text in ("linear:c=1/0", "linear:c=0.5", "linear:c=1e-3"):
         with pytest.raises(BadInput):
             R.parse_rule(text)
