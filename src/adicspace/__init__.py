@@ -12,6 +12,5 @@ from .labeling import EdgeLabeling, cocycle, label_edges, path_bsum
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul
 from .rotation import CFExpansion, GrowthRule, alpha_n, rank_one_gap, \
     rank_one_polys, rotation_diagram, summability_report
-from .stacking import SkyscraperPoint, Tower, build_tower, compare_with_rotation, \
-    skyscraper_step, tower_map
+from .stacking import Tower, build_tower, compare_with_rotation, tower_map
 from .walk import WalkState, exact_distribution, simulate, step_distribution, tv_distance

@@ -299,13 +299,6 @@ def cylinder_measure(d: OrderedBratteliDiagram, p: FinitePath):
     return total
 
 
-def maximal_path_count(d: OrderedBratteliDiagram, n: int) -> int:
-    """Number of adic-maximal paths of length n+1 (one per terminal vertex)."""
-    if n >= d.depth:
-        raise DepthExceeded(f"level {n} >= depth {d.depth}")
-    return d.k(n + 1)
-
-
 # -- bundled example families -------------------------------------------------
 
 

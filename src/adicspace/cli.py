@@ -190,7 +190,7 @@ def cmd_validate(args) -> int:
         "ok": True,
         "levels": [len(l) for l in d.levels],
         "edges": [len(e) for e in d.edges],
-        "maximal_paths_per_level": [bratteli.maximal_path_count(d, n) for n in range(d.depth)],
+        "maximal_paths_per_level": [d.k(n) for n in range(1, d.depth + 1)],
     }
     return _report(args, body, payload)
 

@@ -150,15 +150,3 @@ def horizon_norm(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int
     vec = push_forward(space, f, n, m, budget)
     return sum((fi.one_norm() for fi in vec), Fraction(0))
 
-
-def stochastic_report(space: DimensionSpace) -> dict:
-    """Column sums of every M_n at x = 1, plus positivity of stored coefficients."""
-    sums, positive = [], True
-    for m in space.matrices:
-        sums.append(m.column_sums_at_one())
-        for row in m.entries:
-            for entry in row:
-                for _, c in entry.items():
-                    positive = positive and RatInterval.coerce(c).lo > 0
-    ok = all(RatInterval.coerce(s).contains(1) for row in sums for s in row)
-    return {"column_sums": sums, "stochastic": ok, "entries_positive": positive}

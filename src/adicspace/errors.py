@@ -63,10 +63,6 @@ class TopLevel(AdicspaceError):
     code = "TopLevel"
 
 
-class TruncationBoundary(AdicspaceError):
-    code = "TruncationBoundary"
-
-
 class BudgetExceeded(AdicspaceError):
     code = "BudgetExceeded"
 

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 from .atcheck import RankOneCandidate, approximation_error
 from .bratteli import Edge, OrderedBratteliDiagram
 from .dimspace import build_matrices
-from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget
+from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget, check_digits
 from .intervals import RatInterval
 from .labeling import EdgeLabeling, label_edges
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational
@@ -54,9 +54,11 @@ class CFExpansion:
         self.terms = terms
         # p(-1) = 1, q(-1) = 0, p(0) = 0, q(0) = 1 head the recurrences.
         ps, qs = [1, 0], [0, 1]
-        for a in terms:
+        for n, a in enumerate(terms, start=1):
             ps.append(a * ps[-1] + ps[-2])
             qs.append(a * qs[-1] + qs[-2])
+            # the denominator of alpha()'s mediant end: past TEXT_DIGITS no report can write it
+            check_digits(f"q({n}) + q({n - 1})", qs[-1] + qs[-2])
         self._ps, self._qs = ps, qs
 
     @property

@@ -1,4 +1,4 @@
-"""Cutting-and-stacking towers and the skyscraper over the product odometer.
+"""Cutting-and-stacking towers and their comparison with the rotation.
 
 Stage 1 cuts [0, 1) into a(1) equal intervals and stacks them in order.
 Stage n -> n+1 cuts the column into a(n+1) sub-columns of equal width,
@@ -9,31 +9,25 @@ and the new stack has a(n+1) q(n).
 
 Spacers are freshly allocated mass: the space starts as [0, 1) and grows to
 [0, L_n), L_n = q(n-1) / (a(1) ... a(n-1)), every endpoint an exact
-rational.  The limit L_infinity is finite exactly when the partial
-quotients satisfy the summability condition; a declared growth rule yields
-a certified enclosure for it.  No rescaling is applied to the stored
-endpoints, so the stage maps stay exact translations; comparisons against
-the rotation angle fold translations mod 1.
+rational.  No rescaling is applied to the stored endpoints, so the stage
+maps stay exact translations; comparisons against the rotation angle fold
+translations mod 1.
 
 Every level of the stage-n tower has width 1/D, D = a(1) ... a(n), and the
 S = height levels tile [0, L_n) = [0, S/D).  So a tower is stored as
 integers: level i is the slot [starts[i], starts[i] + 1) in units of 1/D,
 and the starts are a permutation of range(S).  Cutting multiplies every
 start by a(n+1) and adds the sub-column index; spacers take the next free
-slots.  Locating a point finds its slot floor(x D) and the level whose
-start is that slot, and a translation mod 1 is (starts[i+1] - starts[i]
-mod D) / D.  The rotation comparison walks no grid: of the G points
-g L / G, slot s holds the ceil((s+1) G / S) - ceil(s G / S) with
-s G <= g S < (s+1) G.  The ``Fraction`` views ``intervals``, ``width`` and
-``total_space``, and the report strings ``interval_strings``, are derived
-once per tower on first use.
-
-The skyscraper has base the product odometer on prod {1..a(n)} and height
-function h(x) = cocycle increment of the odometer under the slot labeling
-b(k at slot n) = (k-1) q(n-1); on the cylinder where the first n-1 digits
-are maximal and digit n is not, h = 1 + q(0) + ... + q(n-3).  The tower's
-accumulated spacers realize exactly these column heights, which is what the
-itinerary mirror test below checks.
+slots.  So the slot is the level's word: a slot s < D, written in the mixed
+radix a(1), ..., a(n) with the most significant digit first, has the digits
+x_1 - 1, ..., x_n - 1 of the depth-n cylinder x_1 ... x_n that the level
+carves, and a slot s >= D is a spacer.  Locating a point finds its slot
+floor(x D) and the level whose start is that slot, and a translation mod 1
+is (starts[i+1] - starts[i] mod D) / D.  The rotation comparison walks no
+grid: of the G points g L / G, slot s holds the ceil((s+1) G / S) -
+ceil(s G / S) with s G <= g S < (s+1) G.  The ``Fraction`` views
+``intervals``, ``width`` and ``total_space``, and the report strings
+``interval_strings``, are derived once per tower on first use.
 """
 
 from __future__ import annotations
@@ -44,13 +38,10 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import rotation
-from .errors import (BadInput, InsufficientDepth, PointOutsideTower, TopLevel,
-                     TruncationBoundary, check_budget)
+from .errors import BadInput, InsufficientDepth, PointOutsideTower, TopLevel, check_budget
 from .intervals import RatInterval
 from .laurent import fraction_text
-from .rotation import CFExpansion, GrowthRule, summability_report
-
-Word = Tuple[int, ...]
+from .rotation import CFExpansion
 
 
 @dataclass(frozen=True)
@@ -59,13 +50,10 @@ class Tower:
 
     Level i is the slot [starts[i], starts[i] + 1) in units of
     1/``denominator``; the starts are a permutation of ``range(height)``.
-    ``labels[i]`` is the depth-``stage`` digit word of the cylinder that
-    level i carves, or None for a spacer level.
     """
 
     stage: int
     starts: Tuple[int, ...]
-    labels: Tuple[Optional[Word], ...]
     denominator: int
 
     @property
@@ -108,7 +96,6 @@ def build_tower(cf: CFExpansion, stage: int) -> Tower:
     _check_height(cf, stage)
     den = cf.a(1)
     starts = list(range(den))
-    labels: List[Optional[Word]] = [(k + 1,) for k in range(den)]
     for n in range(1, stage):
         # slot s becomes slots s*cuts .. s*cuts + cuts - 1 in units of 1/(den*cuts);
         # spacers take the fresh slots above the current space, bottom first
@@ -116,15 +103,12 @@ def build_tower(cf: CFExpansion, stage: int) -> Tower:
         spacers = cf.q(n - 2)
         next_free = len(starts) * cuts
         new_starts: List[int] = []
-        new_labels: List[Optional[Word]] = []
         for k in range(cuts):
             new_starts += [s * cuts + k for s in starts]
             new_starts += range(next_free, next_free + spacers)
-            new_labels += [w + (k + 1,) if w is not None else None for w in labels]
-            new_labels += [None] * spacers
             next_free += spacers
-        starts, labels, den = new_starts, new_labels, den * cuts
-    return Tower(stage=stage, starts=tuple(starts), labels=tuple(labels), denominator=den)
+        starts, den = new_starts, den * cuts
+    return Tower(stage=stage, starts=tuple(starts), denominator=den)
 
 
 def locate(t: Tower, x: Fraction) -> int:
@@ -143,108 +127,6 @@ def tower_map(t: Tower, x: Fraction) -> Fraction:
     if i == t.height - 1:
         raise TopLevel(f"{x} lies on the top level")
     return x + Fraction(t.starts[i + 1] - t.starts[i], t.denominator)
-
-
-def limit_space_enclosure(cf: CFExpansion, rule: GrowthRule) -> RatInterval:
-    """Certified enclosure of L_infinity = lim q(n-1)/(a(1)...a(n-1)).
-
-    Uses L_N <= L_inf and the subset-sum domination
-    prod (1 + x_i) <= 1/(1 - sum x_i) for sum x_i < 1 on the tail factors
-    x_m = 1/(a(m) a(m+1)).
-    """
-    report = summability_report(cf, rule)
-    if report.verdict != "CONVERGENT_CERTIFIED":
-        raise BadInput("limit space needs a certified growth rule")
-    d = cf.depth
-    prod = Fraction(1)
-    for n in range(1, d):
-        prod *= cf.a(n)
-    l_lo = Fraction(cf.q(d - 1), prod)
-    tail = rule.tail_bound(d - 1)
-    if tail >= 1:
-        raise InsufficientDepth("tail bound too large to enclose the limit space")
-    return RatInterval(l_lo, l_lo / (1 - tail))
-
-
-# -- the skyscraper over the product odometer ----------------------------------
-
-
-@dataclass(frozen=True)
-class SkyscraperPoint:
-    word: Word   # digits x_n in {1..a(n)}, one per available partial quotient
-    height: int  # 0 <= height < column_height(word)
-
-
-def check_word(cf: CFExpansion, word: Word):
-    if len(word) != cf.depth:
-        raise BadInput(f"word length {len(word)} != cf depth {cf.depth}")
-    for n, digit in enumerate(word, start=1):
-        if not (1 <= digit <= cf.a(n)):
-            raise BadInput(f"digit {digit} outside 1..{cf.a(n)} at slot {n}")
-
-
-def odometer_step(cf: CFExpansion, word: Word) -> Word:
-    """Add one with carry on prod {1..a(n)}; TruncationBoundary past the end."""
-    check_word(cf, word)
-    digits = list(word)
-    for n in range(len(digits)):
-        if digits[n] < cf.a(n + 1):
-            digits[n] += 1
-            return tuple(digits)
-        digits[n] = 1
-    raise TruncationBoundary("odometer increment past the all-maximal word")
-
-
-def slot_label(cf: CFExpansion, slot: int, digit: int) -> int:
-    """The integer label (digit - 1) q(slot - 1) of a digit value at a slot."""
-    return (digit - 1) * cf.q(slot - 1)
-
-
-def column_height(cf: CFExpansion, word: Word) -> int:
-    """Cocycle increment of the odometer at this word.
-
-    Equals 1 + q(0) + ... + q(m-3) where m is the first slot whose digit is
-    below its maximum; the all-maximal word takes the m = depth value (its
-    true height depends on digits beyond the truncation).
-    """
-    check_word(cf, word)
-    m = len(word)
-    for n, digit in enumerate(word, start=1):
-        if digit < cf.a(n):
-            m = n
-            break
-    return 1 + sum(cf.q(t) for t in range(m - 2))
-
-
-def skyscraper_step(cf: CFExpansion, p: SkyscraperPoint) -> SkyscraperPoint:
-    """Go up the column, or apply the odometer at the top."""
-    h = column_height(cf, p.word)
-    if not (0 <= p.height < h):
-        raise BadInput(f"height {p.height} outside 0..{h - 1}")
-    if p.height + 1 < h:
-        return SkyscraperPoint(p.word, p.height + 1)
-    return SkyscraperPoint(odometer_step(cf, p.word), 0)
-
-
-def skyscraper_orbit_codes(cf: CFExpansion, stage: int) -> List[Optional[Word]]:
-    """Codes of the full orbit from ((1,..,1), 0) through the stage-sized base.
-
-    Words are truncated to ``stage`` digits; heights above ground code as
-    None, mirroring the tower's spacer levels.
-    """
-    _check_height(cf, stage)
-    sub = CFExpansion(cf.terms[:stage])
-    codes: List[Optional[Word]] = []
-    word: Optional[Word] = tuple([1] * stage)
-    while word is not None:
-        h = column_height(sub, word)
-        codes.append(word)
-        codes.extend([None] * (h - 1))
-        try:
-            word = odometer_step(sub, word)
-        except TruncationBoundary:
-            word = None
-    return codes
 
 
 # -- comparison against the rotation -------------------------------------------

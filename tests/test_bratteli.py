@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adicspace import bratteli as B
+from adicspace.cli import main
 from adicspace.dimspace import build_matrices
 from adicspace.errors import (BadInput, BadMeasure, BadOrder, BudgetExceeded, DepthExceeded,
                               EmptyFiber, MissingRoot)
@@ -328,11 +329,10 @@ def test_cylinder_measures_sum_to_one():
             assert total == 1
 
 
-def test_maximal_path_count_is_vertex_count():
-    d = B.circulant_diagram(5, 4)
-    assert [B.maximal_path_count(d, n) for n in range(4)] == [5, 5, 5, 5]
-    with pytest.raises(DepthExceeded):
-        B.maximal_path_count(d, d.depth)
+def test_maximal_path_count_is_vertex_count(capsys):
+    # one adic-maximal path into each vertex: the validate report counts V_1 .. V_depth
+    assert main(["validate", "--preset", "circulant:5", "--depth", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["maximal_paths_per_level"] == [5, 5, 5, 5]
 
 
 def test_truncate_keeps_the_labels_matrices_and_walk_law_of_its_levels():

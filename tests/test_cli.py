@@ -161,6 +161,20 @@ def test_oversized_continued_fractions_are_refused_before_building(capsys):
     assert code == 0 and json.loads(out)["summability"]["verdict"]
 
 
+def test_a_continued_fraction_too_long_to_write_is_refused_as_it_is_read(tmp_path, capsys):
+    # every report writes alpha, whose mediant denominator q(n) + q(n-1) passes 4,300 digits
+    # at n = 20576 when every quotient is 1, so the recurrence stops there
+    path = tmp_path / "cf.txt"
+    path.write_text(" ".join(["1"] * 30000))
+    for argv in (["rotation", "--cf-file", str(path)],
+                 ["stack", "--cf-file", str(path), "--stage", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and err == "", argv
+        assert json.loads(out)["error"] == {
+            "code": "BudgetExceeded",
+            "message": "the decimal digits of q(20576) + q(20575) = 4301 exceeds the budget 4300"}, argv
+
+
 def test_unknown_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "adicspace.cli", "frobnicate"],
                           capture_output=True, text=True)

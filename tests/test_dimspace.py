@@ -8,6 +8,7 @@ import pytest
 from adicspace import bratteli as B
 from adicspace import dimspace as D
 from adicspace.errors import DimensionMismatch, RangeError
+from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
@@ -140,8 +141,10 @@ def test_generated_matrices_are_stochastic_and_positive():
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
     spaces.append(D.build_matrices(*R.rotation_diagram(cf, 4)))  # interval probabilities
     for sp in spaces:
-        rep = D.stochastic_report(sp)
-        assert rep["stochastic"] and rep["entries_positive"]
+        for m in sp.matrices:
+            assert all(RatInterval.coerce(s).contains(1) for s in m.column_sums_at_one())
+            assert all(RatInterval.coerce(c).lo > 0
+                       for row in m.entries for entry in row for _, c in entry.items())
 
 
 def test_check_harmonic_all_ones_passes():

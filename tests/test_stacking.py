@@ -5,9 +5,9 @@ import pytest
 
 from adicspace import rotation as R
 from adicspace import stacking as S
-from adicspace.errors import (BadInput, BudgetExceeded, InsufficientDepth, PointOutsideTower,
-                              TopLevel, TruncationBoundary)
+from adicspace.errors import BadInput, BudgetExceeded, InsufficientDepth, PointOutsideTower, TopLevel
 from adicspace.intervals import RatInterval
+import tower_oracle as O
 
 
 def cf_increasing(depth=10):
@@ -15,21 +15,23 @@ def cf_increasing(depth=10):
 
 
 def test_stage_one_golden():
-    t = S.build_tower(cf_increasing(), 1)
+    cf = cf_increasing()
+    t = S.build_tower(cf, 1)
     assert t.height == 2
     assert t.intervals == ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
-    assert t.labels == ((1,), (2,))
+    assert O.level_words(cf, t) == [(1,), (2,)]
     assert t.total_space == 1
 
 
 def test_stage_two_golden():
     # three sub-columns of the halved column, no spacers yet
-    t = S.build_tower(cf_increasing(), 2)
+    cf = cf_increasing()
+    t = S.build_tower(cf, 2)
     assert t.height == 6
     assert t.total_space == 1
     assert t.intervals[0] == (Fraction(0), Fraction(1, 6))
     assert t.intervals[1] == (Fraction(1, 2), Fraction(2, 3))
-    assert t.labels[:2] == ((1, 1), (2, 1))
+    assert O.level_words(cf, t)[:2] == [(1, 1), (2, 1)]
     assert t.width == Fraction(1, 6)
 
 
@@ -50,8 +52,8 @@ def test_spacer_counts_per_stage():
     for stage in range(1, 6):
         cur = S.build_tower(cf, stage)
         nxt = S.build_tower(cf, stage + 1)
-        cur_spacers = sum(1 for l in cur.labels if l is None)
-        nxt_spacers = sum(1 for l in nxt.labels if l is None)
+        cur_spacers = sum(1 for w in O.level_words(cf, cur) if w is None)
+        nxt_spacers = sum(1 for w in O.level_words(cf, nxt) if w is None)
         assert nxt_spacers == cf.a(stage + 1) * (cur_spacers + cf.q(stage - 2))
 
 
@@ -105,35 +107,35 @@ def test_build_tower_guards():
 def test_column_heights_follow_the_label_cocycle():
     cf = cf_increasing(6)
     # first non-maximal digit at slot m gives height 1 + q(0) + .. + q(m-3)
-    assert S.column_height(cf, (1, 1, 1, 1, 1, 1)) == 1
-    assert S.column_height(cf, (2, 1, 1, 1, 1, 1)) == 1
-    assert S.column_height(cf, (2, 3, 2, 1, 1, 1)) == 1 + cf.q(0)
-    assert S.column_height(cf, (2, 3, 4, 3, 1, 1)) == 1 + cf.q(0) + cf.q(1)
-    assert S.column_height(cf, (2, 3, 4, 5, 6, 7)) == 1 + sum(cf.q(t) for t in range(4))
+    assert O.column_height(cf, (1, 1, 1, 1, 1, 1)) == 1
+    assert O.column_height(cf, (2, 1, 1, 1, 1, 1)) == 1
+    assert O.column_height(cf, (2, 3, 2, 1, 1, 1)) == 1 + cf.q(0)
+    assert O.column_height(cf, (2, 3, 4, 3, 1, 1)) == 1 + cf.q(0) + cf.q(1)
+    assert O.column_height(cf, (2, 3, 4, 5, 6, 7)) == 1 + sum(cf.q(t) for t in range(4))
 
 
 def test_odometer_step_carries():
     cf = cf_increasing(4)
-    assert S.odometer_step(cf, (1, 1, 1, 1)) == (2, 1, 1, 1)
-    assert S.odometer_step(cf, (2, 3, 1, 1)) == (1, 1, 2, 1)
-    with pytest.raises(TruncationBoundary):
-        S.odometer_step(cf, (2, 3, 4, 5))
+    assert O.odometer_step(cf, (1, 1, 1, 1)) == (2, 1, 1, 1)
+    assert O.odometer_step(cf, (2, 3, 1, 1)) == (1, 1, 2, 1)
+    with pytest.raises(O.TruncationBoundary):
+        O.odometer_step(cf, (2, 3, 4, 5))
 
 
 def test_skyscraper_step_cases():
     cf = cf_increasing(4)
-    flat = S.SkyscraperPoint((1, 1, 1, 1), 0)  # height-1 column
-    stepped = S.skyscraper_step(cf, flat)
-    assert stepped == S.SkyscraperPoint((2, 1, 1, 1), 0)
+    flat = O.SkyscraperPoint((1, 1, 1, 1), 0)  # height-1 column
+    stepped = O.skyscraper_step(cf, flat)
+    assert stepped == O.SkyscraperPoint((2, 1, 1, 1), 0)
     tall_word = (2, 3, 4, 3)
-    h = S.column_height(cf, tall_word)
+    h = O.column_height(cf, tall_word)
     assert h == 4
-    up = S.skyscraper_step(cf, S.SkyscraperPoint(tall_word, 1))
-    assert up == S.SkyscraperPoint(tall_word, 2)
-    off_top = S.skyscraper_step(cf, S.SkyscraperPoint(tall_word, h - 1))
-    assert off_top == S.SkyscraperPoint((1, 1, 1, 4), 0)
+    up = O.skyscraper_step(cf, O.SkyscraperPoint(tall_word, 1))
+    assert up == O.SkyscraperPoint(tall_word, 2)
+    off_top = O.skyscraper_step(cf, O.SkyscraperPoint(tall_word, h - 1))
+    assert off_top == O.SkyscraperPoint((1, 1, 1, 4), 0)
     with pytest.raises(BadInput):
-        S.skyscraper_step(cf, S.SkyscraperPoint(tall_word, h))
+        O.skyscraper_step(cf, O.SkyscraperPoint(tall_word, h))
 
 
 def test_orbit_visits_every_point_once():
@@ -142,26 +144,30 @@ def test_orbit_visits_every_point_once():
     while True:
         words.append(word)
         try:
-            word = S.odometer_step(cf, word)
-        except TruncationBoundary:
+            word = O.odometer_step(cf, word)
+        except O.TruncationBoundary:
             break
-    total = sum(S.column_height(cf, w) for w in words)
-    p = S.SkyscraperPoint((1, 1, 1), 0)
+    total = sum(O.column_height(cf, w) for w in words)
+    p = O.SkyscraperPoint((1, 1, 1), 0)
     seen = {p}
     for _ in range(total - 1):
-        p = S.skyscraper_step(cf, p)
+        p = O.skyscraper_step(cf, p)
         assert p not in seen
         seen.add(p)
-    with pytest.raises(TruncationBoundary):
-        S.skyscraper_step(cf, p)
+    with pytest.raises(O.TruncationBoundary):
+        O.skyscraper_step(cf, p)
     assert len(seen) == total
 
 
 def test_tower_levels_mirror_skyscraper_orbit():
-    cf = cf_increasing()
-    for stage in range(1, 6):
-        t = S.build_tower(cf, stage)
-        assert list(t.labels) == S.skyscraper_orbit_codes(cf, stage)
+    # the words read off the slots are the skyscraper's orbit codes, spacers included
+    rng = random.Random(28)
+    cfs = [cf_increasing(10), cf_increasing(12)]
+    cfs += [R.CFExpansion([rng.randint(1, 5) for _ in range(7)]) for _ in range(20)]
+    for cf in cfs:
+        for stage in range(1, 8):
+            t = S.build_tower(cf, stage)
+            assert O.level_words(cf, t) == O.skyscraper_orbit_codes(cf, stage), (cf.terms, stage)
 
 
 # -- rotation comparison ----------------------------------------------------------
@@ -222,7 +228,7 @@ def test_compare_rejects_negative_tolerance_and_accepts_zero():
 
 def test_limit_space_enclosure_contains_iterates():
     cf = cf_increasing(12)
-    enc = S.limit_space_enclosure(cf, R.GrowthRule("linear", Fraction(1)))
+    enc = O.limit_space_enclosure(cf, R.GrowthRule("linear", Fraction(1)))
     # the per-stage spaces q(s-1)/(a(1)..a(s-1)) increase toward the limit
     for stage in range(2, 13):
         prod = 1
@@ -236,10 +242,10 @@ def test_limit_space_enclosure_contains_iterates():
 
 def test_limit_space_enclosure_refusals():
     with pytest.raises(BadInput, match="certified growth rule"):
-        S.limit_space_enclosure(cf_increasing(12), None)
+        O.limit_space_enclosure(cf_increasing(12), None)
     # the rule holds on 1, 2, but its tail bound from n = 1 is 1/(c^2 * 1) = 1
     with pytest.raises(InsufficientDepth, match="tail bound"):
-        S.limit_space_enclosure(R.CFExpansion([1, 2]), R.GrowthRule("linear", Fraction(1)))
+        O.limit_space_enclosure(R.CFExpansion([1, 2]), R.GrowthRule("linear", Fraction(1)))
 
 
 def test_words_are_checked_against_the_quotients():
@@ -247,7 +253,7 @@ def test_words_are_checked_against_the_quotients():
     for word, message in (((1, 1), "word length 2 != cf depth 3"),
                           ((1, 4, 1), "digit 4 outside 1..3 at slot 2"),
                           ((0, 1, 1), "digit 0 outside 1..2 at slot 1")):
-        for use in (S.check_word, S.odometer_step, S.column_height):
+        for use in (O.check_word, O.odometer_step, O.column_height):
             with pytest.raises(BadInput, match=message):
                 use(cf, word)
 
@@ -260,12 +266,12 @@ def test_column_height_is_the_slot_label_cocycle():
     word = tuple([1] * 6)
     for _ in range(300):
         try:
-            nxt = S.odometer_step(cf, word)
-        except TruncationBoundary:
+            nxt = O.odometer_step(cf, word)
+        except O.TruncationBoundary:
             break
-        increment = sum(S.slot_label(cf, n, b) - S.slot_label(cf, n, a)
+        increment = sum(O.slot_label(cf, n, b) - O.slot_label(cf, n, a)
                         for n, (a, b) in enumerate(zip(word, nxt), start=1))
-        assert increment == S.column_height(cf, word)
+        assert increment == O.column_height(cf, word)
         word = nxt
 
 
@@ -355,8 +361,8 @@ def test_tower_height_cap_is_checked_from_the_recurrence(monkeypatch):
     cf = R.CFExpansion([10, 10, 3])  # heights 10, 10 * (10 + 0) = 100, 3 * (100 + 1) = 303
     monkeypatch.setattr(R, "SIZE_CAP", 100)
     assert S.build_tower(cf, 2).height == 100
-    assert len(S.skyscraper_orbit_codes(cf, 2)) == 100
-    for build in (S.build_tower, S.skyscraper_orbit_codes):
+    assert len(O.skyscraper_orbit_codes(cf, 2)) == 100
+    for build in (S.build_tower, O.skyscraper_orbit_codes):
         with pytest.raises(BudgetExceeded, match="stage-3 tower height = 303"):
             build(cf, 3)
     monkeypatch.setattr(R, "SIZE_CAP", 99)
