@@ -8,7 +8,7 @@ from .bratteli import (FinitePath, OrderedBratteliDiagram, circulant_diagram,
 from .dimspace import DimensionSpace, build_matrices, check_harmonic, horizon_norm, \
     partial_product, state_eval
 from .intervals import RatInterval
-from .labeling import EdgeLabeling, cocycle, label_edges, path_bsum
+from .labeling import cocycle, label_edges, path_bsum
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul
 from .rotation import CFExpansion, GrowthRule, alpha_n, rank_one_gap, \
     rank_one_polys, rotation_diagram, summability_report

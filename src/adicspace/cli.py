@@ -28,7 +28,8 @@ from operator import itemgetter
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
-from .errors import DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError, check_digits
+from .errors import (DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError, check_digits,
+                     check_text_digits)
 from .laurent import LaurentPoly, coeff_to_json, parse_rational
 
 PRESETS = {
@@ -76,8 +77,8 @@ def _load_diagram(args) -> tuple:
 
 def _parse_json(payload):
     """json.loads; input nested past the decoder's recursion limit is a BadInput."""
-    try:
-        return json.loads(payload)
+    try:  # an integer's digits are counted before int() would refuse them
+        return json.loads(payload, parse_int=lambda t: int(check_text_digits("a JSON integer", t)))
     except RecursionError:
         raise BadInput("the JSON input nests too deeply for the decoder") from None
 
@@ -197,14 +198,12 @@ def cmd_validate(args) -> int:
 
 def cmd_label(args) -> int:
     d, payload = _load_diagram(args)
-    lab = labeling.label_edges(d)
-    return _report(args, labeling.labeling_to_json(d, lab), payload)
+    return _report(args, labeling.labeling_to_json(d, labeling.label_edges(d)), payload)
 
 
 def cmd_matrices(args) -> int:
     d, payload = _load_diagram(args)
-    lab = labeling.label_edges(d)
-    space = dimspace.build_matrices(d, lab)
+    space = dimspace.build_matrices(d)
     body = {"matrices": _writable("the matrices", [m.entries for m in space.matrices])}
     if args.product:
         try:
@@ -227,8 +226,7 @@ def cmd_matrices(args) -> int:
 
 def cmd_walk(args) -> int:
     d, payload = _load_diagram(args)
-    lab = labeling.label_edges(d)
-    space = dimspace.build_matrices(d, lab)
+    space = dimspace.build_matrices(d)
     body = {"level": space.depth}
     exact = None
     if args.exact or not args.trials:
@@ -248,10 +246,10 @@ def _parse_cf(args) -> rotation.CFExpansion:
         raise UsageError("need exactly one of --cf and --cf-file")
     if args.cf_file:
         with open(args.cf_file) as fh:
-            terms = [int(t) for t in fh.read().replace(",", " ").split()]
+            tokens = fh.read().replace(",", " ").split()
     else:
-        terms = [int(t) for t in args.cf.split(",")]
-    return rotation.CFExpansion(terms)
+        tokens = args.cf.split(",")
+    return rotation.CFExpansion([int(check_text_digits("a partial quotient", t)) for t in tokens])
 
 
 def cmd_rotation(args) -> int:
@@ -267,7 +265,7 @@ def cmd_rotation(args) -> int:
         "tail_bound": None if report.tail_bound is None else str(report.tail_bound),
     }
     # one dimension space serves --matrices and --gaps, built where the first of them reads it
-    space = functools.cache(lambda: dimspace.build_matrices(*rotation.rotation_diagram(cf, depth)))
+    space = functools.cache(lambda: dimspace.build_matrices(rotation.rotation_diagram(cf, depth)))
     if args.matrices:
         body["matrices"] = _writable("the matrices", [m.entries for m in space().matrices])
     if args.polys:
@@ -298,7 +296,9 @@ def cmd_stack(args) -> int:
     }
     if args.map is not None:
         x = parse_rational(args.map)
-        body["map"] = {"x": str(x), "Tx": str(stacking.tower_map(tower, x))}
+        tx = stacking.tower_map(tower, x)
+        check_digits("Tx", max(abs(tx.numerator), tx.denominator))
+        body["map"] = {"x": str(x), "Tx": str(tx)}
     if args.compare:
         tol = parse_rational(args.tolerance)
         rep = stacking.compare_with_rotation(tower, cf, args.grid, tol)

@@ -1,11 +1,13 @@
-"""Dimension-space matrices synthesized from a labeled diagram.
+"""Dimension-space matrices synthesized from an ordered diagram with its measure.
 
 M_n is the k(n+1) x k(n) Laurent matrix whose (i, j) entry collects
-p(e) x^{b(e)} over the edges from vertex j of V_n to vertex i of V_{n+1}.
-Columns are stochastic at x = 1.  The direct limit along the M_n is never
-materialized; what is computed is the matrix sequence, partial products,
-states against harmonic row vectors, and norms at a finite horizon (the
-norm of a pushed-forward vector is nonincreasing in the horizon, so any
+p(e) x^{b(e)} over the edges from vertex j of V_n to vertex i of V_{n+1},
+where b is the diagram's own labeling (:func:`~adicspace.labeling.label_edges`).
+Labels strictly increase along a fiber, so each edge is one term of its
+entry.  Columns are stochastic at x = 1.  The direct limit along the M_n is
+never materialized; what is computed is the matrix sequence, partial
+products, states against harmonic row vectors, and norms at a finite horizon
+(the norm of a pushed-forward vector is nonincreasing in the horizon, so any
 finite horizon certifies an upper bound).
 """
 
@@ -18,7 +20,7 @@ from typing import List, Sequence, Tuple
 from .bratteli import OrderedBratteliDiagram
 from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
 from .intervals import RatInterval
-from .labeling import EdgeLabeling
+from .labeling import label_edges
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul
 
 
@@ -32,14 +34,13 @@ class DimensionSpace:
         return len(self.matrices)
 
 
-def build_matrices(d: OrderedBratteliDiagram, labeling: EdgeLabeling) -> DimensionSpace:
-    """The M_n of a labeled diagram; all entries with no edge share one zero polynomial."""
-    zero, mats = LaurentPoly.zero(), []
+def build_matrices(d: OrderedBratteliDiagram) -> DimensionSpace:
+    """The M_n of the labeled diagram; all entries with no edge share one zero polynomial."""
+    labels, zero, mats = label_edges(d), LaurentPoly.zero(), []
     for n in range(d.depth):
         terms = {}  # (dst, src) -> exponent -> coefficient, for the pairs with an edge
         for e in d.edges[n]:
-            entry, exp = terms.setdefault((e.dst, e.src), {}), labeling.b[e.id]
-            entry[exp] = entry[exp] + e.p if exp in entry else e.p
+            terms.setdefault((e.dst, e.src), {})[labels[e.id]] = e.p
         mats.append(LaurentMatrix([[LaurentPoly(terms[i, j]) if (i, j) in terms else zero
                                     for j in range(d.k(n))] for i in range(d.k(n + 1))]))
     return DimensionSpace(matrices=tuple(mats), dims=tuple(d.k(n) for n in range(d.depth + 1)))

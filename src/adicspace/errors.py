@@ -94,5 +94,13 @@ def check_digits(what: str, x: int) -> None:
         check_budget(f"the decimal digits of {what}", digits, TEXT_DIGITS)
 
 
+def check_text_digits(what: str, text: str) -> str:
+    """``text``, or a BudgetExceeded naming ``what`` where a part between "/" is too long for int()."""
+    if len(text) > TEXT_DIGITS:
+        for part in text.split("/"):
+            check_budget(f"the decimal digits of {what}", sum(map(str.isdigit, part)), TEXT_DIGITS)
+    return text
+
+
 class UsageError(AdicspaceError):
     code = "UsageError"

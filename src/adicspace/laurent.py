@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
-from .errors import BadInput, DimensionMismatch
+from .errors import BadInput, DimensionMismatch, check_text_digits
 from .intervals import RatInterval
 
 Coeff = Union[Fraction, int, RatInterval]
@@ -53,7 +53,8 @@ def parse_rational(v) -> Fraction:
     """An int or a "num/den" string; a float, bool, "0.5", "1e9" or "1/0" is a ValueError."""
     if type(v) is int or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
         try:
-            return Fraction(v)
+            return Fraction(v if type(v) is int
+                            else check_text_digits("a numerator or denominator", v))
         except ZeroDivisionError:
             raise ValueError(f"{v!r} has a zero denominator") from None
     raise ValueError(f'{v!r} is not a "num/den" string or an integer')

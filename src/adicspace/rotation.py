@@ -15,10 +15,10 @@ b(e^n_{1,2}) = 0, b(e^n_{2,1}) = a(n+1) q(n), b(e^n_{1,1}(k)) = (k-1) q(n),
 with the parallel edges ordered by k and the cross edge last.  They are the
 running path counts of :func:`label_edges`: by induction N(v_1 at n) = q(n)
 and N(v_2 at n) = q(n-1), since the root is v_1 with q(0) = 1, q(-1) = 0, and
-a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` writes no label:
-:func:`label_edges` labels its diagram, and :func:`build_matrices` reads each
-M_n off it, with alpha(n)/alpha(n-1) on the loops and alpha(n+1)/alpha(n-1)
-on the v_1 -> v_2 edge.  The rank-one approximant of M_n has 1/a(n+1) and 0
+a(n+1) q(n) + q(n-1) = q(n+1).  So :func:`rotation_diagram` returns the
+diagram alone: :func:`build_matrices` labels it and reads each M_n off it,
+with alpha(n)/alpha(n-1) on the loops and alpha(n+1)/alpha(n-1) on the
+v_1 -> v_2 edge.  The rank-one approximant of M_n has 1/a(n+1) and 0
 there instead, so it is M_n with P_n at (0, 0) and 0 at (1, 0): the column
 (1, 0) times the row (P_n, M_n(0, 1)).  :func:`level_gap` is the
 :func:`approximation_error` of M_n against it, the l1 error that ``at``
@@ -33,14 +33,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .atcheck import RankOneCandidate, approximation_error
 from .bratteli import Edge, OrderedBratteliDiagram
 from .dimspace import build_matrices
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget, check_digits
 from .intervals import RatInterval
-from .labeling import EdgeLabeling, label_edges
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational
 
 
@@ -161,7 +160,7 @@ def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> Su
     both holds on the supplied terms and has a summable tail; otherwise the
     report is INCONCLUSIVE with the partial sum alone.
     """
-    partial = sum(Fraction(1, cf.a(n) * cf.a(n + 1)) for n in range(1, cf.depth))
+    partial = sum((Fraction(1, cf.a(n) * cf.a(n + 1)) for n in range(1, cf.depth)), Fraction(0))
     if rule is not None and rule.holds_for(cf):
         return SummabilityReport(partial, "CONVERGENT_CERTIFIED", rule.tail_bound(cf.depth))
     return SummabilityReport(partial, "INCONCLUSIVE", None)
@@ -170,8 +169,8 @@ def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> Su
 # -- the rotation diagram ------------------------------------------------------
 
 
-def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagram, EdgeLabeling]:
-    """The two-vertex diagram of the rotation, with its labeling.
+def rotation_diagram(cf: CFExpansion, depth: int) -> OrderedBratteliDiagram:
+    """The two-vertex diagram of the rotation; its labeling is its own path-count ranking.
 
     Level n >= 1 has vertices (v_1, v_2); E_n consists of a(n+1) parallel
     edges v_1 -> v_1 (ordered by k), one edge v_2 -> v_1 (last in the
@@ -193,8 +192,7 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
             into_v1.append(Edge(f"e{n}_21", n, 1, 0, Fraction(1)))
         edges.append(into_v1 + [Edge(f"e{n}_12", n, 0, 1, out)])
         orders[n + 1, 0], orders[n + 1, 1] = [e.id for e in into_v1], [f"e{n}_12"]
-    diagram = OrderedBratteliDiagram(levels, edges, orders)
-    return diagram, label_edges(diagram)
+    return OrderedBratteliDiagram(levels, edges, orders)
 
 
 # -- rank-one structure --------------------------------------------------------
@@ -202,7 +200,7 @@ def rotation_diagram(cf: CFExpansion, depth: int) -> Tuple[OrderedBratteliDiagra
 
 def rotation_matrix(cf: CFExpansion, n: int) -> LaurentMatrix:
     """M_n of the rotation diagram (2x1 for n = 0, else 2x2), enclosure-valued."""
-    return build_matrices(*rotation_diagram(cf, n + 1)).matrices[n]
+    return build_matrices(rotation_diagram(cf, n + 1)).matrices[n]
 
 
 def _rank_one_poly(cf: CFExpansion, n: int) -> LaurentPoly:

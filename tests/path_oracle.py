@@ -9,11 +9,11 @@ way, so tests compare two independent routes:
 - ``adic_neighbor`` moves the first edge that can move one place in its
   fiber and rebuilds the prefix with ``extreme_path_into``;
 - ``count_paths_into`` runs the path-count recursion level by level;
-- ``tables_from_b`` runs the max/min recursion for any supplied labeling.
+- ``tables_from_b`` runs the max/min recursion for any supplied labeling;
+  ``report_tables`` reads the ``label`` report's tables into the same form.
 """
 
 from adicspace.bratteli import FinitePath
-from adicspace.labeling import EdgeLabeling
 
 
 def paths_into(d, level, vertex):
@@ -55,11 +55,17 @@ def count_paths_into(d, level, vertex):
 
 
 def tables_from_b(d, b):
-    """The labeling ``b`` with its wmax/wmin tables from the max/min recursion."""
+    """The (wmax, wmin) tables of the labeling ``b``, from the max/min recursion."""
     wmax, wmin = {(0, 0): 0}, {(0, 0): 0}
     for n in range(d.depth):
         for v in range(d.k(n + 1)):
             incoming = d.in_edges[(n + 1, v)]
             wmax[(n + 1, v)] = max(wmax[(n, e.src)] + b[e.id] for e in incoming)
             wmin[(n + 1, v)] = min(wmin[(n, e.src)] + b[e.id] for e in incoming)
-    return EdgeLabeling(b=dict(b), wmax=wmax, wmin=wmin)
+    return wmax, wmin
+
+
+def report_tables(report):
+    """The (wmax, wmin) tables of a ``label`` report body, keyed (level, vertex)."""
+    return tuple({tuple(map(int, key.split("/"))): int(x) for key, x in report[name].items()}
+                 for name in ("wmax", "wmin"))

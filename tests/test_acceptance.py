@@ -51,7 +51,7 @@ def circulant_closed(k, n):
 def test_criterion_1_odometer_golden():
     started = time.monotonic()
     failures = []
-    space = D.build_matrices(*(lambda d: (d, label_edges(d)))(B.odometer_diagram(21)))
+    space = D.build_matrices(B.odometer_diagram(21))
     for n in range(21):
         if space.matrices[n] != odometer_closed(n):
             failures.append(f"odometer M_{n} differs from (1/2)(1 + x^(2^{n}))")
@@ -62,7 +62,7 @@ def test_criterion_2_morse_golden():
     started = time.monotonic()
     failures = []
     d = B.morse_diagram(17)
-    space = D.build_matrices(d, label_edges(d))
+    space = D.build_matrices(d)
     # matrices are indexed past the 2x1 root fan-out
     for n in range(16):
         if space.matrices[n + 1] != circulant_closed(2, n):
@@ -75,7 +75,7 @@ def test_criterion_3_circulant_golden():
     failures = []
     for k in range(2, 7):
         d = B.circulant_diagram(k, 14)
-        space = D.build_matrices(d, label_edges(d))
+        space = D.build_matrices(d)
         for n in range(13):
             if space.matrices[n + 1] != circulant_closed(k, n):
                 failures.append(f"k={k} M_{n} differs from (1/2)(I + x^(2^{n})P)")
@@ -156,7 +156,7 @@ def test_criterion_7_walk_consistency():
              ("morse", B.morse_diagram(6), 6),
              ("circulant4", B.circulant_diagram(4, 5), 5))
     for name, d, level in cases:
-        space = D.build_matrices(d, label_edges(d))
+        space = D.build_matrices(d)
         exact = W.exact_distribution(space, level, W.WalkState(0, 0, 0))
         prod = D.partial_product(space, 0, level)
         for j, column in enumerate(exact.masses):
@@ -247,7 +247,7 @@ def test_criterion_10_harmonicity():
                 ("circulant3", B.circulant_diagram(3, 8)),
                 ("circulant6", B.circulant_diagram(6, 8)))
     for name, d in families:
-        space = D.build_matrices(d, label_edges(d))
+        space = D.build_matrices(d)
         mus = [[Fraction(1)] * space.dims[n] for n in range(space.depth + 1)]
         if not D.check_harmonic(space, mus).ok:
             failures.append(f"{name}: all-ones vector fails the harmonic identity")

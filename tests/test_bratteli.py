@@ -157,7 +157,7 @@ def test_json_round_trip():
 def test_enclosure_mode_diagram_json_round_trip():
     from adicspace import rotation as R
 
-    d, _ = R.rotation_diagram(R.CFExpansion([n + 1 for n in range(1, 11)]), 3)
+    d = R.rotation_diagram(R.CFExpansion([n + 1 for n in range(1, 11)]), 3)
     spec = B.diagram_to_json(d)
     ps = [e["p"] for level in spec["edges"] for e in level]
     # the cross edges have p = 1 exactly; every other p is an ["lo", "hi"] enclosure
@@ -241,7 +241,7 @@ def test_successor_cycles_through_enumeration():
     rng = random.Random(3)
     diagrams = [random_diagram(rng, depth=3) for _ in range(10)]
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    diagrams.append(R.rotation_diagram(cf, 4)[0])  # interval probabilities
+    diagrams.append(R.rotation_diagram(cf, 4))  # interval probabilities
     for d in diagrams:
         n = d.depth
         for v in range(d.k(n)):
@@ -341,12 +341,11 @@ def test_truncate_keeps_the_labels_matrices_and_walk_law_of_its_levels():
     for _ in range(10):
         d = random_diagram(rng, depth=4)
         lab = label_edges(d)
-        space = build_matrices(d, lab)
+        space = build_matrices(d)
         for n in range(1, d.depth + 1):
             cut = B.truncate(d, n)
-            cut_lab = label_edges(cut)
-            assert cut_lab.b == {e.id: lab.b[e.id] for level in d.edges[:n] for e in level}
-            cut_space = build_matrices(cut, cut_lab)
+            assert label_edges(cut) == {e.id: lab[e.id] for level in d.edges[:n] for e in level}
+            cut_space = build_matrices(cut)
             assert cut_space.matrices == space.matrices[:n]
             assert exact_distribution(cut_space, n, start) == exact_distribution(space, n, start)
         assert B.truncate(d, d.depth) is d
@@ -374,7 +373,7 @@ def test_rotation_diagram_path_operations():
     from adicspace import rotation as R
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    d, _ = R.rotation_diagram(cf, 4)
+    d = R.rotation_diagram(cf, 4)
     # a(1) = 2 paths of length one into the first vertex, one into the second
     assert len(B.enumerate_paths(d, 0, v=0)) == cf.a(1)
     assert len(B.enumerate_paths(d, 0, v=1)) == 1
@@ -394,7 +393,7 @@ def test_rotation_cylinder_measures_enclose_one():
     from adicspace.intervals import RatInterval
 
     cf = R.CFExpansion([2, 3, 2, 4, 2, 2])
-    d, _ = R.rotation_diagram(cf, 3)
+    d = R.rotation_diagram(cf, 3)
     for n in range(3):
         total = RatInterval(0)
         for p in B.enumerate_paths(d, n):

@@ -23,7 +23,6 @@ from adicspace import cli, errors
 from adicspace.cli import _BATCH, _write_json, build_parser, main
 from adicspace.dimspace import build_matrices, partial_product
 from adicspace.intervals import RatInterval
-from adicspace.labeling import label_edges
 from adicspace.laurent import LaurentPoly
 
 
@@ -173,6 +172,50 @@ def test_a_continued_fraction_too_long_to_write_is_refused_as_it_is_read(tmp_pat
         assert json.loads(out)["error"] == {
             "code": "BudgetExceeded",
             "message": "the decimal digits of q(20576) + q(20575) = 4301 exceeds the budget 4300"}, argv
+
+
+def assert_too_many_digits(out, err, what, digits):
+    assert err == ""
+    assert json.loads(out) == {"error": {"code": "BudgetExceeded", "message":
+                                         f"the decimal digits of {what} = {digits} "
+                                         "exceeds the budget 4300"}}
+
+
+def test_a_partial_quotient_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
+    path = tmp_path / "cf.txt"
+    path.write_text("1, " + "9" * 5000)
+    for argv in (["rotation", "--cf", "2,3," + "9" * 5000],
+                 ["stack", "--cf-file", str(path), "--stage", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert_too_many_digits(out, err, "a partial quotient", 5000)
+
+
+def test_a_rational_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
+    long_den = "1/" + "7" * 4301
+    spec = non_dyadic_spec(2)
+    spec["edges"][0][0]["p"] = long_den
+    path = tmp_path / "long_p.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["stack", "--cf", "2,3,4,5", "--stage", "3", "--compare", "--tolerance", long_den],
+                 ["rotation", "--cf", "2,3,4", "--rule", "linear:c=" + long_den],
+                 ["validate", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert_too_many_digits(out, err, "a numerator or denominator", 4301)
+    # a JSON integer is counted before the decoder makes it
+    path.write_text(json.dumps(non_dyadic_spec(2)).replace('"2/3"', "1" * 4301, 1))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert_too_many_digits(out, err, "a JSON integer", 4301)
+
+
+def test_a_mapped_point_too_long_to_write_is_refused_before_the_first_byte(capsys):
+    # 1/x has 4,300 digits and is read; Tx's denominator has 4,301 and cannot be written
+    code, out, err = run_cli(capsys, "stack", "--cf", "2,3,4,5", "--stage", "3",
+                             "--map", "1/" + "7" * 4300)
+    assert code == 1
+    assert_too_many_digits(out, err, "Tx", 4301)
 
 
 def test_unknown_subcommand_exits_2():
@@ -619,6 +662,29 @@ def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_label_and_validate_report_bytes_are_pinned(capsys, tmp_path):
+    # stdout sha256 recorded while a labeling carried its own wmax and wmin tables
+    pins = {
+        ("label", "odometer"): "98788e6028bf7662ce0e375ba9feff2ff9f2150647e0d44efa501b19a102ea80",
+        ("label", "morse"): "84840c76499f8d41832df2e418120e163ddbef8332583a0300d0baf1e2486226",
+        ("label", "circulant:4"): "2974d058feb66dfba97cb621429885424c665dc66c93f3e59b490ad8fc779a57",
+        ("validate", "odometer"): "d46d61f246b3dccb446c00325797cdab7788ffab9a949a02e79d2131c322eb92",
+        ("validate", "morse"): "bc6941676ffe3c2e77cbf61ed17806ea5406c1f86c034d3740413cd8cbc3cbc3",
+        ("validate", "circulant:4"):
+            "b255e7b23331d592a60f2e95eb6e674f7f17c7d4090baaa76d79c72806f29219",
+    }
+    for (command, preset), digest in pins.items():
+        code, out, _ = run_cli(capsys, command, "--preset", preset, "--depth", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, preset)
+    path = tmp_path / "non_dyadic.json"
+    path.write_text(json.dumps(non_dyadic_spec(9)))
+    code, out, _ = run_cli(capsys, "label", str(path))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "73843fa78be581bad4a579cfdbf136ff52feabba12c10f6354aeb6212cf2fa9f")
+
+
 def test_reports_write_polynomials_without_their_json_dicts(capsys, tmp_path):
     refused = mock.patch.object(LaurentPoly, "to_json", side_effect=AssertionError("to_json"))
     with refused:
@@ -630,7 +696,7 @@ def test_reports_write_polynomials_without_their_json_dicts(capsys, tmp_path):
 
 def test_writing_a_product_peaks_below_its_json_dicts():
     d = B.odometer_diagram(16)
-    product = partial_product(build_matrices(d, label_edges(d)), 0, 16).entries
+    product = partial_product(build_matrices(d), 0, 16).entries
     assert len(product[0][0].support()) == 2 ** 16
 
     def peak(write_body):

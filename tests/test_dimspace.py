@@ -12,13 +12,9 @@ from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
-from path_oracle import tables_from_b
+from test_cli import non_dyadic_spec
 
 HALF = Fraction(1, 2)
-
-
-def space_for(d):
-    return D.build_matrices(d, label_edges(d))
 
 
 def odometer_closed(n):
@@ -36,14 +32,14 @@ def circulant_closed(k, n):
 
 
 def test_odometer_matrices_golden():
-    sp = space_for(B.odometer_diagram(8))
+    sp = D.build_matrices(B.odometer_diagram(8))
     for n in range(8):
         assert sp.matrices[n] == odometer_closed(n)
 
 
 def test_morse_matrices_golden():
     # the root fans out as a 2x1 column; from there the closed form holds
-    sp = space_for(B.morse_diagram(8))
+    sp = D.build_matrices(B.morse_diagram(8))
     assert sp.matrices[0] == LaurentMatrix([[LaurentPoly({0: HALF})],
                                             [LaurentPoly({0: HALF})]])
     for n in range(7):
@@ -52,7 +48,7 @@ def test_morse_matrices_golden():
 
 def test_circulant_matrices_golden():
     for k in (3, 4, 5):
-        sp = space_for(B.circulant_diagram(k, 6))
+        sp = D.build_matrices(B.circulant_diagram(k, 6))
         for n in range(5):
             assert sp.matrices[n + 1] == circulant_closed(k, n)
 
@@ -60,10 +56,9 @@ def test_circulant_matrices_golden():
 def test_wide_sparse_levels_share_one_zero():
     # circulant:300 has 2 edges into each of 300 vertices: 600 of 90,000 entries are nonzero
     d = B.circulant_diagram(300, 3)
-    lab = label_edges(d)
     tracemalloc.start()
     try:
-        space = D.build_matrices(d, lab)
+        space = D.build_matrices(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -72,16 +67,22 @@ def test_wide_sparse_levels_share_one_zero():
                 if e.is_zero()}) == 1
 
 
-def test_parallel_edges_with_equal_labels_add():
-    # label_edges never repeats a label within a fiber; an all-zero labeling does
-    d = B.odometer_diagram(2)
-    space = D.build_matrices(d, tables_from_b(d, {e.id: 0 for level in d.edges for e in level}))
-    for m in space.matrices:
-        assert m.entries == ((LaurentPoly.one(),),)
+def test_each_edge_is_one_term_of_its_entry():
+    # labels strictly increase along a fiber, so parallel edges never share an exponent
+    from adicspace import rotation as R
+
+    rng = random.Random(30)
+    diagrams = [B.odometer_diagram(6), B.morse_diagram(6), B.circulant_diagram(4, 6)]
+    diagrams += [random_diagram(rng, depth=4) for _ in range(10)]
+    diagrams.append(R.rotation_diagram(R.CFExpansion([2, 1, 3, 1, 2, 4, 1, 2]), 6))
+    diagrams.append(B.validate_diagram(non_dyadic_spec(9)))  # parallel w and x edges
+    for d in diagrams:
+        for n, m in enumerate(D.build_matrices(d).matrices):
+            assert sum(e.num_terms() for row in m.entries for e in row) == len(d.edges[n])
 
 
 def test_partial_product_telescopes_odometer():
-    sp = space_for(B.odometer_diagram(12))
+    sp = D.build_matrices(B.odometer_diagram(12))
     for n in (3, 8, 12):
         prod = D.partial_product(sp, 0, n)
         assert prod.entries[0][0] == LaurentPoly(
@@ -90,7 +91,7 @@ def test_partial_product_telescopes_odometer():
 
 
 def test_partial_product_single_factor_and_range_guard():
-    sp = space_for(B.morse_diagram(4))
+    sp = D.build_matrices(B.morse_diagram(4))
     assert D.partial_product(sp, 2, 3) == sp.matrices[2]
     with pytest.raises(RangeError):
         D.partial_product(sp, 3, 3)
@@ -122,7 +123,7 @@ def test_path_measure_oracle_on_random_diagrams():
     for _ in range(8):
         d = random_diagram(rng, depth=4)
         lab = label_edges(d)
-        sp = D.build_matrices(d, lab)
+        sp = D.build_matrices(d)
         for n in range(1, d.depth + 1):
             prod = D.partial_product(sp, 0, n)
             for j in range(d.k(n)):
@@ -137,9 +138,9 @@ def test_generated_matrices_are_stochastic_and_positive():
     from adicspace import rotation as R
 
     rng = random.Random(17)
-    spaces = [space_for(random_diagram(rng, depth=4)) for _ in range(10)]
+    spaces = [D.build_matrices(random_diagram(rng, depth=4)) for _ in range(10)]
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    spaces.append(D.build_matrices(*R.rotation_diagram(cf, 4)))  # interval probabilities
+    spaces.append(D.build_matrices(R.rotation_diagram(cf, 4)))  # interval probabilities
     for sp in spaces:
         for m in sp.matrices:
             assert all(RatInterval.coerce(s).contains(1) for s in m.column_sums_at_one())
@@ -149,13 +150,13 @@ def test_generated_matrices_are_stochastic_and_positive():
 
 def test_check_harmonic_all_ones_passes():
     for d in (B.odometer_diagram(5), B.morse_diagram(5), B.circulant_diagram(4, 5)):
-        sp = space_for(d)
+        sp = D.build_matrices(d)
         mus = [[Fraction(1)] * sp.dims[n] for n in range(sp.depth + 1)]
         assert D.check_harmonic(sp, mus).ok
 
 
 def test_check_harmonic_reports_residual_pattern():
-    sp = space_for(B.morse_diagram(3))
+    sp = D.build_matrices(B.morse_diagram(3))
     mus = [[Fraction(1)] * sp.dims[0]] + [[Fraction(1), Fraction(2)]] * 3
     rep = D.check_harmonic(sp, mus)
     assert not rep.ok
@@ -164,7 +165,7 @@ def test_check_harmonic_reports_residual_pattern():
 
 
 def test_check_harmonic_refuses_misshapen_rows():
-    sp = space_for(B.morse_diagram(3))  # dims (1, 2, 2, 2)
+    sp = D.build_matrices(B.morse_diagram(3))  # dims (1, 2, 2, 2)
     with pytest.raises(DimensionMismatch, match="one row vector per level"):
         D.check_harmonic(sp, [[1], [1, 1], [1, 1]])
     with pytest.raises(DimensionMismatch, match="mu_2 has length 3, expected 2"):
@@ -172,7 +173,7 @@ def test_check_harmonic_refuses_misshapen_rows():
 
 
 def test_state_eval_and_compatibility():
-    sp = space_for(B.circulant_diagram(4, 5))
+    sp = D.build_matrices(B.circulant_diagram(4, 5))
     ones = [Fraction(1)] * 4
     unit = [LaurentPoly.one()] + [LaurentPoly.zero()] * 3
     assert D.state_eval(unit, ones) == 1
@@ -186,21 +187,21 @@ def test_state_eval_and_compatibility():
 
 
 def test_stochastic_column_state_is_one():
-    sp = space_for(B.morse_diagram(4))
+    sp = D.build_matrices(B.morse_diagram(4))
     m = sp.matrices[2]
     col = [m.entries[i][0] for i in range(m.rows)]
     assert D.state_eval(col, [Fraction(1)] * m.rows) == 1
 
 
 def test_horizon_norm_telescoping_cancellation():
-    sp = space_for(B.odometer_diagram(6))
+    sp = D.build_matrices(B.odometer_diagram(6))
     f = [LaurentPoly({0: Fraction(1), 1: Fraction(-1)})]
     assert D.horizon_norm(sp, f, 0, 3) == Fraction(1, 4)
     assert D.horizon_norm(sp, f, 0, 0) == 2
 
 
 def test_horizon_norm_constant_for_nonnegative():
-    sp = space_for(B.circulant_diagram(3, 6))
+    sp = D.build_matrices(B.circulant_diagram(3, 6))
     f = [LaurentPoly({1: Fraction(2, 3)}), LaurentPoly({0: Fraction(1, 3)}),
          LaurentPoly.zero()]
     values = [D.horizon_norm(sp, f, 1, m) for m in range(1, 7)]
@@ -208,14 +209,14 @@ def test_horizon_norm_constant_for_nonnegative():
 
 
 def test_horizon_norm_nonincreasing():
-    sp = space_for(B.morse_diagram(6))
+    sp = D.build_matrices(B.morse_diagram(6))
     f = [LaurentPoly({0: Fraction(1)}), LaurentPoly({0: Fraction(-1)})]
     values = [D.horizon_norm(sp, f, 1, m) for m in range(1, 7)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     rng = random.Random(31)
     for _ in range(5):
         d = random_diagram(rng, depth=5)
-        sp = space_for(d)
+        sp = D.build_matrices(d)
         f = [LaurentPoly({rng.randint(-2, 2): Fraction(rng.randint(-4, 4))})
              for _ in range(sp.dims[0])]
         values = [D.horizon_norm(sp, f, 0, m) for m in range(sp.depth + 1)]
@@ -226,7 +227,6 @@ def test_check_harmonic_rotation_encloses_zero():
     from adicspace import rotation as R
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    d, lab = R.rotation_diagram(cf, 5)
-    sp = D.build_matrices(d, lab)
+    sp = D.build_matrices(R.rotation_diagram(cf, 5))
     mus = [[Fraction(1)] * sp.dims[n] for n in range(sp.depth + 1)]
     assert D.check_harmonic(sp, mus).ok

@@ -11,9 +11,9 @@ from adicspace import rotation as R
 from adicspace.dimspace import build_matrices
 from adicspace.errors import BadInput, BudgetExceeded, InsufficientDepth, RangeError
 from adicspace.intervals import RatInterval
-from adicspace.labeling import label_edges, path_bsum
+from adicspace.labeling import label_edges, labeling_to_json, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
-from path_oracle import paths_into, tables_from_b
+from path_oracle import paths_into, report_tables, tables_from_b
 
 
 def cf_increasing(depth=10):
@@ -139,6 +139,13 @@ def test_summability_verdicts():
     assert repg.tail_bound == Fraction(1, 3 * 2 ** 15)
 
 
+def test_a_one_term_partial_sum_is_the_fraction_zero():
+    # a one-term cf has no product a(n) a(n+1): the empty sum is still a Fraction
+    rep = R.summability_report(R.CFExpansion([2]))
+    assert type(rep.partial_sum) is Fraction and rep.partial_sum == 0
+    assert str(rep.partial_sum) == "0"
+
+
 def test_total_bound_needs_a_certified_tail():
     ones = R.CFExpansion([1] * 10)
     for rule in (None, R.GrowthRule("linear", Fraction(1))):  # no rule, and one that fails
@@ -148,16 +155,17 @@ def test_total_bound_needs_a_certified_tail():
 
 def test_rotation_diagram_shape_and_measure():
     cf = cf_increasing()
-    d, lab = R.rotation_diagram(cf, 5)
+    d = R.rotation_diagram(cf, 5)
+    lab = label_edges(d)
     assert d.depth == 5
     assert [d.k(n) for n in range(6)] == [1, 2, 2, 2, 2, 2]
     assert len(d.edges[0]) == cf.a(1) + 1
     for n in range(1, 5):
         assert len(d.edges[n]) == cf.a(n + 1) + 2
     # explicit labels
-    assert lab.b["e1_21"] == cf.a(2) * cf.q(1)
-    assert lab.b["e2_11_3"] == 2 * cf.q(2)
-    assert lab.b["e3_12"] == 0
+    assert lab["e1_21"] == cf.a(2) * cf.q(1)
+    assert lab["e2_11_3"] == 2 * cf.q(2)
+    assert lab["e3_12"] == 0
 
 
 def test_rotation_diagram_depth_guard():
@@ -189,8 +197,7 @@ def closed_form_matrix(cf, n):
 def test_rotation_matrices_match_diagram_route():
     # the second input has single-loop fibers, where a(n+1) = 1
     for cf, depth in ((cf_increasing(), 5), (R.CFExpansion([2, 1, 3, 1, 2, 4, 1, 2]), 6)):
-        d, lab = R.rotation_diagram(cf, depth)
-        space = build_matrices(d, lab)
+        space = build_matrices(R.rotation_diagram(cf, depth))
         for n in range(depth):
             assert space.matrices[n] == R.rotation_matrix(cf, n) == closed_form_matrix(cf, n)
 
@@ -230,9 +237,10 @@ def explicit_labels(cf, depth):
 
 def test_explicit_labeling_matches_generic():
     for cf, depth in ((cf_increasing(), 5), (R.CFExpansion([2, 1, 3, 1, 2, 4]), 4)):
-        d, lab = R.rotation_diagram(cf, depth)
-        # b, wmax and wmin against the max/min recursion over the explicit labels
-        assert lab == label_edges(d) == tables_from_b(d, explicit_labels(cf, depth))
+        d, labels = R.rotation_diagram(cf, depth), explicit_labels(cf, depth)
+        # the labels, then the label report's tables against the max/min recursion over them
+        assert label_edges(d) == labels
+        assert report_tables(labeling_to_json(d, label_edges(d))) == tables_from_b(d, labels)
 
 
 def test_rotation_path_counts_are_the_convergent_denominators():
@@ -241,17 +249,18 @@ def test_rotation_path_counts_are_the_convergent_denominators():
     for _ in range(12):
         cf = R.CFExpansion([rng.randint(1, 6) for _ in range(rng.randint(3, 8))])
         depth = cf.depth - 2
-        d, _ = R.rotation_diagram(cf, depth)
+        d = R.rotation_diagram(cf, depth)
         for n in range(1, depth + 1):
             assert [B.count_paths_into(d, n, v) for v in (0, 1)] == [cf.q(n), cf.q(n - 1)]
-        assert label_edges(d).b == explicit_labels(cf, depth)
+        assert label_edges(d) == explicit_labels(cf, depth)
 
 
 def test_rotation_successor_increment_bruteforce():
     # small partial quotients, depth 4: consecutive paths into each vertex
     # differ by exactly one in their label sum
     cf = R.CFExpansion([2, 3, 2, 4, 2, 2])
-    d, lab = R.rotation_diagram(cf, 4)
+    d = R.rotation_diagram(cf, 4)
+    lab = label_edges(d)
     for n in range(4):
         for v in range(d.k(n + 1)):
             paths = [B.FinitePath(p) for p in paths_into(d, n + 1, v)]

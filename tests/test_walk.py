@@ -13,15 +13,10 @@ from adicspace.cli import _write_json
 from adicspace.dimspace import DimensionSpace, build_matrices, partial_product
 from adicspace.errors import BadInput, BudgetExceeded, DepthExceeded, DimensionMismatch, RangeError
 from adicspace.intervals import RatInterval
-from adicspace.labeling import label_edges
 from adicspace.laurent import LaurentMatrix, LaurentPoly, coeff_to_json
 from conftest import random_diagram
 
 HALF = Fraction(1, 2)
-
-
-def space_for(d):
-    return build_matrices(d, label_edges(d))
 
 
 def written(block) -> str:
@@ -32,7 +27,7 @@ def written(block) -> str:
 
 
 def test_odometer_step_distribution():
-    sp = space_for(B.odometer_diagram(6))
+    sp = build_matrices(B.odometer_diagram(6))
     for n in (0, 3, 5):
         dist = W.step_distribution(sp, W.WalkState(0, 0, n))
         assert dist == [(W.WalkState(0, 0, n + 1), HALF),
@@ -40,7 +35,7 @@ def test_odometer_step_distribution():
 
 
 def test_morse_step_distribution():
-    sp = space_for(B.morse_diagram(6))
+    sp = build_matrices(B.morse_diagram(6))
     dist = W.step_distribution(sp, W.WalkState(5, 0, 3))
     assert (W.WalkState(5, 0, 4), HALF) in dist
     assert (W.WalkState(5 + 2 ** 2, 1, 4), HALF) in dist
@@ -50,7 +45,7 @@ def test_morse_step_distribution():
 def test_step_distribution_shift_equivariance():
     rng = random.Random(4)
     d = random_diagram(rng, depth=4)
-    sp = space_for(d)
+    sp = build_matrices(d)
     for t in (-7, 13):
         base = W.step_distribution(sp, W.WalkState(0, 0, 0))
         shifted = W.step_distribution(sp, W.WalkState(t, 0, 0))
@@ -62,7 +57,7 @@ def test_step_probabilities_sum_to_one():
     rng = random.Random(41)
     for _ in range(5):
         d = random_diagram(rng, depth=4)
-        sp = space_for(d)
+        sp = build_matrices(d)
         for n in range(sp.depth):
             for v in range(sp.dims[n]):
                 total = sum(p for _, p in W.step_distribution(sp, W.WalkState(0, v, n)))
@@ -70,13 +65,13 @@ def test_step_probabilities_sum_to_one():
 
 
 def test_step_depth_guard():
-    sp = space_for(B.odometer_diagram(2))
+    sp = build_matrices(B.odometer_diagram(2))
     with pytest.raises(DepthExceeded):
         W.step_distribution(sp, W.WalkState(0, 0, 2))
 
 
 def test_exact_distribution_odometer_uniform():
-    sp = space_for(B.odometer_diagram(4))
+    sp = build_matrices(B.odometer_diagram(4))
     hist = W.exact_distribution(sp, 3, W.WalkState(0, 0, 0))
     assert hist.masses == (LaurentPoly({d: Fraction(1, 8) for d in range(8)}),)
     assert hist.total_mass() == 1
@@ -85,7 +80,7 @@ def test_exact_distribution_odometer_uniform():
 def test_exact_distribution_matches_partial_product():
     rng = random.Random(6)
     d = random_diagram(rng, depth=5)
-    sp = space_for(d)
+    sp = build_matrices(d)
     hist = W.exact_distribution(sp, 5, W.WalkState(3, 0, 0))
     prod = partial_product(sp, 0, 5)
     assert len(hist.masses) == sp.dims[5]
@@ -94,7 +89,7 @@ def test_exact_distribution_matches_partial_product():
 
 
 def test_exact_distribution_level_zero_is_point_mass():
-    sp = space_for(B.morse_diagram(3))
+    sp = build_matrices(B.morse_diagram(3))
     hist = W.exact_distribution(sp, 0, W.WalkState(9, 0, 0))
     assert hist.masses == (LaurentPoly({9: Fraction(1)}),)
 
@@ -102,7 +97,7 @@ def test_exact_distribution_level_zero_is_point_mass():
 def test_circulant_digit_count_support():
     # starting past the root fan-out, the vertex class tracks the binary
     # digit count of the displacement
-    sp = space_for(B.circulant_diagram(4, 4))
+    sp = build_matrices(B.circulant_diagram(4, 4))
     hist = W.exact_distribution(sp, 4, W.WalkState(0, 0, 1))
     assert hist.total_mass() == 1
     for j, column in enumerate(hist.masses):
@@ -111,7 +106,7 @@ def test_circulant_digit_count_support():
 
 
 def test_exact_distribution_shift_equivariance():
-    sp = space_for(B.circulant_diagram(3, 4))
+    sp = build_matrices(B.circulant_diagram(3, 4))
     base = W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
     shifted = W.exact_distribution(sp, 4, W.WalkState(11, 0, 0))
     assert shifted.masses == tuple(LaurentPoly({d + 11: c for d, c in f.items()})
@@ -119,7 +114,7 @@ def test_exact_distribution_shift_equivariance():
 
 
 def test_simulate_deterministic_and_single_trial():
-    sp = space_for(B.morse_diagram(5))
+    sp = build_matrices(B.morse_diagram(5))
     a = W.simulate(sp, 5, 200, seed=99)
     b = W.simulate(sp, 5, 200, seed=99)
     assert a == b
@@ -134,13 +129,13 @@ def test_simulate_deterministic_and_single_trial():
 
 
 def test_simulate_requires_positive_trials():
-    sp = space_for(B.odometer_diagram(2))
+    sp = build_matrices(B.odometer_diagram(2))
     with pytest.raises(BadInput):
         W.simulate(sp, 2, 0, seed=1)
 
 
 def test_simulate_tv_convergence_small():
-    sp = space_for(B.odometer_diagram(4))
+    sp = build_matrices(B.odometer_diagram(4))
     exact = W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
     tv_small = W.tv_distance(exact, W.simulate(sp, 4, 200, seed=7))
     tv_big = W.tv_distance(exact, W.simulate(sp, 4, 20000, seed=7))
@@ -152,7 +147,7 @@ def test_one_step_expectation_of_harmonic_vector():
     # the current state, exactly
     rng = random.Random(12)
     d = random_diagram(rng, depth=4)
-    sp = space_for(d)
+    sp = build_matrices(d)
     mus = [[Fraction(1)] * sp.dims[n] for n in range(sp.depth + 1)]
     for n in range(sp.depth):
         for v in range(sp.dims[n]):
@@ -162,7 +157,7 @@ def test_one_step_expectation_of_harmonic_vector():
 
 
 def test_histogram_json_sorted():
-    sp = space_for(B.morse_diagram(4))
+    sp = build_matrices(B.morse_diagram(4))
     hist = W.exact_distribution(sp, 4, W.WalkState(0, 0, 0))
     block = W.histogram_to_json(hist)
     data = json.loads(written(block))
@@ -178,7 +173,7 @@ def test_pulled_back_harmonic_vector_is_exact():
     # harmonic sequence ending there; expectations reproduce it exactly
     rng = random.Random(2718)
     d = random_diagram(rng, depth=4)
-    sp = space_for(d)
+    sp = build_matrices(d)
     mus = [None] * (sp.depth + 1)
     mus[-1] = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
                for _ in range(sp.dims[-1])]
@@ -199,8 +194,7 @@ def test_simulate_rejects_enclosure_space():
     from adicspace.dimspace import build_matrices
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    d, lab = R.rotation_diagram(cf, 3)
-    sp = build_matrices(d, lab)
+    sp = build_matrices(R.rotation_diagram(cf, 3))
     with pytest.raises(BadInput):
         W.simulate(sp, 3, 10, seed=1)
 
@@ -210,8 +204,7 @@ def test_exact_distribution_enclosure_mode():
     from adicspace.intervals import RatInterval
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    d, lab = R.rotation_diagram(cf, 3)
-    sp = build_matrices(d, lab)
+    sp = build_matrices(R.rotation_diagram(cf, 3))
     hist = W.exact_distribution(sp, 3, W.WalkState(0, 0, 0))
     total = hist.total_mass()
     assert isinstance(total, RatInterval) and total.contains(1)
@@ -230,7 +223,7 @@ MORSE6_COUNTS = {
 
 
 def test_simulate_bytes_pinned_morse():
-    sp = space_for(B.morse_diagram(6))
+    sp = build_matrices(B.morse_diagram(6))
     got = json.loads(written(W.histogram_to_json(W.simulate(sp, 6, 2000, seed=12345))))
     assert got == {
         "kind": "empirical",
@@ -242,7 +235,7 @@ def test_simulate_bytes_pinned_morse():
 
 def test_simulate_bytes_pinned_random_diagram_nonzero_start():
     d = random_diagram(random.Random(2024), depth=5)
-    sp = space_for(d)
+    sp = build_matrices(d)
     assert sp.dims == (1, 4, 2, 3, 2, 4)
     got = json.loads(written(W.histogram_to_json(
         W.simulate(sp, 5, 500, seed=77, start=W.WalkState(-3, 3, 1)))))
@@ -272,7 +265,7 @@ def test_integer_threshold_matches_fraction_comparison():
 
 
 def test_start_state_is_checked_once_for_every_walk_function():
-    sp = space_for(B.circulant_diagram(3, 3))  # dims (1, 3, 3, 3)
+    sp = build_matrices(B.circulant_diagram(3, 3))  # dims (1, 3, 3, 3)
     for start, error in ((W.WalkState(0, -1, 1), BadInput),   # not the last vertex
                          (W.WalkState(0, 3, 1), BadInput),    # k(1) = 3
                          (W.WalkState(0, 1, 0), BadInput),    # the root is vertex 0 only
@@ -292,7 +285,7 @@ def test_start_state_is_checked_once_for_every_walk_function():
 
 
 def test_exact_distribution_from_an_inner_vertex_matches_partial_product():
-    sp = space_for(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
+    sp = build_matrices(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
     hist = W.exact_distribution(sp, 5, W.WalkState(-3, 3, 1))
     prod = partial_product(sp, 1, 5)
     assert hist.total_mass() == 1
@@ -302,7 +295,7 @@ def test_exact_distribution_from_an_inner_vertex_matches_partial_product():
 
 def test_exact_walk_is_refused_over_the_path_budget():
     d = random_diagram(random.Random(2024), depth=5)
-    sp = space_for(d)
+    sp = build_matrices(d)
     paths = sum(B.count_paths_into(d, 5, v) for v in range(d.k(5)))
     assert W.exact_distribution(sp, 5, W.WalkState(0, 0, 0), budget=paths).total_mass() == 1
     with pytest.raises(BudgetExceeded, match=f"= {paths} exceeds the budget {paths - 1}$"):
@@ -317,7 +310,7 @@ def test_histogram_writes_an_interval_mass_as_a_pair():
     from adicspace import rotation as R
 
     cf = R.CFExpansion([n + 1 for n in range(1, 11)])
-    sp = build_matrices(*R.rotation_diagram(cf, 2))
+    sp = build_matrices(R.rotation_diagram(cf, 2))
     rows = json.loads(written(W.histogram_to_json(
         W.exact_distribution(sp, 2, W.WalkState(0, 0, 0)))))["masses"]
     masses = [c for row in rows.values() for c in row.values()]
@@ -369,14 +362,14 @@ def reference_tv(pa, pb):
 
 def test_column_laws_match_the_dict_of_dicts_reference():
     rng = random.Random(15)
-    cases = [(space_for(B.odometer_diagram(6)), 6, W.WalkState(0, 0, 0)),
-             (space_for(B.odometer_diagram(6)), 6, W.WalkState(7, 0, 2)),
-             (space_for(B.morse_diagram(6)), 6, W.WalkState(0, 0, 0)),
-             (space_for(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
-             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0)),
-             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
+    cases = [(build_matrices(B.odometer_diagram(6)), 6, W.WalkState(0, 0, 0)),
+             (build_matrices(B.odometer_diagram(6)), 6, W.WalkState(7, 0, 2)),
+             (build_matrices(B.morse_diagram(6)), 6, W.WalkState(0, 0, 0)),
+             (build_matrices(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
+             (build_matrices(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0)),
+             (build_matrices(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
     for _ in range(20):
-        sp = space_for(random_diagram(rng, depth=rng.randint(2, 5)))
+        sp = build_matrices(random_diagram(rng, depth=rng.randint(2, 5)))
         level = rng.randint(0, sp.depth - 1)
         start = W.WalkState(rng.randint(-9, 9), rng.randrange(sp.dims[level]), level)
         cases.append((sp, rng.randint(level, sp.depth), start))
@@ -434,11 +427,11 @@ def clamped_simulate(space, n, trials, seed, start=W.WalkState(0, 0, 0)):
 
 def test_simulate_matches_the_clamped_reference():
     rng = random.Random(16)
-    cases = [(space_for(B.odometer_diagram(7)), 7, W.WalkState(0, 0, 0)),
-             (space_for(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
-             (space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
+    cases = [(build_matrices(B.odometer_diagram(7)), 7, W.WalkState(0, 0, 0)),
+             (build_matrices(B.morse_diagram(6)), 6, W.WalkState(-5, 1, 2)),
+             (build_matrices(B.circulant_diagram(4, 5)), 5, W.WalkState(3, 2, 1))]
     for _ in range(20):
-        sp = space_for(random_diagram(rng, depth=rng.randint(2, 5)))
+        sp = build_matrices(random_diagram(rng, depth=rng.randint(2, 5)))
         level = rng.randint(0, sp.depth - 1)
         start = W.WalkState(rng.randint(-9, 9), rng.randrange(sp.dims[level]), level)
         cases.append((sp, rng.randint(level, sp.depth), start))
@@ -452,8 +445,8 @@ def test_simulate_matches_the_clamped_reference():
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_simulate_matches_the_clamped_reference_at_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(W, "_BLOCK", block)
-    cases = [(space_for(B.morse_diagram(5)), 5, W.WalkState(0, 0, 0)),
-             (space_for(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1))]
+    cases = [(build_matrices(B.morse_diagram(5)), 5, W.WalkState(0, 0, 0)),
+             (build_matrices(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1))]
     for sp, n, start in cases:
         for trials in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
             seed = 1000 * block + trials
@@ -463,8 +456,8 @@ def test_simulate_matches_the_clamped_reference_at_block_boundaries(monkeypatch,
 
 def test_simulate_matches_the_clamped_reference_over_several_blocks():
     trials = 2 * W._BLOCK + 5
-    cases = [(space_for(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0), 31),
-             (space_for(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1), 77)]
+    cases = [(build_matrices(B.circulant_diagram(4, 5)), 5, W.WalkState(0, 0, 0), 31),
+             (build_matrices(random_diagram(random.Random(2024), depth=5)), 5, W.WalkState(-3, 3, 1), 77)]
     for sp, n, start, seed in cases:
         got = W.simulate(sp, n, trials, seed, start=start)
         assert got == clamped_simulate(sp, n, trials, seed, start)
@@ -473,7 +466,7 @@ def test_simulate_matches_the_clamped_reference_over_several_blocks():
 
 @pytest.mark.parametrize("depth", [70, 130])  # positions past 2^64, and past 2^128
 def test_simulate_matches_the_clamped_reference_past_two_to_the_64(depth):
-    sp = space_for(B.odometer_diagram(depth))
+    sp = build_matrices(B.odometer_diagram(depth))
     got = W.simulate(sp, depth, 300, seed=depth)
     assert got == clamped_simulate(sp, depth, 300, depth)
     assert max(got.masses[0].support()) >= 1 << (depth - 6)
@@ -481,7 +474,7 @@ def test_simulate_matches_the_clamped_reference_past_two_to_the_64(depth):
 
 def test_simulate_matches_the_clamped_reference_when_only_the_key_passes_two_to_the_64():
     # positions fit in one word; position * K + vertex does not
-    sp = space_for(B.circulant_diagram(4, 64))
+    sp = build_matrices(B.circulant_diagram(4, 64))
     start = W.WalkState(5, 2, 3)
     spans = [[e for row in m.entries for f in row for e in f.support()]
              for m in sp.matrices[start.level:64]]
@@ -494,7 +487,7 @@ def test_simulate_matches_the_clamped_reference_when_only_the_key_passes_two_to_
 
 
 def test_zero_step_walk_is_the_start_state():
-    sp = space_for(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
+    sp = build_matrices(random_diagram(random.Random(2024), depth=5))  # dims (1, 4, 2, 3, 2, 4)
     start = W.WalkState(-3, 3, 1)
     trials = 2 * W._BLOCK + 5
     got = W.simulate(sp, 1, trials, seed=8, start=start)
@@ -539,7 +532,7 @@ def test_lane_mixer_matches_mix64_value_by_value(values, step):
 def test_simulate_memory_is_bounded_by_the_block():
     import tracemalloc
 
-    sp = space_for(B.circulant_diagram(4, 5))
+    sp = build_matrices(B.circulant_diagram(4, 5))
 
     def peak(trials):
         tracemalloc.start()
