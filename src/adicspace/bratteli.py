@@ -39,10 +39,17 @@ from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import (SIZE_CAP, BadInput, BadMeasure, BadOrder, DepthExceeded, EmptyFiber,
-                     MissingRoot, check_budget)
+from .errors import (SIZE_CAP, TEXT_DIGITS, BadInput, BadMeasure, BadOrder, DepthExceeded,
+                     EmptyFiber, MissingRoot, check_budget, decimal_digits)
 from .intervals import RatInterval
 from .laurent import coeff_from_json, coeff_to_json
+
+
+def _text(x) -> str:
+    """A rational or an interval as text, or its digit count when that passes TEXT_DIGITS."""
+    c = RatInterval.coerce(x)
+    digits = sum(decimal_digits(i) for f in {c.lo, c.hi} for i in (f.numerator, f.denominator))
+    return str(x) if digits <= TEXT_DIGITS else f"a number of {digits} digits"
 
 
 class Edge(NamedTuple):
@@ -107,7 +114,7 @@ class OrderedBratteliDiagram:
                     raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
                 total = sum((e.p for e in out), Fraction(0))
                 if not RatInterval.coerce(total).contains(1):
-                    raise BadMeasure(f"source sums at vertex {n}/{v} equal {total}, not 1")
+                    raise BadMeasure(f"source sums at vertex {n}/{v} equal {_text(total)}, not 1")
             for v, fiber in enumerate(fibers):
                 order = orders.get((n + 1, v))
                 if order is None:

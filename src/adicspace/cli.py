@@ -259,10 +259,13 @@ def cmd_rotation(args) -> int:
     depth = _depth(args, max(1, cf.depth - 2))
     body = {"cf": list(cf.terms), "alpha": coeff_to_json(cf.alpha())}
     report = rotation.summability_report(cf, rule)
+    tail = report.tail_bound
+    if tail is not None:
+        check_digits("the tail bound", max(tail.numerator, tail.denominator))
     body["summability"] = {
         "partial_sum": str(report.partial_sum),
         "verdict": report.verdict,
-        "tail_bound": None if report.tail_bound is None else str(report.tail_bound),
+        "tail_bound": None if tail is None else str(tail),
     }
     # one dimension space serves --matrices and --gaps, built where the first of them reads it
     space = functools.cache(lambda: dimspace.build_matrices(rotation.rotation_diagram(cf, depth)))

@@ -9,6 +9,14 @@ never materialized; what is computed is the matrix sequence, partial
 products, states against harmonic row vectors, and norms at a finite horizon
 (the norm of a pushed-forward vector is nonincreasing in the horizon, so any
 finite horizon certifies an upper bound).
+
+A partial product is a product tree: the product of its upper and lower
+halves, split at the level midpoint.  Entry (j, i) of M_{b-1} ... M_a has
+one term per path from i to j (distinct paths from a common prefix have
+distinct b-sums), so no two term products ever add, and each coefficient
+is the product of its path's edge probabilities in any grouping: the tree's
+bytes are those of a one-level-at-a-time fold, which builds and drops every
+intermediate product.
 """
 
 from __future__ import annotations
@@ -78,17 +86,28 @@ def _term_bound(space: DimensionSpace, columns: Sequence[Sequence[LaurentPoly]],
 
 def partial_product(space: DimensionSpace, start: int, stop: int,
                     budget: int = DEFAULT_BUDGET) -> LaurentMatrix:
-    """M_{stop-1} ... M_{start}, exact; requires start < stop <= depth; sized before it is built."""
+    """M_{stop-1} ... M_{start}, exact; requires start < stop <= depth; sized before it is built.
+
+    It is made by :func:`_product_tree`, whose recursion is log2(stop - start)
+    deep.  A half-product has at most as many terms as the result: every
+    vertex has a path into it and a path out of it, so each path of a half
+    extends to at least one path of the whole.
+    """
     if not (0 <= start < stop <= space.depth):
         raise RangeError(f"need 0 <= {start} < {stop} <= {space.depth}")
     # column v is e_v pushed forward, and the identity's rows are its columns
     check_budget(f"the terms of M_{stop - 1} ... M_{start}",
                  _term_bound(space, LaurentMatrix.identity(space.dims[start]).entries,
                              start, stop), budget)
-    acc = space.matrices[start]
-    for n in range(start + 1, stop):
-        acc = mat_mul(space.matrices[n], acc)
-    return acc
+    return _product_tree(space.matrices, start, stop)
+
+
+def _product_tree(mats: Sequence[LaurentMatrix], start: int, stop: int) -> LaurentMatrix:
+    """M_{stop-1} ... M_{start} as the product of its upper and lower halves."""
+    if stop - start == 1:
+        return mats[start]
+    mid = (start + stop) // 2
+    return mat_mul(_product_tree(mats, mid, stop), _product_tree(mats, start, mid))
 
 
 @dataclass(frozen=True)

@@ -82,16 +82,19 @@ TEXT_DIGITS = 4300  # Python's default limit on int-to-str: the most digits a re
 _TEXT_CAP = 10 ** TEXT_DIGITS
 
 
-def check_digits(what: str, x: int) -> None:
-    """A BudgetExceeded naming ``what`` when |x| has more than TEXT_DIGITS digits.
+def decimal_digits(x: int) -> int:
+    """The decimal digits of |x|, counted without ``str(x)``, which Python refuses past TEXT_DIGITS."""
+    x = abs(x)
+    digits = max(1, x.bit_length() * 30102 // 100000)  # at most the digit count
+    while 10 ** digits <= x:
+        digits += 1
+    return digits
 
-    The digits are counted without ``str(x)``, which Python refuses for them.
-    """
+
+def check_digits(what: str, x: int) -> None:
+    """A BudgetExceeded naming ``what`` when |x| has more than TEXT_DIGITS digits."""
     if abs(x) >= _TEXT_CAP:
-        digits = abs(x).bit_length() * 30102 // 100000  # at most the digit count
-        while 10 ** digits <= abs(x):
-            digits += 1
-        check_budget(f"the decimal digits of {what}", digits, TEXT_DIGITS)
+        check_budget(f"the decimal digits of {what}", decimal_digits(x), TEXT_DIGITS)
 
 
 def check_text_digits(what: str, text: str) -> str:

@@ -5,23 +5,24 @@ The library ranks paths through one path-count table per diagram
 and ``bratteli.unrank``).  The routes here compute the same things another
 way, so tests compare two independent routes:
 
-- ``paths_into`` enumerates the paths into a vertex by recursion over fibers;
 - ``adic_neighbor`` moves the first edge that can move one place in its
   fiber and rebuilds the prefix with ``extreme_path_into``;
 - ``count_paths_into`` runs the path-count recursion level by level;
 - ``tables_from_b`` runs the max/min recursion for any supplied labeling;
-  ``report_tables`` reads the ``label`` report's tables into the same form.
+  ``report_tables`` reads the ``label`` report's tables into the same form;
+- ``left_fold`` multiplies the M_n one level at a time, where
+  ``dimspace.partial_product`` multiplies two half-products;
+- ``paths_between`` enumerates the paths from one vertex to another by
+  recursion over fibers, and ``paths_into`` those from the root.
 """
 
 from adicspace.bratteli import FinitePath
+from adicspace.laurent import mat_mul
 
 
 def paths_into(d, level, vertex):
     """Edge tuples of the paths from the root into the vertex, in adic order."""
-    if level == 0:
-        return [()]
-    return [prefix + (e,) for e in d.in_edges[(level, vertex)]
-            for prefix in paths_into(d, level - 1, e.src)]
+    return paths_between(d, 0, 0, level, vertex)
 
 
 def extreme_path_into(d, level, vertex, end):
@@ -69,3 +70,19 @@ def report_tables(report):
     """The (wmax, wmin) tables of a ``label`` report body, keyed (level, vertex)."""
     return tuple({tuple(map(int, key.split("/"))): int(x) for key, x in report[name].items()}
                  for name in ("wmax", "wmin"))
+
+
+def left_fold(space, start, stop):
+    """M_{stop-1} ... M_{start} as acc = M_n acc, one level at a time."""
+    acc = space.matrices[start]
+    for n in range(start + 1, stop):
+        acc = mat_mul(space.matrices[n], acc)
+    return acc
+
+
+def paths_between(d, start, i, stop, j):
+    """Edge tuples of the paths from vertex i of level ``start`` to vertex j of level ``stop``."""
+    if stop == start:
+        return [()] if i == j else []
+    return [prefix + (e,) for e in d.in_edges[(stop, j)]
+            for prefix in paths_between(d, start, i, stop - 1, e.src)]

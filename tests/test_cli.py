@@ -218,6 +218,35 @@ def test_a_mapped_point_too_long_to_write_is_refused_before_the_first_byte(capsy
     assert_too_many_digits(out, err, "Tx", 4301)
 
 
+def test_a_tail_bound_too_long_to_write_is_refused_before_the_first_byte(capsys):
+    # each rule is read and holds on the cf; its tail bound cannot be written
+    nines, ten = "9" * 4300, "1" + "0" * 4299
+    rules = {
+        # 1/(c^2 * 5) = (10^4300 - 1)^2 / 5
+        f"linear:c=1/{nines}": 8600,
+        # g = 3^1800 has 859 digits, c g^5 <= 1 and g^11 has 9,448
+        f"geometric:c=1/{ten},g={3 ** 1800}": 9444,
+    }
+    for rule, digits in rules.items():
+        code, out, err = run_cli(capsys, "rotation", "--cf", "2,3,4,5,6", "--rule", rule)
+        assert code == 1, rule[:20]
+        assert_too_many_digits(out, err, "the tail bound", digits)
+
+
+def test_a_source_sum_too_long_to_write_is_named_by_its_digits(tmp_path, capsys):
+    # each p is read; their sum 1/<4,300 sevens> + 1/<4,299 threes>1 is far from 1 and too long
+    spec = non_dyadic_spec(2)
+    spec["edges"][0][0]["p"] = "1/" + "7" * 4300
+    spec["edges"][0][1]["p"] = "1/" + "3" * 4299 + "1"
+    path = tmp_path / "long_sum.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": {"code": "BadMeasure", "message":
+                                         "source sums at vertex 0/0 equal a number of "
+                                         "12901 digits, not 1"}}
+
+
 def test_unknown_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "adicspace.cli", "frobnicate"],
                           capture_output=True, text=True)
@@ -633,6 +662,17 @@ def interval_spec(depth):
     return spec
 
 
+def interval_levels_spec(depth):
+    """non_dyadic_spec with interval probabilities on a0 and on every w and x edge."""
+    spec = non_dyadic_spec(depth)
+    spec["edges"][0][0]["p"] = ["1/4", "1/3"]
+    for level in spec["edges"][1:]:
+        for e in level:
+            if e["id"][0] in "wx":
+                e["p"] = ["1/6", "1/4"] if e["id"][0] == "w" else ["2/5", "1/2"]
+    return spec
+
+
 def product_pins(tmp_path):
     """(argv, stdout sha256) of the pinned product and rotation reports."""
     non_dyadic, interval = tmp_path / "non_dyadic.json", tmp_path / "interval.json"
@@ -660,6 +700,36 @@ def test_product_and_rotation_report_bytes_are_pinned(capsys, tmp_path):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_partial_product_report_bytes_are_pinned(capsys, tmp_path):
+    # stdout sha256 recorded while partial_product multiplied one level at a time
+    pins = {
+        ("odometer", "0..10"): "b367280106e39cb8a8eb24ffd91195fb5c00740e069d72f12e601a31eb7d4e50",
+        ("odometer", "3..10"): "cefaa5752fcefc7538d79e3794178101c226f20b03bb1b2416a3697d8bc81e6e",
+        ("odometer", "3..7"): "59e4aaeae2fcea2854a1576d860bb95d8be64da7c662f4f051243b74e39a2b01",
+        ("morse", "0..10"): "0433ca419a259ce1f0efb56307a1e0048e6f60d07581b233f51a518284f674a1",
+        ("morse", "3..10"): "9bd1a60fb9ded9dd5255ba7ef350a006433b6794c19f2081ca4f7669cf83259e",
+        ("morse", "3..7"): "f3de6952cadb241fbf046528047129d006eccbc3b2b93cb4a448d9a81a8754f8",
+        ("circulant:4", "0..10"):
+            "4a22f4008d5c8caf0f0f9cdfb16cc68504c6be66b5ec80c3bb012c7bbb46d4fc",
+        ("circulant:4", "3..10"):
+            "c682909262d2d82feda9f6746806d01bff564dd494b7116666d5e2df6b4142e6",
+        ("circulant:4", "3..7"):
+            "33d75a1c36201729cd86800cd46a1fe6f1c7239dea1d96621248137578f0b830",
+    }
+    for (preset, levels), digest in pins.items():
+        code, out, _ = run_cli(capsys, "matrices", "--preset", preset, "--depth", "10",
+                               "--product", levels)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (preset, levels)
+    # enclosure-valued factors at every level, multiplied in another grouping by the tree
+    path = tmp_path / "interval_levels.json"
+    path.write_text(json.dumps(interval_levels_spec(9)))
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..9")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "80bdc81a918de67f62cb2118d43548bef2f30341baece19954b0ba4bf91e3b25")
 
 
 def test_label_and_validate_report_bytes_are_pinned(capsys, tmp_path):

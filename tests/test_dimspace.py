@@ -12,6 +12,7 @@ from adicspace.intervals import RatInterval
 from adicspace.labeling import label_edges, path_bsum
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 from conftest import random_diagram
+from path_oracle import left_fold, paths_between
 from test_cli import non_dyadic_spec
 
 HALF = Fraction(1, 2)
@@ -132,6 +133,55 @@ def test_path_measure_oracle_on_random_diagrams():
                     expected = expected + LaurentPoly.monomial(B.cylinder_measure(d, p),
                                                                path_bsum(lab, p))
                 assert prod.entries[j][0] == expected
+
+
+def fold_oracle_diagrams():
+    """The presets at depth 8, random diagrams, rotation and interval-p diagrams."""
+    from adicspace import rotation as R
+    from test_cli import interval_spec
+
+    rng = random.Random(30)
+    diagrams = [B.odometer_diagram(8), B.morse_diagram(8), B.circulant_diagram(4, 8)]
+    diagrams += [random_diagram(rng, depth=5) for _ in range(10)]
+    for terms, depth in (([1] * 12, 9), (list(range(2, 10)), 6)):  # enclosure-valued p
+        diagrams.append(R.rotation_diagram(R.CFExpansion(terms), depth))
+    diagrams.append(B.validate_diagram(interval_spec(7)))  # ["lo", "hi"] p on one level
+    return diagrams
+
+
+def test_partial_product_equals_the_left_fold():
+    # the product tree groups the same factors as the fold, so every coefficient is the same
+    for d in fold_oracle_diagrams():
+        sp = D.build_matrices(d)
+        for start, stop in combinations(range(d.depth + 1), 2):
+            tree, fold = D.partial_product(sp, start, stop), left_fold(sp, start, stop)
+            assert tree == fold, (start, stop)
+            assert ([[p.to_json() for p in row] for row in tree.entries]
+                    == [[p.to_json() for p in row] for row in fold.entries]), (start, stop)
+
+
+def test_each_path_is_one_term_of_its_product_entry():
+    # no two term products ever add, which is why the grouping cannot change a coefficient
+    for d in fold_oracle_diagrams():
+        sp = D.build_matrices(d)
+        for start, stop in combinations(range(d.depth + 1), 2):
+            prod = D.partial_product(sp, start, stop)
+            for j, row in enumerate(prod.entries):
+                for i, entry in enumerate(row):
+                    assert entry.num_terms() == len(paths_between(d, start, i, stop, j))
+
+
+def test_partial_product_peaks_below_1_4_times_what_it_keeps():
+    # the left fold peaked at 1.72 times its result; two half-products peak at 1.23
+    sp = D.build_matrices(B.odometer_diagram(16))
+    tracemalloc.start()
+    try:
+        prod = D.partial_product(sp, 0, 16)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prod.entries[0][0].num_terms() == 2 ** 16
+    assert peak < 1.4 * kept, (peak, kept)
 
 
 def test_generated_matrices_are_stochastic_and_positive():
