@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
 from typing import List, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, BadInput, BudgetExceeded, DimensionMismatch, check_budget
 from .intervals import RatInterval
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, l1_distance
 
 
 @dataclass(frozen=True)
@@ -130,37 +129,37 @@ def explicit_candidate(M: int, N: int, budget: int = DEFAULT_BUDGET) -> RankOneC
 def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Union[Fraction, RatInterval]:
     """Entrywise l1 distance between the matrix and the column-row product.
 
-    A ``Fraction``, or a ``RatInterval`` enclosing it when an entry holds an interval.
+    A ``Fraction``, or a ``RatInterval`` enclosing it when an entry holds an
+    interval.  Each entry's distance is :func:`laurent.l1_distance`, so the
+    difference a_ij - c_i r_j is never formed.
     """
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")
-    return sum(((a.entries[i][j] - cand.column[i] * cand.row[j]).one_norm()
+    return sum((l1_distance(a.entries[i][j], cand.column[i] * cand.row[j])
                 for i in range(a.rows) for j in range(a.cols)), Fraction(0))
 
 
 # -- alternating weighted-median descent ---------------------------------------
 
 
-def _weighted_median(points: List[Tuple[Fraction, Fraction]]) -> Fraction:
-    """Lower weighted median: the l1 minimizer of sum w |v - x|.
+def _ratio_median(points: List[Tuple[int, int, int]]) -> Fraction:
+    """Lower weighted median of the ratios p / q (q > 0) under int weights w > 0.
 
-    It sorts and sums ints: the values times the lcm of their denominators
-    and the weights times the lcm of theirs, which leaves the median as it is.
+    It is the l1 minimizer of sum w |p / q - x|.  The ratios are sorted as the
+    ints p * (L // q) over L = lcm of the q, which keeps their order, and the
+    one ``Fraction`` built is the ratio returned.
     """
-    vden = math.lcm(*(v.denominator for v, _ in points))
-    wden = math.lcm(*(w.denominator for _, w in points))
-    scaled = sorted(((v.numerator * (vden // v.denominator),
-                      w.numerator * (wden // w.denominator), v) for v, w in points),
-                    key=itemgetter(0))
-    total = sum(w for _, w, _ in scaled)
+    scale = math.lcm(*(q for _, q, _ in points))
+    ranked = sorted(points, key=lambda pqw: pqw[0] * (scale // pqw[1]))
+    total = sum(w for _, _, w in points)
     acc = 0
-    for _, w, v in scaled:
+    for p, q, w in ranked:
         acc += w
         if 2 * acc >= total:  # at the latest on the last point, where acc = total > 0
-            return v
+            return Fraction(p, q)
 
 
-def _optimize_vector(targets, partners, vector):
+def _optimize_vector(targets, partners, vector) -> bool:
     """One in-place pass over the coefficients of each entry of ``vector``.
 
     targets[i][j] is the polynomial the product vector[i] * partners[j] is
@@ -168,21 +167,24 @@ def _optimize_vector(targets, partners, vector):
     coefficient c at t is set to the nonnegative weighted median of the
     ratios res_j(t + tau) / w + c over the partner terms w x^tau, where
     res_j = targets[i][j] - vector[i] * partners[j]; each step is the exact
-    1-D l1 minimizer, so the global objective never increases.
+    1-D l1 minimizer, so the global objective never increases.  Returns
+    whether any coefficient moved.
 
     The residuals are built once per entry and updated in place when a
-    coefficient moves.  Only the positive ratios become Fractions: the
-    weight of every other point is put on one point at 0, which leaves
+    coefficient moves.  A positive ratio v / w is kept as the int pair
+    (v.numerator * w.denominator, v.denominator * w.numerator); the weight
+    of every other point is put on one point at 0, which leaves
     max(0, lower weighted median) as it is.  The weights are ints over the
     lcm of the partner denominators, a common scale the median ignores.
     """
     live = [(j, r, r.items()) for j, r in enumerate(partners) if not r.is_zero()]
     if not live:  # no ratio to take a median of: every entry stays as it is
-        return
+        return False
     den = math.lcm(*(w.denominator for _, _, items in live for _, w in items))
-    terms = [[(tau, w, w.numerator * (den // w.denominator)) for tau, w in items]
-             for _, _, items in live]
-    total = sum(wi for partner in terms for _, _, wi in partner)
+    terms = [[(tau, w, w.numerator, w.denominator, w.numerator * (den // w.denominator))
+              for tau, w in items] for _, _, items in live]
+    total = sum(wi for partner in terms for *_, wi in partner)
+    moved = False
     for i, entry in enumerate(vector):
         coeffs = dict(entry.items())
         residuals = [dict((targets[i][j] - entry * r).items()) for j, r, _ in live]
@@ -196,22 +198,24 @@ def _optimize_vector(targets, partners, vector):
             positive = []
             for res, partner in zip(residuals, terms):
                 get = res.get
-                for tau, w, wi in partner:
+                for tau, w, wn, wd, wi in partner:
                     v = get(t + tau, 0)
                     if c:
                         v += c * w
-                    if v > 0:
-                        positive.append((v / w, wi))
+                    n = v.numerator
+                    if n > 0:
+                        positive.append((n * wd, v.denominator * wn, wi))
             if positive:
-                rest = total - sum(wi for _, wi in positive)
-                gamma = _weighted_median([*positive, (Fraction(0), rest)] if rest else positive)
+                rest = total - sum(wi for *_, wi in positive)
+                gamma = _ratio_median([*positive, (0, 1, rest)] if rest else positive)
             else:
                 gamma = 0
             if gamma == c:
                 continue
+            moved = True
             step = gamma - c
             for res, partner in zip(residuals, terms):
-                for tau, w, _ in partner:
+                for tau, w, *_ in partner:
                     e = t + tau
                     v = res.get(e, 0) - step * w
                     if v:
@@ -223,6 +227,7 @@ def _optimize_vector(targets, partners, vector):
             else:
                 del coeffs[t]
         vector[i] = LaurentPoly(coeffs)
+    return moved
 
 
 def greedy_rank_one(a: LaurentMatrix, iters: int, budget: int = DEFAULT_BUDGET) -> RankOneCandidate:
@@ -233,8 +238,11 @@ def greedy_rank_one(a: LaurentMatrix, iters: int, budget: int = DEFAULT_BUDGET) 
     matrix scaled to unit coefficient mass, the column entries are the
     constant 1.  Each iteration sweeps all column coefficients, then all
     row coefficients; the approximation error is nonincreasing and the
-    result is deterministic.  A sweep whose count of (target term, partner
-    term) pairs is over ``budget`` is refused before it starts.
+    result is deterministic.  ``iters`` bounds the iterations: the descent
+    stops after one in which neither sweep moved a coefficient, since the
+    next would start from the same state and give the same candidate.  A
+    sweep whose count of (target term, partner term) pairs is over
+    ``budget`` is refused before it starts.
     """
     if iters < 1:
         raise BadInput("iters must be >= 1")
@@ -261,9 +269,13 @@ def greedy_rank_one(a: LaurentMatrix, iters: int, budget: int = DEFAULT_BUDGET) 
     col_targets = [[a.entries[i][j] for j in range(k)] for i in range(k)]
     row_targets = [[a.entries[i][j] for i in range(k)] for j in range(k)]
     for _ in range(iters):
+        moved = False
         for targets, partners, vector in ((col_targets, row, col), (row_targets, col, row)):
             check_budget("the target and partner term pairs of a greedy sweep",
                          sum(t.num_terms() * p.num_terms()
                              for row in targets for t, p in zip(row, partners)), budget)
-            _optimize_vector(targets, partners, vector)
+            if _optimize_vector(targets, partners, vector):
+                moved = True
+        if not moved:  # the next iteration would start here again and move nothing
+            break
     return RankOneCandidate(column=tuple(col), row=tuple(row))

@@ -34,6 +34,7 @@ one pass over each E_n.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -46,10 +47,15 @@ from .laurent import coeff_from_json, coeff_to_json
 
 
 def _text(x) -> str:
-    """A rational or an interval as text, or its digit count when that passes TEXT_DIGITS."""
+    """A rational or an interval in its report form, or its digit count past TEXT_DIGITS.
+
+    An interval is written as a report writes it, ``["lo", "hi"]``.
+    """
     c = RatInterval.coerce(x)
     digits = sum(decimal_digits(i) for f in {c.lo, c.hi} for i in (f.numerator, f.denominator))
-    return str(x) if digits <= TEXT_DIGITS else f"a number of {digits} digits"
+    if digits > TEXT_DIGITS:
+        return f"a number of {digits} digits"
+    return json.dumps(coeff_to_json(x)) if isinstance(x, RatInterval) else str(x)
 
 
 class Edge(NamedTuple):

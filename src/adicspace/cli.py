@@ -320,13 +320,13 @@ def cmd_stack(args) -> int:
 
 
 def cmd_at(args) -> int:
+    if args.explicit and args.k != 4:  # a usage error, before anything is built
+        raise UsageError("the explicit construction is the k = 4 case")
     payload = json.dumps({"k": args.k, "M": args.M, "N": args.N}, sort_keys=True).encode()
     a = atcheck.circulant_product(args.k, args.M, args.N, args.budget)
     body = {"k": args.k, "M": args.M, "N": args.N,
             "column_mass": [str(v) for v in a.column_sums_at_one()]}
     if args.explicit:
-        if args.k != 4:
-            raise UsageError("the explicit construction is the k = 4 case")
         cand = atcheck.explicit_candidate(args.M, args.N, args.budget)
         gsum = cand.row[0] + cand.row[1] + cand.row[2] + cand.row[3]
         body["explicit"] = {

@@ -19,7 +19,9 @@ Every product goes through one kernel, :func:`_sum_products`, which adds up
 f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
 pair, ``scale(c)`` is the pair (f, c x^0), ``shift(k)`` is the pair (f, x^k),
 and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
-Every new polynomial goes through one canonicaliser, :func:`_fill`.
+Every new polynomial goes through one canonicaliser, :func:`_fill`.  The l1
+distance of two polynomials, :func:`l1_distance`, is summed from their maps
+without forming the difference.
 
 Canonical form: zero coefficients are never stored (for an interval, zero
 means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
@@ -413,6 +415,40 @@ def _interval_products(ivals: dict, f: LaurentPoly, g: LaurentPoly):
             p = c1 * c2
             acc = ivals.get(e)
             ivals[e] = p if acc is None else acc + p
+
+
+def l1_distance(f: LaurentPoly, g: LaurentPoly):
+    """``(f - g).one_norm()`` in value and in type, without forming f - g.
+
+    Over lcm(f._den, g._den) it sums |n| over the larger numerator map once,
+    then corrects the sum at each exponent of the smaller one.  An exponent
+    where either side has an interval term is taken out of that sum and
+    subtracted in interval arithmetic; a difference of [0, 0] is dropped, as
+    :func:`_fill` drops it, so the result is a ``RatInterval`` exactly when
+    f - g keeps an interval term.
+    """
+    d1, d2 = f._den, g._den
+    den = d1 if d1 == d2 else lcm(d1, d2)
+    m1, m2 = den // d1, den // d2
+    big, small, m_big, m_small = f._nums, g._nums, m1, m2
+    if len(big) < len(small):
+        big, small, m_big, m_small = small, big, m2, m1
+    total = sum(map(abs, big.values())) * m_big
+    get = big.get
+    for e, n in small.items():
+        b = get(e)
+        if b is None:
+            total += abs(n) * m_small
+        else:
+            total += abs(b * m_big - n * m_small) - abs(b) * m_big
+    terms = []
+    for e in f._ivals.keys() | g._ivals.keys():
+        # the rational sum above counted this exponent's one numerator
+        total -= abs(f._nums.get(e, 0) * m1 - g._nums.get(e, 0) * m2)
+        diff = f.coeff(e) - g.coeff(e)
+        if not diff == 0:
+            terms.append(abs(diff))
+    return sum(terms, Fraction(total, den))
 
 
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:

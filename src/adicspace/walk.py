@@ -66,7 +66,7 @@ from typing import List, Tuple
 from .dimspace import DimensionSpace, push_forward
 from .errors import DEFAULT_BUDGET, BadInput, DepthExceeded, DimensionMismatch, RangeError
 from .intervals import RatInterval
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, l1_distance
 
 _MASK = (1 << 64) - 1
 _TOP = 1 << 64
@@ -258,14 +258,16 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
 
 
 def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
-    """Total variation distance: half the one-norm of the normalized column difference."""
+    """Total variation distance: half the one-norm of the normalized column difference.
+
+    Each vertex's one-norm is :func:`laurent.l1_distance`, so no difference is formed.
+    """
     if len(a.masses) != len(b.masses):
         raise DimensionMismatch(f"laws on {len(a.masses)} and {len(b.masses)} vertices")
     # an interval term, even a point one, makes the total mass an interval
     if any(isinstance(h.total_mass(), RatInterval) for h in (a, b)):
         raise BadInput("tv_distance needs exact masses")
-    return sum(((f - g).one_norm() for f, g in zip(a.normalized(), b.normalized())),
-               Fraction(0)) / 2
+    return sum(map(l1_distance, a.normalized(), b.normalized()), Fraction(0)) / 2
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:

@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -214,7 +214,7 @@ def test_regrouping_identity():
 
 def test_explicit_errors_frozen():
     values = {(1, 1): Fraction(95, 16), (2, 1): Fraction(12287, 2048),
-              (1, 2): Fraction(24067, 4096)}
+              (1, 2): Fraction(24067, 4096), (1, 3): Fraction(1560883971, 268435456)}
     for (M, N), expected in values.items():
         a = AT.circulant_product(4, M, N)
         assert AT.approximation_error(a, AT.explicit_candidate(M, N)) == expected
@@ -293,7 +293,11 @@ def test_weighted_median_matches_fraction_sort():
                 for _ in range(rng.randrange(1, 5))]
         points = [(rng.choice(pool), Fraction(rng.randrange(1, 20), rng.choice((1, 3, 5, 8))))
                   for _ in range(rng.randrange(1, 14))]
-        assert AT._weighted_median(list(points)) == fraction_sort_median(points)
+        # the median ignores a common weight scale: weights as ints over their lcm
+        wden = lcm(*(w.denominator for _, w in points))
+        ratios = [(v.numerator, v.denominator, w.numerator * (wden // w.denominator))
+                  for v, w in points]
+        assert AT._ratio_median(ratios) == fraction_sort_median(points)
 
 
 # -- the descent against the per-candidate reference ---------------------------
@@ -340,6 +344,26 @@ def test_greedy_matches_per_candidate_reference(k, M, N, iters):
     a = AT.circulant_product(k, M, N)
     expected = candidate_json(reference_greedy(a, iters))
     assert candidate_json(AT.greedy_rank_one(a, iters)) == expected
+
+
+def test_greedy_stops_at_its_fixed_point(monkeypatch):
+    # at (4, 1, 1) only the first column sweep moves a coefficient, so the
+    # second iteration moves nothing and a third is not run
+    a = AT.circulant_product(4, 1, 1)
+    sweeps = []
+    optimize = AT._optimize_vector
+
+    def counted(*args):
+        moved = optimize(*args)
+        sweeps.append(moved)
+        return moved
+
+    monkeypatch.setattr(AT, "_optimize_vector", counted)
+    cand = AT.greedy_rank_one(a, 3)
+    assert sweeps == [True, False, False, False]
+    monkeypatch.undo()
+    assert candidate_json(AT.greedy_rank_one(a, 50)) == candidate_json(
+        AT.greedy_rank_one(a, 2)) == candidate_json(cand)
 
 
 def test_greedy_matches_pinned_reference_at_2_2_1():

@@ -247,6 +247,20 @@ def test_a_source_sum_too_long_to_write_is_named_by_its_digits(tmp_path, capsys)
                                          "12901 digits, not 1"}}
 
 
+def test_an_interval_source_sum_is_named_in_its_report_form(tmp_path, capsys):
+    # the out-edges of vertex 0/0 sum to [1/3 + 1/7, 1/2 + 1/7] = [10/21, 9/14]
+    spec = non_dyadic_spec(2)
+    spec["edges"][0][0]["p"] = ["1/3", "1/2"]
+    spec["edges"][0][1]["p"] = "1/7"
+    path = tmp_path / "interval_sum.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": {"code": "BadMeasure", "message":
+                                         'source sums at vertex 0/0 equal ["10/21", "9/14"], '
+                                         "not 1"}}
+
+
 def test_unknown_subcommand_exits_2():
     proc = subprocess.run([sys.executable, "-m", "adicspace.cli", "frobnicate"],
                           capture_output=True, text=True)
@@ -338,6 +352,14 @@ def test_at_subcommand_explicit(capsys):
 
 def test_at_explicit_is_the_k_4_case(capsys):
     code, out, err = run_cli(capsys, "at", "--k", "3", "--M", "1", "--N", "1", "--explicit")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "UsageError",
+                                        "message": "the explicit construction is the k = 4 case"}
+
+
+def test_at_explicit_with_k_not_4_is_refused_before_the_product_is_sized(capsys):
+    # k * 2^26 passes the budget, but the usage error comes first
+    code, out, err = run_cli(capsys, "at", "--k", "3", "--M", "3", "--N", "2", "--explicit")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {"code": "UsageError",
                                         "message": "the explicit construction is the k = 4 case"}

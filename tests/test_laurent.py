@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
-from adicspace.laurent import LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json, mat_mul
+from adicspace.laurent import (LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json,
+                               l1_distance, mat_mul)
 
 HALF = Fraction(1, 2)
 
@@ -373,6 +374,34 @@ def test_store_matches_reference_model(a, b, cancel, c, k):
                          if not isinstance(v, RatInterval) or v.lo == v.hi})
     for zero in (exact - exact, exact + (-exact), q * LaurentPoly.zero()):
         assert zero.is_zero() and zero._den == 1 and zero == LaurentPoly.zero()
+
+
+@given(store_terms_st, store_terms_st, st.integers(min_value=0, max_value=6),
+       st.sampled_from([0, 1, 20]))
+@settings(max_examples=200, deadline=None)
+def test_l1_distance_is_the_norm_of_the_difference(a, b, copied, offset):
+    # b repeats a prefix of a's terms, so f - g cancels there: a rational to 0, a point
+    # interval (or a rational against its point interval) to [0, 0], a wide one to a
+    # wide interval; offset 20 moves g's support clear of f's
+    b = dict(b)
+    b.update(list(a.items())[:copied])
+    f, g = LaurentPoly(a), LaurentPoly(b).shift(offset)
+    for x, y in ((f, g), (g, f), (f, LaurentPoly(swap_kinds(b)))):
+        want = (x - y).one_norm()
+        got = l1_distance(x, y)
+        assert type(got) is type(want) and got == want
+
+
+def test_l1_distance_examples():
+    point = LaurentPoly({0: RatInterval(Fraction(1, 6))})
+    # an exact [0, 0] difference is dropped, so the distance stays a Fraction
+    assert type(l1_distance(point, poly((0, "1/6"), (1, 1)))) is Fraction
+    assert l1_distance(point, poly((0, "1/6"), (1, 1))) == 1
+    wide = LaurentPoly({2: RatInterval(Fraction(1, 3), Fraction(1, 2))})
+    assert l1_distance(poly((0, "1/6"), (2, "1/2")), wide) == RatInterval(
+        Fraction(1, 6), Fraction(1, 3))
+    assert l1_distance(poly((0, "1/3"), (5, -1)), poly((0, "-1/2"), (7, "1/4"))) == Fraction(
+        25, 12)
 
 
 def test_store_examples():
