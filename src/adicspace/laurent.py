@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
-from .errors import BadInput, DimensionMismatch, check_text_digits
+from .errors import BadInput, DimensionMismatch, check_text_digits, decimal_digits
 from .intervals import RatInterval
 
 Coeff = Union[Fraction, int, RatInterval]
@@ -249,25 +249,23 @@ class LaurentPoly:
         numerator.  A key is '-' and digits, which all sort above '"', so items
         sorted as strings come in the key order of ``sort_keys``.  Each list is
         sorted descending, for its reader to take items off its end.  A
-        polynomial of more than ``batch`` terms comes one group of
-        :func:`_key_groups` at a time: a reader that empties each list before
-        it asks for the next holds one group's strings at most.
+        polynomial of more than ``batch`` terms comes one group of at most
+        ``batch`` keys of :func:`_key_groups` at a time: a reader that empties
+        each list before it asks for the next holds one group's strings at most.
         """
         pair = indent + "  "
         den, nums, ivals = self._den, self._nums, self._ivals
         # fraction_text is digits, '-' and '/': quoting it is its JSON string
         text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
-        exps, iexps = sorted(nums), sorted(ivals)
-        if len(exps) + len(iexps) > batch:
-            groups = zip(_key_groups(exps), _key_groups(iexps))
-        else:  # one batch is held whole anyway
-            groups = [(exps, iexps)]
-        del exps, iexps
-        for group, igroup in groups:
-            items = [f'"{e}": {t}' for e, t in
-                     zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
-            items += [f'"{e}": [{pair}"{c.lo}",{pair}"{c.hi}"{indent}]'
-                      for e, c in zip(igroup, map(ivals.__getitem__, igroup))]
+        keys = sorted(itertools.chain(nums, ivals)) if ivals else sorted(nums)
+        for group in _key_groups(keys, batch) if len(keys) > batch else [keys]:
+            if ivals:
+                items = [f'"{e}": {text[nums[e]]}' if e in nums else
+                         f'"{e}": [{pair}"{ivals[e].lo}",{pair}"{ivals[e].hi}"{indent}]'
+                         for e in group]
+            else:
+                items = [f'"{e}": {t}' for e, t in
+                         zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
             items.sort(reverse=True)
             yield items
 
@@ -285,21 +283,53 @@ class LaurentPoly:
         return LaurentPoly(terms)
 
 
-def _key_groups(exps: list) -> list:
-    """Ascending exponents in ten groups: those <= 0, then those whose first digit is 1 to 9.
+def _key_groups(keys: list, batch: int):
+    """The ascending ``keys`` in groups of at most ``batch``, each a run of them in string order.
 
-    Each group's keys are one run of the keys in string order.  Those of one
-    digit count and one first digit are a range of ``exps``.
+    In string order the negative keys come first, then 0, then the positive
+    keys; each sign's keys come in the runs of :func:`_digit_runs` of |e|.
     """
-    i = bisect_right(exps, 0)
-    groups = [exps[:i]] + [[] for _ in range(9)]
-    while i < len(exps):
-        ten = 10 ** (len(str(exps[i])) - 1)  # exps[i] is the least of its digit count
-        for digit in range(1, 10):
-            j = bisect_left(exps, (digit + 1) * ten, i)
-            groups[digit] += exps[i:j]
-            i = j
-    return groups
+    i, j = bisect_left(keys, 0), bisect_right(keys, 0)
+    negative = _digit_runs([-e for e in reversed(keys[:i])], batch)
+    runs = itertools.chain(([-e for e in run] for run in negative), [keys[i:j]], _digit_runs(keys, batch))
+    group = []
+    for run in runs:
+        if group and len(group) + len(run) > batch:
+            yield group
+            group = []
+        group += run
+    yield group
+
+
+def _digit_runs(vals: list, batch: int):
+    """The positive ints of the ascending ``vals`` in runs of their string order.
+
+    The ints whose text starts with the k digits of p are, of each digit
+    count n >= k, the range [p 10^(n-k), (p+1) 10^(n-k)) of ``vals``.  Up to
+    ``batch`` of them are one run; more are split into p itself, which sorts
+    first, then the ints that start with p0, ..., p9.  So a run holds at most
+    ``batch`` ints, or one.
+    """
+    if not vals or vals[-1] <= 0:
+        return
+    top = decimal_digits(vals[-1])
+    stack = [(p, 1) for p in range(9, 0, -1)]
+    while stack:
+        p, k = stack.pop()
+        run = []
+        for n in range(k, top + 1):
+            ten = 10 ** (n - k)
+            lo = bisect_left(vals, p * ten)
+            run += vals[lo:bisect_left(vals, (p + 1) * ten, lo)]
+            if len(run) > batch:
+                break
+        else:
+            if run:
+                yield run
+            continue
+        if run[0] == p:
+            yield [p]
+        stack += [(10 * p + d, k + 1) for d in range(9, -1, -1)]
 
 
 _new = LaurentPoly.__new__

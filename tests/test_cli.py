@@ -806,26 +806,24 @@ def test_writing_a_product_peaks_below_its_json_dicts():
 
 
 def test_writing_a_polynomial_holds_one_group_of_items_at_once():
-    # items of exponents 1xxxx and 2xxxx are two groups of 4,096 items, 64 batches each;
-    # a 200-digit denominator makes every item string long and the batches hold few
+    # 8,192 items of exponents 1xxxx and 2xxxx in groups of at most 64 keys; a 200-digit
+    # denominator makes every item string long, so the items are most of what is written
     size, den = 4096, 10 ** 200
+    poly = LaurentPoly._from_ints({f * 10 ** 4 + i: 1 + i % 2 for f in (1, 2)
+                                   for i in range(size)}, den)
+    chunks = []
+    _write_json(poly, chunks.append)
+    text = sum(map(len, chunks))
 
-    def poly(*firsts):
-        return LaurentPoly._from_ints({f * 10 ** 4 + i: 1 + i % 2 for f in firsts
-                                       for i in range(size)}, den)
-
-    def peak(p):
-        tracemalloc.start()
-        try:
-            _write_json(p, lambda chunk: None)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    with mock.patch.object(cli, "_BATCH", 64):
-        one_group, two_groups = peak(poly(1)), peak(poly(1, 2))
-    # about 1.0 when each group is freed before the next is made, 1.9 when both are held
-    assert two_groups < 1.4 * one_group, (one_group, two_groups)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(cli, "_BATCH", 64):
+            _write_json(poly, lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.1 when one group of 64 items is held at a time, over 0.5 for a first-digit group
+    assert peak < text / 4, (peak, text)
 
 
 def test_too_long_labels_are_refused_before_labeling(capsys):

@@ -2,13 +2,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
-from adicspace.laurent import (LaurentMatrix, LaurentPoly, coeff_from_json, coeff_to_json,
-                               l1_distance, mat_mul)
+from adicspace.laurent import (LaurentMatrix, LaurentPoly, _key_groups, coeff_from_json,
+                               coeff_to_json, l1_distance, mat_mul)
 
 HALF = Fraction(1, 2)
 
@@ -427,3 +427,17 @@ def test_one_json_form_per_coefficient():
     for bad in (["1"], ["1", "2", "3"], ["1/2", "1/3"], 0.5, True, "1e9"):
         with pytest.raises(ValueError):
             coeff_from_json(bad)
+
+
+# keys that share long digit prefixes, of both signs and of many digit counts
+prefix_keys_st = st.lists(st.integers(-130, 130) | st.integers(10 ** 20 - 50, 10 ** 20 + 50)
+                          | st.integers(-10 ** 20 - 50, -10 ** 20 + 50), unique=True, max_size=60)
+
+
+@given(prefix_keys_st, st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_key_groups_are_bounded_runs_of_the_string_order(keys, batch):
+    assume(len(keys) > batch)
+    groups = list(_key_groups(sorted(keys), batch))
+    assert all(0 < len(g) <= batch for g in groups)
+    assert [s for g in groups for s in sorted(map(str, g))] == sorted(map(str, keys))
