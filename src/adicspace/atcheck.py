@@ -27,7 +27,7 @@ from itertools import repeat
 from typing import List, Tuple, Union
 
 from .errors import DEFAULT_BUDGET, BadInput, BudgetExceeded, DimensionMismatch, check_budget
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum
 from .laurent import LaurentMatrix, LaurentPoly, l1_distance
 
 
@@ -135,8 +135,8 @@ def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Union[Fract
     """
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")
-    return sum((l1_distance(a.entries[i][j], cand.column[i] * cand.row[j])
-                for i in range(a.rows) for j in range(a.cols)), Fraction(0))
+    return exact_sum(l1_distance(a.entries[i][j], cand.column[i] * cand.row[j])
+                     for i in range(a.rows) for j in range(a.cols))
 
 
 # -- alternating weighted-median descent ---------------------------------------

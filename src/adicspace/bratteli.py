@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (SIZE_CAP, TEXT_DIGITS, BadInput, BadMeasure, BadOrder, DepthExceeded,
                      EmptyFiber, MissingRoot, check_budget, decimal_digits)
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum
 from .laurent import coeff_from_json, coeff_to_json
 
 
@@ -118,7 +118,7 @@ class OrderedBratteliDiagram:
             for v, out in enumerate(outs):
                 if not out:
                     raise EmptyFiber(f"vertex {n}/{v} has no outgoing edge")
-                total = sum((e.p for e in out), Fraction(0))
+                total = exact_sum(e.p for e in out)
                 if not RatInterval.coerce(total).contains(1):
                     raise BadMeasure(f"source sums at vertex {n}/{v} equal {_text(total)}, not 1")
             for v, fiber in enumerate(fibers):
@@ -185,13 +185,15 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
         edges.append(parsed)
     if not isinstance(raw_orders, dict):
         raise BadInput("orders must be an object mapping \"level/vertex\" to edge ids")
-    orders = {}
+    orders, keys = {}, {}
     for key, ids in raw_orders.items():
         try:
             lvl, v = key.split("/")
             lvl, v = int(lvl), int(v)
         except ValueError as exc:
             raise BadInput(f"malformed order key {key!r}") from exc
+        if keys.setdefault((lvl, v), key) != key:
+            raise BadInput(f"order keys {keys[lvl, v]!r} and {key!r} name one vertex, {lvl}/{v}")
         if not isinstance(ids, list) or not all(isinstance(i, (str, int)) for i in ids):
             raise BadInput(f"order {key!r} must be a list of edge ids")
         orders[(lvl, v)] = [str(i) for i in ids]

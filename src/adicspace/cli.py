@@ -76,11 +76,22 @@ def _load_diagram(args) -> tuple:
 
 
 def _parse_json(payload):
-    """json.loads; input nested past the decoder's recursion limit is a BadInput."""
+    """json.loads; a key given twice in one object, or input nested past the decoder's
+    recursion limit, is a BadInput."""
     try:  # an integer's digits are counted before int() would refuse them
-        return json.loads(payload, parse_int=lambda t: int(check_text_digits("a JSON integer", t)))
+        return json.loads(payload, parse_int=lambda t: int(check_text_digits("a JSON integer", t)),
+                          object_pairs_hook=_unique_keys)
     except RecursionError:
         raise BadInput("the JSON input nests too deeply for the decoder") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict, where json.loads alone keeps the last of two."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise BadInput(f"a JSON object has two keys {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 _BATCH = 4096  # container items per joined chunk, so no chunk grows with the report

@@ -22,12 +22,11 @@ intermediate product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .bratteli import OrderedBratteliDiagram
 from .errors import DEFAULT_BUDGET, DimensionMismatch, RangeError, check_budget
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum
 from .labeling import label_edges
 from .laurent import LaurentMatrix, LaurentPoly, mat_mul
 
@@ -130,7 +129,7 @@ def check_harmonic(space: DimensionSpace, mus: Sequence[Sequence]) -> HarmonicRe
         nxt = mus[n + 1]
         row = []
         for j in range(m.cols):
-            res = sum((nxt[i] * ones[i][j] for i in range(m.rows)), Fraction(0)) - mus[n][j]
+            res = exact_sum(nxt[i] * ones[i][j] for i in range(m.rows)) - mus[n][j]
             row.append(res)
             ok = ok and RatInterval.coerce(res).contains(0)
         residuals.append(tuple(row))
@@ -141,7 +140,7 @@ def state_eval(f: Sequence[LaurentPoly], mu: Sequence) -> object:
     """The bounded state: sum over coordinates of mu_i times the coefficient sum."""
     if len(f) != len(mu):
         raise DimensionMismatch(f"vector length {len(f)} != state length {len(mu)}")
-    return sum((mi * fi.eval_at_one() for fi, mi in zip(f, mu)), Fraction(0))
+    return exact_sum(mi * fi.eval_at_one() for fi, mi in zip(f, mu))
 
 
 def push_forward(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int,
@@ -168,5 +167,5 @@ def horizon_norm(space: DimensionSpace, f: Sequence[LaurentPoly], n: int, m: int
     an upper bound certificate for the limit norm.
     """
     vec = push_forward(space, f, n, m, budget)
-    return sum((fi.one_norm() for fi in vec), Fraction(0))
+    return exact_sum(fi.one_norm() for fi in vec)
 

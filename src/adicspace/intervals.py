@@ -2,12 +2,14 @@
 
 All endpoints are exact ``Fraction``s, so interval arithmetic here is exact
 set arithmetic (no outward rounding is ever needed).  Mixed expressions with
-``int``/``Fraction`` operands coerce to point intervals.
+``int``/``Fraction`` operands coerce to point intervals.  :func:`exact_sum`
+adds ints, ``Fraction``s and intervals with one ``Fraction`` per endpoint.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def _as_fraction(x):
@@ -74,6 +76,8 @@ class RatInterval:
 
     def __mul__(self, other):
         o = RatInterval.coerce(other)
+        if self.lo >= 0 and o.lo >= 0:  # the four-product rule's min and max
+            return RatInterval(self.lo * o.lo, self.hi * o.hi)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return RatInterval(min(products), max(products))
 
@@ -83,6 +87,8 @@ class RatInterval:
         o = RatInterval.coerce(other)
         if o.lo <= 0 <= o.hi:
             raise ZeroDivisionError(f"divisor interval [{o.lo}, {o.hi}] contains zero")
+        if self.lo >= 0 and o.lo > 0:  # the four-quotient rule's min and max
+            return RatInterval(self.lo / o.hi, self.hi / o.lo)
         quotients = (self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi)
         return RatInterval(min(quotients), max(quotients))
 
@@ -113,3 +119,40 @@ class RatInterval:
         if self.lo == self.hi:
             return f"RatInterval({self.lo})"
         return f"RatInterval({self.lo}, {self.hi})"
+
+
+def fraction_sum(pairs) -> Fraction:
+    """The sum of n/d over the (n, d) int pairs, d > 0, as one ``Fraction`` over the lcm of the d."""
+    by_den = {}
+    for n, d in pairs:
+        by_den[d] = by_den.get(d, 0) + n
+    return _sum_by_den(by_den)
+
+
+def exact_sum(values):
+    """``sum(values, Fraction(0))`` in value and in type, for ints, ``Fraction``s and intervals.
+
+    Each endpoint's numerators are added per denominator, then over the lcm
+    of the denominators: one ``Fraction`` per endpoint instead of one per
+    value.  The sum is a ``RatInterval`` exactly when a value is one.
+    """
+    lo, hi, interval = {}, {}, False
+    for v in values:
+        if isinstance(v, RatInterval):
+            a, b, interval = v.lo, v.hi, True
+        elif isinstance(v, (int, Fraction)):
+            a = b = v
+        else:
+            raise TypeError(f"cannot add {v!r} exactly")
+        lo[a.denominator] = lo.get(a.denominator, 0) + a.numerator
+        hi[b.denominator] = hi.get(b.denominator, 0) + b.numerator
+    low = _sum_by_den(lo)
+    if not interval:
+        return low
+    return RatInterval(low, _sum_by_den(hi))
+
+
+def _sum_by_den(by_den: dict) -> Fraction:
+    """The sum of n/d over a {d: n} map of ints, as one ``Fraction`` over the lcm of the d."""
+    den = lcm(*by_den)
+    return Fraction(sum(n * (den // d) for d, n in by_den.items()), den)

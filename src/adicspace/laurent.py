@@ -9,16 +9,21 @@ two kinds mix freely inside one polynomial.
 Store: the rational terms share one positive ``int`` denominator ``_den``
 and keep their ``int`` numerators in ``_nums`` (exponent -> nonzero
 numerator), reduced so that gcd(_den, all numerators) = 1, with ``_den`` = 1
-when there are none.  Interval terms sit in a side map ``_ivals`` (exponent ->
-RatInterval) on exponents disjoint from ``_nums``.  So sums and products of
-rational terms are sums and products of plain ints, with one gcd per result
-instead of one per term.  A term that meets an interval in a sum or product
-is computed in interval arithmetic and stays an interval, even a point one.
+when there are none.  An interval term [lo, hi] keeps its two endpoints'
+``int`` numerators in two maps on the same exponents, ``_lo`` over
+``_lo_den`` and ``_hi`` over ``_hi_den``, each reduced the same way; their
+exponents are disjoint from those of ``_nums``, and [0, 0] is never stored.
+So sums and products of either kind are sums and products of plain ints,
+with one gcd per map of a result instead of one per term.  A term that meets
+an interval in a sum or product is computed in interval arithmetic and stays
+an interval, even a point one.
 
 Every product goes through one kernel, :func:`_sum_products`, which adds up
 f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
 pair, ``scale(c)`` is the pair (f, c x^0), ``shift(k)`` is the pair (f, x^k),
-and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.
+and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.  Its
+interval terms come from :func:`_interval_sums`, which takes the
+four-product rule only where an endpoint is negative.
 Every new polynomial goes through one canonicaliser, :func:`_fill`.  The l1
 distance of two polynomials, :func:`l1_distance`, is summed from their maps
 without forming the difference.
@@ -41,10 +46,12 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch, check_text_digits, decimal_digits
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum, fraction_sum
 
 Coeff = Union[Fraction, int, RatInterval]
 
@@ -83,20 +90,21 @@ def coeff_from_json(v) -> Coeff:
 class LaurentPoly:
     """An element of the Laurent polynomial algebra over the rationals."""
 
-    __slots__ = ("_den", "_nums", "_ivals")
+    __slots__ = ("_den", "_nums", "_lo_den", "_lo", "_hi_den", "_hi")
 
     def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        rationals, ivals = {}, {}
+        rationals, los, his = {}, {}, {}
         for exp, c in (terms.items() if terms else ()):
             if isinstance(c, RatInterval):
-                ivals[int(exp)] = c
+                los[int(exp)], his[int(exp)] = c.lo, c.hi
             elif isinstance(c, (int, Fraction)):
                 rationals[int(exp)] = c
             else:
                 raise TypeError(f"unsupported coefficient {c!r}")
-        den = lcm(*(c.denominator for c in rationals.values()))
-        _fill(self, den, {e: c.numerator * (den // c.denominator) for e, c in rationals.items()},
-              ivals)
+        if los:
+            _fill(self, *_over_lcm(rationals), *_over_lcm(los), *_over_lcm(his))
+        else:
+            _fill(self, *_over_lcm(rationals))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -106,7 +114,7 @@ class LaurentPoly:
     @staticmethod
     def _from_ints(nums: dict, den: int = 1) -> "LaurentPoly":
         """The polynomial sum of (n / den) x^e over an {e: int n} map; takes ownership of nums."""
-        return _canonical(den, nums, {})
+        return _canonical(den, nums)
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -133,8 +141,12 @@ class LaurentPoly:
         den = self._den
         value = {n: Fraction(n, den) for n in set(self._nums.values())}
         terms = {e: value[n] for e, n in self._nums.items()}
-        terms.update(self._ivals)
+        terms.update((e, self._interval(e)) for e in self._lo)
         return terms
+
+    def _interval(self, e: int) -> RatInterval:
+        """The interval term at exponent e, which must have one."""
+        return RatInterval(Fraction(self._lo[e], self._lo_den), Fraction(self._hi[e], self._hi_den))
 
     def items(self):
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
@@ -144,51 +156,53 @@ class LaurentPoly:
         n = self._nums.get(exp)
         if n is not None:
             return Fraction(n, self._den)
-        return self._ivals.get(exp, Fraction(0))
+        return self._interval(exp) if exp in self._lo else Fraction(0)
 
     def support(self):
-        return tuple(sorted([*self._nums, *self._ivals]))
+        return tuple(sorted([*self._nums, *self._lo]))
 
     def num_terms(self) -> int:
-        return len(self._nums) + len(self._ivals)
+        return len(self._nums) + len(self._lo)
 
     def is_zero(self) -> bool:
-        return not (self._nums or self._ivals)
+        return not (self._nums or self._lo)
 
     def is_nonnegative(self) -> bool:
-        return (all(n > 0 for n in self._nums.values())
-                and all(c.lo >= 0 for c in self._ivals.values()))
+        return all(n > 0 for n in self._nums.values()) and all(n >= 0 for n in self._lo.values())
 
     def eval_at_one(self):
         """Sum of all coefficients (the image under x -> 1)."""
-        return sum(self._ivals.values(), Fraction(sum(self._nums.values()), self._den))
+        rational = (sum(self._nums.values()), self._den)
+        if not self._lo:
+            return Fraction(*rational)
+        return RatInterval(fraction_sum([rational, (sum(self._lo.values()), self._lo_den)]),
+                           fraction_sum([rational, (sum(self._hi.values()), self._hi_den)]))
 
     def one_norm(self):
         """Sum of absolute values of the coefficients."""
-        return sum(map(abs, self._ivals.values()),
-                   Fraction(sum(map(abs, self._nums.values())), self._den))
+        rational = (sum(map(abs, self._nums.values())), self._den)
+        if not self._lo:
+            return Fraction(*rational)
+        hi = self._hi
+        return _abs_sum(rational, [(n, hi[e]) for e, n in self._lo.items()],
+                        self._lo_den, self._hi_den)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d1, d2 = self._den, other._den
-        den = d1 if d1 == d2 else lcm(d1, d2)
-        m1, m2 = den // d1, den // d2
-        nums = dict(self._nums) if m1 == 1 else {e: n * m1 for e, n in self._nums.items()}
-        get = nums.get
-        for e, n in other._nums.items():
-            nums[e] = get(e, 0) + n * m2
-        ivals = dict(self._ivals)
-        for e, c in other._ivals.items():
-            acc = ivals.get(e)
-            ivals[e] = c if acc is None else acc + c
-        return _canonical(den, nums, ivals)
+        if self._lo or other._lo:
+            return _canonical(*_add_maps(self._den, self._nums, other._den, other._nums),
+                              *_add_maps(self._lo_den, self._lo, other._lo_den, other._lo),
+                              *_add_maps(self._hi_den, self._hi, other._hi_den, other._hi))
+        return _canonical(*_add_maps(self._den, self._nums, other._den, other._nums))
 
     def __neg__(self):
+        # -[lo, hi] = [-hi, -lo]
         return _canonical(self._den, {e: -n for e, n in self._nums.items()},
-                          {e: -c for e, c in self._ivals.items()})
+                          self._hi_den, {e: -n for e, n in self._hi.items()},
+                          self._lo_den, {e: -n for e, n in self._lo.items()})
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -212,7 +226,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self._ivals or other._ivals:  # a point interval equals its rational
+        if self._lo or other._lo:  # a point interval equals its rational
             return self._terms == other._terms
         return self._den == other._den and self._nums == other._nums
 
@@ -235,11 +249,16 @@ class LaurentPoly:
         """The largest absolute value of an int in the text of the coefficients, or 0.
 
         A rational coefficient is written reduced, so its two ints are at most
-        its numerator over ``_den`` and ``_den``.
+        its numerator over ``_den`` and ``_den``.  An interval endpoint is
+        written reduced too, so its ints are its own numerator and denominator,
+        not the shared denominator of its map.
         """
-        ends = [x for c in self._ivals.values() for f in (c.lo, c.hi)
-                for x in (f.numerator, f.denominator)]
-        return max(self._den, *map(abs, ends), max(map(abs, self._nums.values()), default=0))
+        widest = max(self._den, max(map(abs, self._nums.values()), default=0))
+        for ends, den in ((self._lo, self._lo_den), (self._hi, self._hi_den)):
+            for n in ends.values():
+                g = gcd(n, den)
+                widest = max(widest, abs(n) // g, den // g)
+        return widest
 
     def json_items(self, indent: str, batch: int):
         """The items of ``json.dumps(self.to_json(), sort_keys=True, indent=2)``, in lists.
@@ -254,14 +273,16 @@ class LaurentPoly:
         each list before it asks for the next holds one group's strings at most.
         """
         pair = indent + "  "
-        den, nums, ivals = self._den, self._nums, self._ivals
+        den, nums, lo, hi = self._den, self._nums, self._lo, self._hi
+        lo_den, hi_den = self._lo_den, self._hi_den
         # fraction_text is digits, '-' and '/': quoting it is its JSON string
         text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
-        keys = sorted(itertools.chain(nums, ivals)) if ivals else sorted(nums)
+        keys = sorted(itertools.chain(nums, lo)) if lo else sorted(nums)
         for group in _key_groups(keys, batch) if len(keys) > batch else [keys]:
-            if ivals:
+            if lo:
                 items = [f'"{e}": {text[nums[e]]}' if e in nums else
-                         f'"{e}": [{pair}"{ivals[e].lo}",{pair}"{ivals[e].hi}"{indent}]'
+                         f'"{e}": [{pair}"{fraction_text(lo[e], lo_den)}",'
+                         f'{pair}"{fraction_text(hi[e], hi_den)}"{indent}]'
                          for e in group]
             else:
                 items = [f'"{e}": {t}' for e, t in
@@ -274,12 +295,15 @@ class LaurentPoly:
         """Inverse of :meth:`to_json`; a malformed term is a ``BadInput`` naming its exponent."""
         if not isinstance(data, dict):
             raise BadInput(f"a polynomial must be a JSON object, not a {type(data).__name__}")
-        terms = {}
+        terms, keys = {}, {}
         for e, c in data.items():
             try:
-                terms[int(e)] = coeff_from_json(c)
+                exp = int(e)
+                terms[exp] = coeff_from_json(c)
             except ValueError as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
+            if keys.setdefault(exp, e) != e:
+                raise BadInput(f"keys {keys[exp]!r} and {e!r} name one exponent, {exp}")
         return LaurentPoly(terms)
 
 
@@ -334,34 +358,110 @@ def _digit_runs(vals: list, batch: int):
 
 _new = LaurentPoly.__new__
 _set = object.__setattr__
+_NO_TERMS = MappingProxyType({})  # the endpoint maps of every polynomial without an interval
 
 
-def _fill(out: LaurentPoly, den: int, nums: dict, ivals: dict) -> LaurentPoly:
-    """Canonicalise the terms n/den (n in nums) and ivals into ``out``; takes ownership.
+def _fill(out: LaurentPoly, den: int, nums: dict, lo_den: int = 1, lo: dict | None = None,
+          hi_den: int = 1, hi: dict | None = None) -> LaurentPoly:
+    """Canonicalise the terms n/den (n in nums) and [l/lo_den, h/hi_den] into ``out``.
 
-    Zero numerators and [0, 0] intervals are dropped, an exponent present in
-    both maps becomes one interval, and the numerators are reduced by their
-    gcd with den.
+    ``lo`` and ``hi`` hold the interval terms' endpoint numerators on the
+    same exponents; the maps are taken over.  Zero numerators and [0, 0]
+    intervals are dropped, an exponent present in nums and in lo becomes one
+    interval, and each map is reduced by the gcd of its numerators and its
+    denominator.
     """
     if 0 in nums.values():
         nums = {e: n for e, n in nums.items() if n}
-    if ivals:
-        for e in [e for e in ivals if e in nums]:
-            ivals[e] += Fraction(nums.pop(e), den)
-        # `not c == 0`: [0, 0] is the only interval equal to 0
-        ivals = {e: c for e, c in ivals.items() if not c == 0}
-    g = gcd(den, *nums.values()) if den != 1 else 1
-    if g != 1:
-        den //= g
-        nums = {e: n // g for e, n in nums.items()}
+    if lo:
+        both = nums.keys() & lo.keys() if nums else ()
+        if both:  # each endpoint gains the rational: rebase both maps over a multiple of den
+            lo_den, lo = _rebase(lo_den, lo, den)
+            hi_den, hi = _rebase(hi_den, hi, den)
+            to_lo, to_hi = lo_den // den, hi_den // den
+            for e in both:
+                n = nums.pop(e)
+                lo[e] += n * to_lo
+                hi[e] += n * to_hi
+        if 0 in lo.values():
+            for e in [e for e, n in lo.items() if not n and not hi[e]]:
+                del lo[e], hi[e]
+    if lo:
+        lo_den, lo = _reduce(lo_den, lo)
+        hi_den, hi = _reduce(hi_den, hi)
+    else:
+        lo_den, lo, hi_den, hi = 1, _NO_TERMS, 1, _NO_TERMS
+    den, nums = _reduce(den, nums)
     _set(out, "_den", den)
     _set(out, "_nums", nums)
-    _set(out, "_ivals", ivals)
+    _set(out, "_lo_den", lo_den)
+    _set(out, "_lo", lo)
+    _set(out, "_hi_den", hi_den)
+    _set(out, "_hi", hi)
     return out
 
 
-def _canonical(den: int, nums: dict, ivals: dict) -> LaurentPoly:
-    return _fill(_new(LaurentPoly), den, nums, ivals)
+def _canonical(den: int, nums: dict, lo_den: int = 1, lo: dict | None = None,
+               hi_den: int = 1, hi: dict | None = None) -> LaurentPoly:
+    """A new polynomial from the arguments of :func:`_fill` after ``out``."""
+    return _fill(_new(LaurentPoly), den, nums, lo_den, lo, hi_den, hi)
+
+
+def _reduce(den: int, nums: dict) -> tuple:
+    """(den, nums) divided through by the gcd of den and the numerators; takes over nums."""
+    g = gcd(den, *nums.values()) if den != 1 else 1
+    if g == 1:
+        return den, nums
+    return den // g, {e: n // g for e, n in nums.items()}
+
+
+def _rebase(den: int, nums: dict, base: int) -> tuple:
+    """(den, nums) over lcm(den, base); takes over nums."""
+    new = lcm(den, base)
+    if new == den:
+        return den, nums
+    m = new // den
+    return new, {e: n * m for e, n in nums.items()}
+
+
+def _over_lcm(values: dict) -> tuple:
+    """(den, {e: numerator over den}) for an {e: int or Fraction} map, den the lcm of theirs."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in values.items()}
+
+
+def _add_maps(d1: int, m1: dict, d2: int, m2: dict) -> tuple:
+    """(den, sums) of two numerator maps over their lcm den, zeros kept."""
+    den = d1 if d1 == d2 else lcm(d1, d2)
+    k1, k2 = den // d1, den // d2
+    nums = dict(m1) if k1 == 1 else {e: n * k1 for e, n in m1.items()}
+    get = nums.get
+    for e, n in m2.items():
+        nums[e] = get(e, 0) + n * k2
+    return den, nums
+
+
+def _abs_sum(rational: tuple, ends: list, lo_den: int, hi_den: int) -> RatInterval:
+    """n/d plus the sum of |[l/lo_den, h/hi_den]| over the (l, h) numerator pairs.
+
+    |[l, h]| is [l, h] when l >= 0, [-h, -l] when h <= 0 and [0, max(-l, h)]
+    otherwise, so each endpoint of the sum gathers numerators over both
+    denominators.  ``rational`` is the (n, d) pair.
+    """
+    lo_l = lo_h = hi_l = hi_h = 0
+    for l, h in ends:
+        if l >= 0:
+            lo_l += l
+            hi_h += h
+        elif h <= 0:
+            lo_h -= h
+            hi_l -= l
+        elif -l * hi_den > h * lo_den:
+            hi_l -= l
+        else:
+            hi_h += h
+    return RatInterval(fraction_sum([rational, (lo_l, lo_den), (lo_h, hi_den)]),
+                       fraction_sum([rational, (hi_l, lo_den), (hi_h, hi_den)]))
 
 
 class LaurentMatrix:
@@ -400,8 +500,7 @@ class LaurentMatrix:
         # a circulant product holds each class polynomial k times: evaluate each object once
         distinct = {id(e): e for row in self.entries for e in row}
         ones = {key: e.eval_at_one() for key, e in distinct.items()}
-        return [sum((ones[id(row[j])] for row in self.entries), Fraction(0))
-                for j in range(self.cols)]
+        return [exact_sum(ones[id(row[j])] for row in self.entries) for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -415,15 +514,16 @@ class LaurentMatrix:
 def _sum_products(pairs) -> LaurentPoly:
     """The sum of f * g over the (f, g) pairs, over the lcm of the pair denominators.
 
-    Rational terms are multiplied and added as ints; a term pair with an
-    interval in it is multiplied and added in interval arithmetic.
+    Rational terms are multiplied and added as ints; the term products with
+    an interval in them are :func:`_interval_sums`.
     """
     pairs = list(pairs)
     den = lcm(*(f._den * g._den for f, g in pairs))
     nums: dict = {}
-    ivals: dict = {}
     get = nums.get
+    intervals = False
     for f, g in pairs:
+        intervals = intervals or f._lo or g._lo
         g_nums = g._nums.items()
         if g_nums:
             m = den // (f._den * g._den)
@@ -432,19 +532,60 @@ def _sum_products(pairs) -> LaurentPoly:
                 for e2, n2 in g_nums:
                     e = e1 + e2
                     nums[e] = get(e, 0) + n1 * n2
-        if f._ivals or g._ivals:
-            _interval_products(ivals, f, g)
-    return _canonical(den, nums, ivals)
+    if intervals:
+        return _canonical(den, nums, *_interval_sums(pairs))
+    return _canonical(den, nums)
 
 
-def _interval_products(ivals: dict, f: LaurentPoly, g: LaurentPoly):
-    """Add to ivals every product of a term of f with a term of g where one is an interval."""
-    for (e1, c1), (e2, c2) in itertools.product(f._terms.items(), g._terms.items()):
-        if isinstance(c1, RatInterval) or isinstance(c2, RatInterval):
-            e = e1 + e2
-            p = c1 * c2
-            acc = ivals.get(e)
-            ivals[e] = p if acc is None else acc + p
+def _interval_sums(pairs) -> tuple:
+    """(lo_den, lo, hi_den, hi): the sum of every term product with an interval in it.
+
+    A factor is a polynomial's interval terms, as (lo map, lo_den, hi map,
+    hi_den), or its rational terms, as (nums, den, nums, den): a rational
+    is its own point interval.  [a, b] [c, d] is [ac, bd] when a, c >= 0;
+    otherwise it is the min and max of the four products, compared over the
+    shared denominator of each endpoint.  So a factor pair whose lo
+    numerators are all >= 0 adds to lo only over the lo denominators' product
+    and to hi only over the hi denominators' product, and any other adds to
+    each endpoint over all four products of denominators.
+    """
+    factors = []
+    for f, g in pairs:
+        if f._lo and g._lo:
+            factors.append(((f._lo, f._lo_den, f._hi, f._hi_den), (g._lo, g._lo_den, g._hi, g._hi_den)))
+        for a, c in ((f, g), (g, f)):
+            if a._lo and c._nums:
+                factors.append(((a._lo, a._lo_den, a._hi, a._hi_den), (c._nums, c._den, c._nums, c._den)))
+    plans, lo_dens, hi_dens = [], [], []
+    for (a_lo, a_lo_den, a_hi, a_hi_den), (c_lo, c_lo_den, c_hi, c_hi_den) in factors:
+        # the denominators of ac, ad, bc and bd for [a, b] [c, d]
+        corners = (a_lo_den * c_lo_den, a_lo_den * c_hi_den, a_hi_den * c_lo_den, a_hi_den * c_hi_den)
+        signed = min(a_lo.values()) < 0 or min(c_lo.values()) < 0
+        lo_dens += corners if signed else corners[:1]
+        hi_dens += corners if signed else corners[3:]
+        plans.append((a_lo, a_hi, [(e, c, c_hi[e]) for e, c in c_lo.items()], corners, signed))
+    lo_den, hi_den = lcm(*lo_dens), lcm(*hi_dens)
+    lo: dict = {}
+    hi: dict = {}
+    lo_get, hi_get = lo.get, hi.get
+    for a_lo, a_hi, c_terms, corners, signed in plans:
+        to_lo, to_hi = lo_den // corners[0], hi_den // corners[3]
+        if signed:
+            lo_ms = [lo_den // q for q in corners]
+            hi_ms = [hi_den // q for q in corners]
+        for e1, a in a_lo.items():
+            b = a_hi[e1]
+            a_to_lo, b_to_hi = a * to_lo, b * to_hi
+            for e2, c, d in c_terms:
+                e = e1 + e2
+                if a >= 0 <= c:
+                    lo[e] = lo_get(e, 0) + a_to_lo * c
+                    hi[e] = hi_get(e, 0) + b_to_hi * d
+                else:
+                    products = (a * c, a * d, b * c, b * d)
+                    lo[e] = lo_get(e, 0) + min(map(mul, products, lo_ms))
+                    hi[e] = hi_get(e, 0) + max(map(mul, products, hi_ms))
+    return lo_den, lo, hi_den, hi
 
 
 def l1_distance(f: LaurentPoly, g: LaurentPoly):
@@ -452,8 +593,9 @@ def l1_distance(f: LaurentPoly, g: LaurentPoly):
 
     Over lcm(f._den, g._den) it sums |n| over the larger numerator map once,
     then corrects the sum at each exponent of the smaller one.  An exponent
-    where either side has an interval term is taken out of that sum and
-    subtracted in interval arithmetic; a difference of [0, 0] is dropped, as
+    where either side has an interval term is taken out of that sum, and its
+    difference [f.lo - g.hi, f.hi - g.lo] is formed as numerators over one
+    denominator per endpoint; a difference of [0, 0] is dropped, as
     :func:`_fill` drops it, so the result is a ``RatInterval`` exactly when
     f - g keeps an interval term.
     """
@@ -471,14 +613,34 @@ def l1_distance(f: LaurentPoly, g: LaurentPoly):
             total += abs(n) * m_small
         else:
             total += abs(b * m_big - n * m_small) - abs(b) * m_big
-    terms = []
-    for e in f._ivals.keys() | g._ivals.keys():
-        # the rational sum above counted this exponent's one numerator
+    if not (f._lo or g._lo):
+        return Fraction(total, den)
+    exps = f._lo.keys() | g._lo.keys()
+    for e in exps:  # the rational sum above counted this exponent's one numerator
         total -= abs(f._nums.get(e, 0) * m1 - g._nums.get(e, 0) * m2)
-        diff = f.coeff(e) - g.coeff(e)
-        if not diff == 0:
-            terms.append(abs(diff))
-    return sum(terms, Fraction(total, den))
+    lo_den = lcm(f._lo_den, g._hi_den, d1, d2)
+    hi_den = lcm(f._hi_den, g._lo_den, d1, d2)
+    # g's hi over lo_den and its lo over hi_den: the ends that f's ends meet
+    diffs = [(fl - gh, fh - gl) for (fl, fh), (gl, gh)
+             in zip(_ends(f, exps, lo_den, hi_den), _ends(g, exps, hi_den, lo_den))]
+    ends = [d for d in diffs if d != (0, 0)]
+    return _abs_sum((total, den), ends, lo_den, hi_den) if ends else Fraction(total, den)
+
+
+def _ends(p: LaurentPoly, exps, lo_den: int, hi_den: int) -> list:
+    """p's (lo, hi) numerators over (lo_den, hi_den) at each of exps, (0, 0) where p has no term."""
+    lo, hi, nums = p._lo, p._hi, p._nums
+    to_lo, to_hi = lo_den // p._lo_den, hi_den // p._hi_den
+    n_to_lo, n_to_hi = lo_den // p._den, hi_den // p._den
+    out = []
+    for e in exps:
+        n = lo.get(e)
+        if n is None:
+            n = nums.get(e, 0)
+            out.append((n * n_to_lo, n * n_to_hi))
+        else:
+            out.append((n * to_lo, hi[e] * to_hi))
+    return out
 
 
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:

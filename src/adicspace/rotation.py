@@ -39,7 +39,7 @@ from .atcheck import RankOneCandidate, approximation_error
 from .bratteli import Edge, OrderedBratteliDiagram
 from .dimspace import build_matrices
 from .errors import SIZE_CAP, BadInput, InsufficientDepth, RangeError, check_budget, check_digits
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum
 from .laurent import LaurentMatrix, LaurentPoly, parse_rational
 
 
@@ -160,7 +160,7 @@ def summability_report(cf: CFExpansion, rule: Optional[GrowthRule] = None) -> Su
     both holds on the supplied terms and has a summable tail; otherwise the
     report is INCONCLUSIVE with the partial sum alone.
     """
-    partial = sum((Fraction(1, cf.a(n) * cf.a(n + 1)) for n in range(1, cf.depth)), Fraction(0))
+    partial = exact_sum(Fraction(1, cf.a(n) * cf.a(n + 1)) for n in range(1, cf.depth))
     if rule is not None and rule.holds_for(cf):
         return SummabilityReport(partial, "CONVERGENT_CERTIFIED", rule.tail_bound(cf.depth))
     return SummabilityReport(partial, "INCONCLUSIVE", None)

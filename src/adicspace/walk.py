@@ -65,7 +65,7 @@ from typing import List, Tuple
 
 from .dimspace import DimensionSpace, push_forward
 from .errors import DEFAULT_BUDGET, BadInput, DepthExceeded, DimensionMismatch, RangeError
-from .intervals import RatInterval
+from .intervals import RatInterval, exact_sum
 from .laurent import LaurentPoly, l1_distance
 
 _MASK = (1 << 64) - 1
@@ -130,7 +130,7 @@ class DisplacementHistogram:
         return tuple(f.scale(Fraction(1, self.trials)) for f in self.masses)
 
     def total_mass(self):
-        return sum((f.eval_at_one() for f in self.masses), Fraction(0))
+        return exact_sum(f.eval_at_one() for f in self.masses)
 
 
 def _check_start(space: DimensionSpace, start: WalkState, n: int):
@@ -267,7 +267,7 @@ def tv_distance(a: DisplacementHistogram, b: DisplacementHistogram) -> Fraction:
     # an interval term, even a point one, makes the total mass an interval
     if any(isinstance(h.total_mass(), RatInterval) for h in (a, b)):
         raise BadInput("tv_distance needs exact masses")
-    return sum(map(l1_distance, a.normalized(), b.normalized()), Fraction(0)) / 2
+    return exact_sum(map(l1_distance, a.normalized(), b.normalized())) / 2
 
 
 def histogram_to_json(h: DisplacementHistogram) -> dict:

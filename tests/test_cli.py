@@ -23,7 +23,9 @@ from adicspace import cli, errors
 from adicspace.cli import _BATCH, _write_json, build_parser, main
 from adicspace.dimspace import build_matrices, partial_product
 from adicspace.intervals import RatInterval
+from adicspace.labeling import label_edges
 from adicspace.laurent import LaurentPoly
+from path_oracle import paths_into
 
 
 def run_cli(capsys, *argv):
@@ -750,8 +752,32 @@ def test_partial_product_report_bytes_are_pinned(capsys, tmp_path):
     path.write_text(json.dumps(interval_levels_spec(9)))
     code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..9")
     assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "80bdc81a918de67f62cb2118d43548bef2f30341baece19954b0ba4bf91e3b25")
+    assert hashlib.sha256(out.encode()).hexdigest() == INTERVAL_LEVELS_PIN
+
+
+# stdout sha256 of `matrices FILE --product 0..9` on interval_levels_spec(9)
+INTERVAL_LEVELS_PIN = "80bdc81a918de67f62cb2118d43548bef2f30341baece19954b0ba4bf91e3b25"
+
+
+def test_interval_product_report_is_its_paths_in_interval_arithmetic(capsys, tmp_path):
+    # each coefficient of the pinned product is its path's probabilities multiplied in
+    # RatInterval arithmetic, one path at a time, without the shared-denominator store
+    spec = interval_levels_spec(9)
+    path = tmp_path / "interval_levels.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "matrices", str(path), "--product", "0..9")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == INTERVAL_LEVELS_PIN
+    d = B.validate_diagram(spec)
+    labels = label_edges(d)
+    for v, (entry,) in enumerate(json.loads(out)["product"]["matrix"]):
+        want = {}
+        for edges in paths_into(d, 9, v):
+            p = RatInterval(1)
+            for e in edges:
+                p = p * e.p
+            want[str(sum(labels[e.id] for e in edges))] = (
+                [str(p.lo), str(p.hi)] if any(isinstance(e.p, RatInterval) for e in edges) else str(p.lo))
+        assert entry == want and any(isinstance(c, list) for c in entry.values())
 
 
 def test_label_and_validate_report_bytes_are_pinned(capsys, tmp_path):
@@ -1118,6 +1144,31 @@ def test_norm_vector_rejects_hostile_json(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "2",
                            "--norm", str(vec))
     assert code == 0 and "norm" in json.loads(out)
+
+
+def test_norm_vector_refuses_two_keys_for_one_exponent(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys, and int() reads "7" and "007" alike
+    vec = tmp_path / "vec.json"
+    for text, message in (('[{"7": "1", "007": "2"}]', "keys '7' and '007' name one exponent, 7"),
+                          ('[{"7": "1", "7": "2"}]', "a JSON object has two keys '7'")):
+        vec.write_text(text)
+        code, out, err = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "2",
+                                 "--norm", str(vec))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"error": {"code": "BadInput", "message": message}}, text
+
+
+def test_diagram_file_refuses_two_keys_for_one_vertex(tmp_path, capsys):
+    spec = non_dyadic_spec(2)  # vertex 1/0 has the one in-edge a0
+    path = tmp_path / "d.json"
+    text = json.dumps(spec)
+    for doubled, message in (('"01/0": ["a0"], "1/0"', "order keys '01/0' and '1/0' name one vertex, 1/0"),
+                             ('"1/0": ["a0"], "1/0"', "a JSON object has two keys '1/0'")):
+        path.write_text(text.replace('"1/0"', doubled, 1))
+        for command in ("validate", "matrices"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 1 and err == ""
+            assert json.loads(out) == {"error": {"code": "BadInput", "message": message}}, doubled
 
 
 def test_rational_flags_reject_zero_denominators_and_non_fractions(capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adicspace.intervals import RatInterval
+from adicspace.intervals import RatInterval, exact_sum
 from adicspace.laurent import LaurentPoly
 
 
@@ -74,3 +76,56 @@ def test_point_interval_hashes_like_its_rational():
         r = RatInterval(q)
         assert r == q and hash(r) == hash(q)
     assert len({RatInterval(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+def four_products(a, b):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return min(products), max(products)
+
+
+def four_quotients(a, b):
+    quotients = (a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi)
+    return min(quotients), max(quotients)
+
+
+ends_st = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+nonnegative_ends_st = st.fractions(min_value=0, max_value=5, max_denominator=40)
+
+
+def intervals(ends):
+    return st.tuples(ends, ends).map(lambda ab: RatInterval(min(ab), max(ab)))
+
+
+@given(st.one_of(intervals(nonnegative_ends_st), intervals(ends_st)),
+       st.one_of(intervals(nonnegative_ends_st), intervals(ends_st), ends_st))
+@settings(max_examples=300, deadline=None)
+def test_products_and_quotients_keep_the_four_point_rule(a, b):
+    # a nonnegative pair takes [ac, bd] and [a/d, b/c]; the endpoints are those of the full rule
+    c = RatInterval.coerce(b)
+    got = a * b
+    assert (got.lo, got.hi) == four_products(a, c)
+    assert all(type(x) is Fraction for x in (got.lo, got.hi))
+    if c.lo > 0 or c.hi < 0:
+        got = a / b
+        assert (got.lo, got.hi) == four_quotients(a, c)
+
+
+sum_values_st = st.lists(st.one_of(st.integers(-20, 20), ends_st, intervals(ends_st),
+                                   st.just(RatInterval(Fraction(1, 3), Fraction(1, 2)))),
+                         max_size=12)
+
+
+@given(sum_values_st)
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_the_fraction_fold_in_value_and_type(values):
+    want = sum(values, Fraction(0))
+    got = exact_sum(iter(values))
+    assert type(got) is type(want) and got == want
+    if isinstance(got, RatInterval):
+        assert all(type(x) is Fraction for x in (got.lo, got.hi))
+
+
+def test_exact_sum_refuses_an_inexact_value():
+    assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
+    with pytest.raises(TypeError):
+        exact_sum([Fraction(1, 2), 0.5])

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adicspace import rotation
+from adicspace.cli import _writable
+from adicspace.dimspace import build_matrices, partial_product
 from adicspace.errors import DimensionMismatch
 from adicspace.intervals import RatInterval
 from adicspace.laurent import (LaurentMatrix, LaurentPoly, _key_groups, coeff_from_json,
                                coeff_to_json, l1_distance, mat_mul)
+from path_oracle import left_fold
 
 HALF = Fraction(1, 2)
 
@@ -311,8 +315,17 @@ def assert_canonical(p):
     assert all(type(n) is int and n != 0 for n in p._nums.values())
     assert gcd(p._den, *p._nums.values()) == 1
     assert p._nums or p._den == 1
-    assert all(isinstance(c, RatInterval) and not c == 0 for c in p._ivals.values())
-    assert not set(p._nums) & set(p._ivals)
+    # each endpoint map: int numerators over its own positive, reduced denominator
+    for den, ends in ((p._lo_den, p._lo), (p._hi_den, p._hi)):
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in ends.values())
+        assert gcd(den, *ends.values()) == 1
+        assert ends or den == 1
+    assert p._lo.keys() == p._hi.keys()
+    # no [0, 0] term, and lo <= hi
+    assert all(p._lo[e] or p._hi[e] for e in p._lo)
+    assert all(p._lo[e] * p._hi_den <= p._hi[e] * p._lo_den for e in p._lo)
+    assert not set(p._nums) & set(p._lo)
 
 
 def assert_matches(p, ref):
@@ -416,6 +429,36 @@ def test_store_examples():
     point = LaurentPoly({0: RatInterval(Fraction(1, 6))})
     assert point.to_json() == {"0": ["1/6", "1/6"]} and point == poly((0, "1/6"))
     assert hash(point) == hash(poly((0, "1/6")))
+
+
+def test_rotation_product_coefficients_share_a_point_and_equal_the_fold():
+    # the rotation's measure is invariant, so every path into one vertex has one mass, and
+    # each coefficient of that vertex's entry encloses it: the enclosures have a common point
+    space = build_matrices(rotation.rotation_diagram(rotation.CFExpansion(range(2, 13)), 6))
+    product = partial_product(space, 0, 6)
+    assert product == left_fold(space, 0, 6)
+    for row in product.entries:
+        (entry,) = row
+        assert_canonical(entry)
+        coeffs = [c for _, c in entry.items()]
+        assert all(isinstance(c, RatInterval) for c in coeffs)
+        assert max(c.lo for c in coeffs) <= min(c.hi for c in coeffs)
+    assert [row[0].num_terms() for row in product.entries] == [6961, 972]
+
+
+def test_widest_int_reads_each_endpoint_not_the_shared_denominator():
+    # each map's shared denominator, an lcm of 3^5000 and a power of 7, has over 5,700
+    # digits, past the 4,300-digit cap on report ints; each reduced endpoint has at
+    # most the 3,381 digits of 7^4000
+    p = LaurentPoly({0: RatInterval(Fraction(1, 3 ** 5000), Fraction(2, 3 ** 5000)),
+                     1: RatInterval(Fraction(5, 7 ** 4000), Fraction(1, 7 ** 3999)),
+                     2: Fraction(1, 2)})
+    assert p._lo_den == 3 ** 5000 * 7 ** 4000 and p._hi_den == 3 ** 5000 * 7 ** 3999
+    ends = [x for _, c in p.items() for f in (RatInterval.coerce(c).lo, RatInterval.coerce(c).hi)
+            for x in (abs(f.numerator), f.denominator)]
+    assert p.widest_int() == max(ends) == 7 ** 4000
+    assert _writable("the polynomial", [p]) == [p]  # not refused
+    assert (p + p).widest_int() == 7 ** 4000 and (-p).widest_int() == 7 ** 4000
 
 
 def test_one_json_form_per_coefficient():
