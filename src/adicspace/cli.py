@@ -108,8 +108,9 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     ``_BATCH`` items, so no chunk grows with the report.  A batch of str
     items, str-to-str dict entries or (str, str) tuples is joined in one go;
     any other batch goes item by item.  A LaurentPoly formats its own item
-    text (:meth:`LaurentPoly.json_items`), and each batch is cut off the end
-    of its list of items, so the strings are freed as they are written.
+    text (:meth:`LaurentPoly.json_items`) in sorted runs of at most
+    ``_BATCH`` items, and each run is written as one batch as soon as it is
+    made, so the strings are freed as they are written.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -125,7 +126,7 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         inner = indent + "  "
         lead, sep = ("{" if is_dict else "[") + inner, "," + inner
         if is_poly:
-            batches = _cut(obj.json_items(inner, _BATCH))
+            batches = obj.json_items(inner, _BATCH)
         else:
             items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
             batches = (items[i:i + _BATCH] for i in range(0, len(items), _BATCH))
@@ -155,16 +156,6 @@ def _write_json(obj, write, indent: str = "\n") -> None:
                 lead = sep
         close = "}" if is_dict else "]"
         write(indent + close if lead == sep else lead[0] + close)  # empty: lead is the opener
-
-
-def _cut(groups):
-    """``_BATCH`` items at a time, cut off the end of each descending list, emptying it."""
-    for items in groups:
-        while items:
-            batch = items[-_BATCH:]
-            del items[-_BATCH:]
-            batch.reverse()
-            yield batch
 
 
 def _report(args, body: dict, payload: bytes) -> int:
@@ -213,6 +204,8 @@ def cmd_label(args) -> int:
 
 
 def cmd_matrices(args) -> int:
+    if args.horizon is not None and not args.norm:
+        raise UsageError("--horizon needs --norm")
     d, payload = _load_diagram(args)
     space = dimspace.build_matrices(d)
     body = {"matrices": _writable("the matrices", [m.entries for m in space.matrices])}

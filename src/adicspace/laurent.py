@@ -266,11 +266,12 @@ class LaurentPoly:
         ``indent`` is the newline and indentation before each item.  Each term
         is formatted once, as '"e": text', with one text per distinct
         numerator.  A key is '-' and digits, which all sort above '"', so items
-        sorted as strings come in the key order of ``sort_keys``.  Each list is
-        sorted descending, for its reader to take items off its end.  A
-        polynomial of more than ``batch`` terms comes one group of at most
-        ``batch`` keys of :func:`_key_groups` at a time: a reader that empties
-        each list before it asks for the next holds one group's strings at most.
+        sorted as strings come in the key order of ``sort_keys``.  The lists
+        are the runs of :func:`_key_groups` (one run when there are at most
+        ``batch`` terms), each sorted ascending and yielded as soon as it is
+        made: none is empty, none holds more than ``batch`` items, and the zero
+        polynomial yields none.  A reader that writes each list before it asks
+        for the next holds the strings of two runs at most.
         """
         pair = indent + "  "
         den, nums, lo, hi = self._den, self._nums, self._lo, self._hi
@@ -278,7 +279,7 @@ class LaurentPoly:
         # fraction_text is digits, '-' and '/': quoting it is its JSON string
         text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
         keys = sorted(itertools.chain(nums, lo)) if lo else sorted(nums)
-        for group in _key_groups(keys, batch) if len(keys) > batch else [keys]:
+        for group in _key_groups(keys, batch) if len(keys) > batch else [keys] if keys else ():
             if lo:
                 items = [f'"{e}": {text[nums[e]]}' if e in nums else
                          f'"{e}": [{pair}"{fraction_text(lo[e], lo_den)}",'
@@ -287,7 +288,7 @@ class LaurentPoly:
             else:
                 items = [f'"{e}": {t}' for e, t in
                          zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
-            items.sort(reverse=True)
+            items.sort()
             yield items
 
     @staticmethod
@@ -308,21 +309,17 @@ class LaurentPoly:
 
 
 def _key_groups(keys: list, batch: int):
-    """The ascending ``keys`` in groups of at most ``batch``, each a run of them in string order.
+    """The ascending ``keys`` in runs of their string order, none empty and none over ``batch``.
 
     In string order the negative keys come first, then 0, then the positive
     keys; each sign's keys come in the runs of :func:`_digit_runs` of |e|.
     """
     i, j = bisect_left(keys, 0), bisect_right(keys, 0)
-    negative = _digit_runs([-e for e in reversed(keys[:i])], batch)
-    runs = itertools.chain(([-e for e in run] for run in negative), [keys[i:j]], _digit_runs(keys, batch))
-    group = []
-    for run in runs:
-        if group and len(group) + len(run) > batch:
-            yield group
-            group = []
-        group += run
-    yield group
+    for run in _digit_runs([-e for e in reversed(keys[:i])], batch):
+        yield [-e for e in run]
+    if i < j:
+        yield keys[i:j]
+    yield from _digit_runs(keys, batch)
 
 
 def _digit_runs(vals: list, batch: int):

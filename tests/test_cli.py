@@ -471,6 +471,15 @@ def test_cf_and_cf_file_together_are_a_usage_error(tmp_path, capsys):
         assert code == 0, argv
 
 
+def test_horizon_without_norm_is_a_usage_error(tmp_path, capsys):
+    # refused before the diagram is read: a missing diagram file would be exit 1
+    for argv in (["matrices", "--preset", "odometer", "--depth", "3", "--horizon", "3"],
+                 ["matrices", str(tmp_path / "missing.json"), "--horizon", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "UsageError", argv
+
+
 def test_budget_zero_is_refused_like_a_negative_budget(capsys):
     for budget in ("0", "-1"):
         code, out, err = run_cli(capsys, "at", "--k", "4", "--M", "1", "--N", "1",

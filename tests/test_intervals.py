@@ -129,3 +129,18 @@ def test_exact_sum_refuses_an_inexact_value():
     assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
     with pytest.raises(TypeError):
         exact_sum([Fraction(1, 2), 0.5])
+
+
+def test_interval_is_immutable_and_compares_only_with_numbers():
+    iv = RatInterval(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(AttributeError, match="immutable"):
+        iv.lo = Fraction(0)
+    assert iv.lo == Fraction(1, 3)
+    for other in ("1/3", None, (Fraction(1, 3), Fraction(1, 2))):
+        assert iv != other and not (iv == other)
+    assert RatInterval(Fraction(1, 2)) == Fraction(1, 2) != iv
+
+
+def test_interval_reprs():
+    assert repr(RatInterval(Fraction(1, 2))) == "RatInterval(1/2)"
+    assert repr(RatInterval(Fraction(-1, 3), 2)) == "RatInterval(-1/3, 2)"

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -484,3 +485,49 @@ def test_key_groups_are_bounded_runs_of_the_string_order(keys, batch):
     groups = list(_key_groups(sorted(keys), batch))
     assert all(0 < len(g) <= batch for g in groups)
     assert [s for g in groups for s in sorted(map(str, g))] == sorted(map(str, keys))
+
+
+def mixed_poly(n):
+    """n terms of alternating sign exponents 0, -37, 74, -111, ..., coefficients k/3."""
+    return LaurentPoly({(-1) ** k * 37 * k: Fraction(k + 1, 3) for k in range(n)})
+
+
+@pytest.mark.parametrize("batch", [8, 4096])
+def test_json_items_are_ascending_nonempty_runs_of_the_key_order(batch):
+    wide = {e: Fraction(e % 7 - 3, 4) for e in [*range(-130, 131), *range(10 ** 20 - 50, 10 ** 20 + 50)]}
+    wide.update((-e, RatInterval(Fraction(e % 5, 3), Fraction(e % 5 + 1, 3)))
+                for e in range(10 ** 20 - 40, 10 ** 20 + 40, 3))
+    polys = [LaurentPoly.zero(), *map(mixed_poly, (1, batch - 1, batch, batch + 1)), LaurentPoly(wide)]
+    for p in polys:
+        runs = list(p.json_items("\n  ", batch))
+        assert all(0 < len(run) <= batch and run == sorted(run) for run in runs)
+        assert [item.split('"')[1] for run in runs for item in run] == sorted(map(str, p.support()))
+        if p.is_zero():
+            assert runs == []
+        else:
+            text = "{\n  " + ",\n  ".join(item for run in runs for item in run) + "\n}"
+            assert text == json.dumps(p.to_json(), sort_keys=True, indent=2)
+
+
+def test_reprs_name_the_terms_and_the_shape():
+    assert repr(LaurentPoly.zero()) == "LaurentPoly(0)"
+    assert repr(poly((2, HALF), (-1, 3))) == "LaurentPoly((3)x^-1 + (1/2)x^2)"
+    assert repr(LaurentMatrix([[poly((0, 1))] * 3] * 2)) == "LaurentMatrix(2x3)"
+
+
+def test_polys_and_matrices_are_immutable():
+    p, m = poly((1, 1)), LaurentMatrix([[poly((0, 1))]])
+    for obj, name in ((p, "_den"), (p, "extra"), (m, "rows"), (m, "entries")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, 2)
+    assert p == poly((1, 1)) and m.rows == 1 and m.entries == ((poly((0, 1)),),)
+
+
+def test_polys_and_matrices_do_not_mix_with_other_types():
+    p, m = poly((1, 1)), LaurentMatrix([[poly((0, 1))]])
+    for other in (1, HALF, "x", None):
+        for op in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
+            with pytest.raises(TypeError):
+                op()
+        assert p != other and not (p == other) and m != other and not (m == other)
+    assert m != p and p != m
