@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import (SIZE_CAP, TEXT_DIGITS, BadInput, BadMeasure, BadOrder, DepthExceeded,
-                     EmptyFiber, MissingRoot, check_budget, decimal_digits)
+                     EmptyFiber, MissingRoot, check_budget, check_text_digits, decimal_digits)
 from .intervals import RatInterval, exact_sum
 from .laurent import coeff_from_json, coeff_to_json
 
@@ -188,8 +188,7 @@ def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     orders, keys = {}, {}
     for key, ids in raw_orders.items():
         try:
-            lvl, v = key.split("/")
-            lvl, v = int(lvl), int(v)
+            lvl, v = map(int, check_text_digits("an order key", key).split("/"))
         except ValueError as exc:
             raise BadInput(f"malformed order key {key!r}") from exc
         if keys.setdefault((lvl, v), key) != key:

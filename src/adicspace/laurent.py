@@ -18,12 +18,15 @@ with one gcd per map of a result instead of one per term.  A term that meets
 an interval in a sum or product is computed in interval arithmetic and stays
 an interval, even a point one.
 
-Every product goes through one kernel, :func:`_sum_products`, which adds up
-f*g over (f, g) pairs over the lcm of the pair denominators; ``f * g`` is one
-pair, ``scale(c)`` is the pair (f, c x^0), ``shift(k)`` is the pair (f, x^k),
-and :func:`mat_mul` and :meth:`LaurentMatrix.mul_vector` zip rows.  Its
-interval terms come from :func:`_interval_sums`, which takes the
-four-product rule only where an endpoint is negative.
+Every product goes through :func:`_sum_products`, which adds up f*g over
+(f, g) pairs; ``f * g`` is one pair, ``scale(c)`` is the pair (f, c x^0),
+``shift(k)`` is the pair (f, x^k), and :func:`mat_mul` and
+:meth:`LaurentMatrix.mul_vector` zip rows.  Its one integer loop,
+:func:`_int_products`, sums the products of (den, numerator map) factor
+pairs over the lcm of their denominators.  The rational terms are one run
+of it.  A product with an interval in it and no negative endpoint is two
+more, one per endpoint, a rational being its own point interval; any other
+goes term by term through ``RatInterval``.
 Every new polynomial goes through one canonicaliser, :func:`_fill`.  The l1
 distance of two polynomials, :func:`l1_distance`, is summed from their maps
 without forming the difference.
@@ -46,7 +49,6 @@ import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -179,13 +181,8 @@ class LaurentPoly:
                            fraction_sum([rational, (sum(self._hi.values()), self._hi_den)]))
 
     def one_norm(self):
-        """Sum of absolute values of the coefficients."""
-        rational = (sum(map(abs, self._nums.values())), self._den)
-        if not self._lo:
-            return Fraction(*rational)
-        hi = self._hi
-        return _abs_sum(rational, [(n, hi[e]) for e, n in self._lo.items()],
-                        self._lo_den, self._hi_den)
+        """Sum of absolute values of the coefficients: the l1 distance to zero."""
+        return l1_distance(self, LaurentPoly.zero())
 
     # -- ring operations ----------------------------------------------------
 
@@ -299,7 +296,7 @@ class LaurentPoly:
         terms, keys = {}, {}
         for e, c in data.items():
             try:
-                exp = int(e)
+                exp = int(check_text_digits("an exponent", e))
                 terms[exp] = coeff_from_json(c)
             except ValueError as exc:
                 raise BadInput(f"term of exponent {e!r}: {exc}") from exc
@@ -372,14 +369,10 @@ def _fill(out: LaurentPoly, den: int, nums: dict, lo_den: int = 1, lo: dict | No
         nums = {e: n for e, n in nums.items() if n}
     if lo:
         both = nums.keys() & lo.keys() if nums else ()
-        if both:  # each endpoint gains the rational: rebase both maps over a multiple of den
-            lo_den, lo = _rebase(lo_den, lo, den)
-            hi_den, hi = _rebase(hi_den, hi, den)
-            to_lo, to_hi = lo_den // den, hi_den // den
-            for e in both:
-                n = nums.pop(e)
-                lo[e] += n * to_lo
-                hi[e] += n * to_hi
+        if both:  # each endpoint gains the rational at its exponent
+            moved = {e: nums.pop(e) for e in both}
+            lo_den, lo = _add_maps(lo_den, lo, den, moved)
+            hi_den, hi = _add_maps(hi_den, hi, den, moved)
         if 0 in lo.values():
             for e in [e for e, n in lo.items() if not n and not hi[e]]:
                 del lo[e], hi[e]
@@ -410,15 +403,6 @@ def _reduce(den: int, nums: dict) -> tuple:
     if g == 1:
         return den, nums
     return den // g, {e: n // g for e, n in nums.items()}
-
-
-def _rebase(den: int, nums: dict, base: int) -> tuple:
-    """(den, nums) over lcm(den, base); takes over nums."""
-    new = lcm(den, base)
-    if new == den:
-        return den, nums
-    m = new // den
-    return new, {e: n * m for e, n in nums.items()}
 
 
 def _over_lcm(values: dict) -> tuple:
@@ -509,80 +493,65 @@ class LaurentMatrix:
 
 
 def _sum_products(pairs) -> LaurentPoly:
-    """The sum of f * g over the (f, g) pairs, over the lcm of the pair denominators.
+    """The sum of f * g over the (f, g) pairs.
 
-    Rational terms are multiplied and added as ints; the term products with
-    an interval in them are :func:`_interval_sums`.
+    Rational terms are multiplied and added as ints by :func:`_int_products`.
+    A term product with an interval in it is an interval, and a rational is
+    its own point interval, ``(den, nums)`` on both ends.  [a, b] [c, d] is
+    [ac, bd] when a, c >= 0, so a factor pair with no negative endpoint is
+    two integer products, one on the lower-endpoint maps and one on the
+    upper; any other goes term by term through ``RatInterval.__mul__``.
     """
     pairs = list(pairs)
-    den = lcm(*(f._den * g._den for f, g in pairs))
+    den, nums = _int_products([((f._den, f._nums), (g._den, g._nums)) for f, g in pairs])
+    if not any(f._lo or g._lo for f, g in pairs):
+        return _canonical(den, nums)
+    lo_pairs, hi_pairs, signed = [], [], {}
+    for f, g in pairs:
+        f_rat, g_rat = ((f._den, f._nums),) * 2, ((g._den, g._nums),) * 2
+        f_iv = ((f._lo_den, f._lo), (f._hi_den, f._hi))
+        g_iv = ((g._lo_den, g._lo), (g._hi_den, g._hi))
+        for (a_lo, a_hi), (c_lo, c_hi) in ((f_iv, g_iv), (f_iv, g_rat), (f_rat, g_iv)):
+            if not (a_lo[1] and c_lo[1]):
+                continue
+            if min(a_lo[1].values()) >= 0 <= min(c_lo[1].values()):
+                lo_pairs.append((a_lo, c_lo))
+                hi_pairs.append((a_hi, c_hi))
+                continue
+            c_terms = _enclosures(c_lo, c_hi)
+            for e1, x in _enclosures(a_lo, a_hi):
+                for e2, y in c_terms:
+                    e = e1 + e2
+                    signed[e] = signed[e] + x * y if e in signed else x * y
+    lo, hi = _int_products(lo_pairs), _int_products(hi_pairs)
+    if signed:
+        lo = _add_maps(*lo, *_over_lcm({e: s.lo for e, s in signed.items()}))
+        hi = _add_maps(*hi, *_over_lcm({e: s.hi for e, s in signed.items()}))
+    return _canonical(den, nums, *lo, *hi)
+
+
+def _int_products(pairs: list) -> tuple:
+    """(den, sums): the products of the ((d1, m1), (d2, m2)) numerator-map pairs, each over
+    d1 d2, summed over den, the lcm of the d1 d2; zero sums are kept."""
+    den = lcm(*(d1 * d2 for (d1, _), (d2, _) in pairs))
     nums: dict = {}
     get = nums.get
-    intervals = False
-    for f, g in pairs:
-        intervals = intervals or f._lo or g._lo
-        g_nums = g._nums.items()
-        if g_nums:
-            m = den // (f._den * g._den)
-            for e1, n1 in f._nums.items():
+    for (d1, m1), (d2, m2) in pairs:
+        m2 = m2.items()
+        if m2:
+            m = den // (d1 * d2)
+            for e1, n1 in m1.items():
                 n1 *= m
-                for e2, n2 in g_nums:
+                for e2, n2 in m2:
                     e = e1 + e2
                     nums[e] = get(e, 0) + n1 * n2
-    if intervals:
-        return _canonical(den, nums, *_interval_sums(pairs))
-    return _canonical(den, nums)
+    return den, nums
 
 
-def _interval_sums(pairs) -> tuple:
-    """(lo_den, lo, hi_den, hi): the sum of every term product with an interval in it.
-
-    A factor is a polynomial's interval terms, as (lo map, lo_den, hi map,
-    hi_den), or its rational terms, as (nums, den, nums, den): a rational
-    is its own point interval.  [a, b] [c, d] is [ac, bd] when a, c >= 0;
-    otherwise it is the min and max of the four products, compared over the
-    shared denominator of each endpoint.  So a factor pair whose lo
-    numerators are all >= 0 adds to lo only over the lo denominators' product
-    and to hi only over the hi denominators' product, and any other adds to
-    each endpoint over all four products of denominators.
-    """
-    factors = []
-    for f, g in pairs:
-        if f._lo and g._lo:
-            factors.append(((f._lo, f._lo_den, f._hi, f._hi_den), (g._lo, g._lo_den, g._hi, g._hi_den)))
-        for a, c in ((f, g), (g, f)):
-            if a._lo and c._nums:
-                factors.append(((a._lo, a._lo_den, a._hi, a._hi_den), (c._nums, c._den, c._nums, c._den)))
-    plans, lo_dens, hi_dens = [], [], []
-    for (a_lo, a_lo_den, a_hi, a_hi_den), (c_lo, c_lo_den, c_hi, c_hi_den) in factors:
-        # the denominators of ac, ad, bc and bd for [a, b] [c, d]
-        corners = (a_lo_den * c_lo_den, a_lo_den * c_hi_den, a_hi_den * c_lo_den, a_hi_den * c_hi_den)
-        signed = min(a_lo.values()) < 0 or min(c_lo.values()) < 0
-        lo_dens += corners if signed else corners[:1]
-        hi_dens += corners if signed else corners[3:]
-        plans.append((a_lo, a_hi, [(e, c, c_hi[e]) for e, c in c_lo.items()], corners, signed))
-    lo_den, hi_den = lcm(*lo_dens), lcm(*hi_dens)
-    lo: dict = {}
-    hi: dict = {}
-    lo_get, hi_get = lo.get, hi.get
-    for a_lo, a_hi, c_terms, corners, signed in plans:
-        to_lo, to_hi = lo_den // corners[0], hi_den // corners[3]
-        if signed:
-            lo_ms = [lo_den // q for q in corners]
-            hi_ms = [hi_den // q for q in corners]
-        for e1, a in a_lo.items():
-            b = a_hi[e1]
-            a_to_lo, b_to_hi = a * to_lo, b * to_hi
-            for e2, c, d in c_terms:
-                e = e1 + e2
-                if a >= 0 <= c:
-                    lo[e] = lo_get(e, 0) + a_to_lo * c
-                    hi[e] = hi_get(e, 0) + b_to_hi * d
-                else:
-                    products = (a * c, a * d, b * c, b * d)
-                    lo[e] = lo_get(e, 0) + min(map(mul, products, lo_ms))
-                    hi[e] = hi_get(e, 0) + max(map(mul, products, hi_ms))
-    return lo_den, lo, hi_den, hi
+def _enclosures(lo: tuple, hi: tuple) -> list:
+    """The (e, RatInterval) terms of the (lo_den, lo map) and (hi_den, hi map) endpoint pair."""
+    (lo_den, lo), (hi_den, hi) = lo, hi
+    return [(e, RatInterval(Fraction(n, lo_den), Fraction(hi[e], hi_den))) for e, n in lo.items()]
 
 
 def l1_distance(f: LaurentPoly, g: LaurentPoly):

@@ -212,6 +212,25 @@ def test_a_rational_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
     assert_too_many_digits(out, err, "a JSON integer", 4301)
 
 
+def test_an_exponent_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps([{"1" * 5000: "1"}]))
+    code, out, err = run_cli(capsys, "matrices", "--preset", "odometer", "--depth", "3",
+                             "--norm", str(vec))
+    assert code == 1
+    assert_too_many_digits(out, err, "an exponent", 5000)
+
+
+def test_an_order_key_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
+    spec = non_dyadic_spec(2)
+    spec["orders"]["1" * 5000 + "/0"] = spec["orders"].pop("1/0")
+    path = tmp_path / "long_key.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert_too_many_digits(out, err, "an order key", 5000)
+
+
 def test_a_mapped_point_too_long_to_write_is_refused_before_the_first_byte(capsys):
     # 1/x has 4,300 digits and is read; Tx's denominator has 4,301 and cannot be written
     code, out, err = run_cli(capsys, "stack", "--cf", "2,3,4,5", "--stage", "3",
@@ -766,6 +785,19 @@ def test_partial_product_report_bytes_are_pinned(capsys, tmp_path):
 
 # stdout sha256 of `matrices FILE --product 0..9` on interval_levels_spec(9)
 INTERVAL_LEVELS_PIN = "80bdc81a918de67f62cb2118d43548bef2f30341baece19954b0ba4bf91e3b25"
+
+
+def test_signed_norm_report_bytes_are_pinned(capsys, tmp_path):
+    # (1 - x) e_0 has a negative coefficient, so its products with the enclosures of
+    # interval_levels_spec(9) go through the four-product rule; recorded while every such
+    # product was formed as ints over the corner denominators
+    spec, vec = tmp_path / "interval_levels.json", tmp_path / "vec.json"
+    spec.write_text(json.dumps(interval_levels_spec(9)))
+    vec.write_text(json.dumps([{"0": "1", "1": "-1"}]))
+    code, out, _ = run_cli(capsys, "matrices", str(spec), "--norm", str(vec))
+    assert code == 0 and "norm" in json.loads(out)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7766f9880a9e8a170ca9ba0ce9b54d812730351e27c8abd2d1962fd5d5ad3065")
 
 
 def test_interval_product_report_is_its_paths_in_interval_arithmetic(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adicspace import rotation
@@ -367,6 +367,17 @@ def swap_kinds(terms):
        st.one_of(st.integers(min_value=-3, max_value=3), store_fractions_st, intervals_st),
        st.integers(min_value=-4, max_value=4))
 @settings(max_examples=200, deadline=None)
+# interval x interval and interval x rational factors, no endpoint negative, unlike denominators
+@example({0: RatInterval(Fraction(1, 3), HALF), 1: Fraction(2, 5)},
+         {0: RatInterval(Fraction(1, 7), Fraction(1, 4)), 2: Fraction(3, 11)},
+         0, RatInterval(Fraction(1, 9), Fraction(5, 6)), 1)
+# only p's interval has a negative endpoint: each pair of the mat_mul row multiplies some
+# factors through RatInterval and some as ints, and the two sums meet at one exponent
+@example({0: RatInterval(-HALF, Fraction(1, 3)), 1: Fraction(1, 4)},
+         {0: RatInterval(Fraction(1, 5), HALF), 1: Fraction(2, 7)}, 0, Fraction(3, 5), 1)
+# a rational plus an interval at one exponent: coprime denominators, then a sum of [0, 0]
+@example({0: Fraction(1, 3)}, {0: RatInterval(Fraction(1, 4), HALF)}, 0, 1, 0)
+@example({0: Fraction(1, 3)}, {0: RatInterval(Fraction(-1, 3))}, 0, 1, 0)
 def test_store_matches_reference_model(a, b, cancel, c, k):
     # b negates a prefix of a's terms, so sums can cancel to zero term by term
     b = dict(b)
