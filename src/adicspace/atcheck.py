@@ -16,6 +16,11 @@ full lower half-block (weight 2^(-3M)) or a pattern on digits 1..4M
 (weight 1 - 2^(-7M)), all scaled by 2^(N+2) / 2^((4M+1)N).  All of this is
 exact; sizes over the monomial budget are refused, never approximated.  An
 alternating weighted-median descent gives a baseline candidate.
+
+Evaluation at x = 1 is a ring homomorphism, so the class masses are those
+of the product of the Markov matrices M_n(1): :func:`circulant_masses`
+counts them with k numbers per index and builds no Laurent term, under the
+same size checks and refusals as :func:`circulant_classes`.
 """
 
 from __future__ import annotations
@@ -90,6 +95,21 @@ def circulant_classes(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> L
     _check_sizes(k, M, N, budget)
     indices = block_indices(M, N)
     return _block_classes(k, [((0, 0, 1), (1 << i, 1, 1)) for i in indices], 1 << len(indices))
+
+
+def circulant_masses(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> List[Fraction]:
+    """The class vector's masses at x = 1, sized and refused as the product is.
+
+    At x = 1 each factor (1/2)(I + x^(2^i) P) is the Markov matrix of a
+    fair step on Z/k, so mass c is the share of the subsets of the index set
+    whose size is c mod k, counted one index at a time by Pascal's rule.
+    """
+    _check_sizes(k, M, N, budget)
+    indices = block_indices(M, N)
+    counts = [1] + [0] * (k - 1)
+    for _ in indices:
+        counts = [counts[c] + counts[c - 1] for c in range(k)]  # k = 1 doubles
+    return [Fraction(n, 1 << len(indices)) for n in counts]
 
 
 def circulant_product(k: int, M: int, N: int, budget: int = DEFAULT_BUDGET) -> LaurentMatrix:

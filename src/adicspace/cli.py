@@ -6,6 +6,8 @@ input's sha256 and no timestamps.  A diagram report uses its first --depth N
 levels: a preset is built at N (default 8), a file is validated and cut to
 its first N (default all).  `matrices`, `walk` and `at` size their builds
 against --budget B (default 2**20); reports depend only on argv and files.
+`at` reads its column masses at x = 1 and builds the circulant product only
+for --explicit or --greedy.
 A report is computed and checked in full, then written in chunks: the bytes of
 json.dumps with sorted keys and a two-space indent, and a newline.  Every
 LaurentPoly of a report, a walk law's masses too, is put in the body as itself;
@@ -30,6 +32,7 @@ from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
 from .errors import (DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError, check_digits,
                      check_text_digits)
+from .intervals import exact_sum
 from .laurent import LaurentPoly, coeff_to_json, parse_rational
 
 PRESETS = {
@@ -327,9 +330,11 @@ def cmd_at(args) -> int:
     if args.explicit and args.k != 4:  # a usage error, before anything is built
         raise UsageError("the explicit construction is the k = 4 case")
     payload = json.dumps({"k": args.k, "M": args.M, "N": args.N}, sort_keys=True).encode()
-    a = atcheck.circulant_product(args.k, args.M, args.N, args.budget)
-    body = {"k": args.k, "M": args.M, "N": args.N,
-            "column_mass": [str(v) for v in a.column_sums_at_one()]}
+    # every column of a circulant matrix sums to the sum of its class masses
+    mass = exact_sum(atcheck.circulant_masses(args.k, args.M, args.N, args.budget))
+    body = {"k": args.k, "M": args.M, "N": args.N, "column_mass": [str(mass)] * args.k}
+    if args.explicit or args.greedy:
+        a = atcheck.circulant_product(args.k, args.M, args.N, args.budget)
     if args.explicit:
         cand = atcheck.explicit_candidate(args.M, args.N, args.budget)
         gsum = cand.row[0] + cand.row[1] + cand.row[2] + cand.row[3]

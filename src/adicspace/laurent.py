@@ -53,7 +53,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .errors import BadInput, DimensionMismatch, check_text_digits, decimal_digits
-from .intervals import RatInterval, exact_sum, fraction_sum
+from .intervals import RatInterval, fraction_sum
 
 Coeff = Union[Fraction, int, RatInterval]
 
@@ -476,12 +476,6 @@ class LaurentMatrix:
 
     def eval_at_one(self) -> list:
         return [[e.eval_at_one() for e in row] for row in self.entries]
-
-    def column_sums_at_one(self) -> list:
-        # a circulant product holds each class polynomial k times: evaluate each object once
-        distinct = {id(e): e for row in self.entries for e in row}
-        ones = {key: e.eval_at_one() for key, e in distinct.items()}
-        return [exact_sum(ones[id(row[j])] for row in self.entries) for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):

@@ -32,6 +32,7 @@ ceil(s G / S) with s G <= g S < (s+1) G.  The ``Fraction`` views
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -133,13 +134,20 @@ def tower_map(t: Tower, x: Fraction) -> Fraction:
 
 
 def circle_distance(value: Fraction, alpha: RatInterval) -> RatInterval:
-    """Enclosure of the circle distance min(|value - alpha|, 1 - |value - alpha|)."""
-    d = abs(RatInterval.point(value % 1) - alpha)
-    if d.hi <= Fraction(1, 2):
-        return d
-    if d.lo >= Fraction(1, 2):
-        return RatInterval(1 - d.hi, 1 - d.lo)
-    return RatInterval(min(d.lo, 1 - d.hi), Fraction(1, 2))
+    """Enclosure of the distance from value - alpha to the nearest integer, for any alpha.
+
+    Over x = value - alpha = [a, b] that distance, c(t) = min(t mod 1, -t mod 1),
+    is 0 at the integers, 1/2 at the half-integers and linear between.  So its
+    least value is 0 if [a, b] holds an integer and min(c(a), c(b)) if not,
+    and its greatest is 1/2 if [a, b] holds a half-integer and max(c(a), c(b))
+    if not.
+    """
+    half = Fraction(1, 2)
+    a, b = value - alpha.hi, value - alpha.lo
+    ends = [min(t % 1, -t % 1) for t in (a, b)]
+    lo = 0 if math.floor(b) >= a else min(ends)
+    hi = half if math.floor(b - half) + half >= a else max(ends)
+    return RatInterval(lo, hi)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from adicspace import atcheck as AT
 from adicspace.cli import main
-from adicspace.errors import BadInput, BudgetExceeded, DimensionMismatch
+from adicspace.errors import AdicspaceError, BadInput, BudgetExceeded, DimensionMismatch
 from adicspace.intervals import RatInterval
 from adicspace.laurent import LaurentMatrix, LaurentPoly
 
@@ -153,7 +153,28 @@ def test_circulant_product_small_golden():
 def test_circulant_product_columns_stochastic():
     for k in (2, 3, 4):
         a = AT.circulant_product(k, 1, 1)
-        assert a.column_sums_at_one() == [Fraction(1)] * k
+        assert [sum(row[j].eval_at_one() for row in a.entries) for j in range(k)] == [1] * k
+
+
+def test_circulant_masses_match_classes_and_closed_form():
+    for k in range(1, 7):
+        for M, N in ((1, 0), (1, 1), (1, 2), (2, 1)):
+            masses = AT.circulant_masses(k, M, N)
+            assert masses == [c.eval_at_one() for c in AT.circulant_classes(k, M, N)], (k, M, N)
+            size = len(AT.block_indices(M, N))
+            closed = [Fraction(sum(comb(size, j) for j in range(c, size + 1, k)), 2 ** size)
+                      for c in range(k)]
+            assert masses == closed, (k, M, N)
+
+
+def test_circulant_masses_refuse_as_circulant_classes():
+    def refusal(fn, *args):
+        with pytest.raises(AdicspaceError) as info:
+            fn(*args)
+        return info.value.code, info.value.message
+
+    for args in ((4, 3, 2), (4, 2000, 2000), (0, 1, 1), (4, 0, 1)):
+        assert refusal(AT.circulant_masses, *args) == refusal(AT.circulant_classes, *args), args
 
 
 def test_circulant_residue_class_support():

@@ -393,6 +393,32 @@ def test_at_budget_exceeded(capsys):
     assert json.loads(out)["error"]["code"] == "BudgetExceeded"
 
 
+def at_goldens():
+    """The full-size `at` reports of the bench goldens, read and never written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+    full = json.loads(path.read_text(encoding="utf-8"))["full"]
+    return {name: rep for name, rep in sorted(full.items()) if name.startswith("at-")}
+
+
+def test_at_reports_match_the_bench_goldens(capsys):
+    goldens = at_goldens()
+    assert len(goldens) == 4
+    for name, rep in goldens.items():
+        code, out, _ = run_cli(capsys, *rep["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (rep["exit"], rep["sha256"]), name
+
+
+def test_at_column_masses_build_no_circulant_product(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the column masses built the circulant classes")
+
+    monkeypatch.setattr(cli.atcheck, "circulant_classes", refuse)
+    rep = at_goldens()["at-2-2"]
+    code, out, _ = run_cli(capsys, *rep["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == rep["sha256"]
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "validate", "--preset", "morse", "--depth", "3",

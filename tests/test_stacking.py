@@ -184,6 +184,30 @@ def test_circle_distance_cases():
     assert straddling == RatInterval(Fraction(2, 5), Fraction(1, 2))
 
 
+def circle_distance_unit_alpha(value, alpha):
+    """The earlier formula, which holds only for alpha inside [0, 1)."""
+    d = abs(RatInterval.point(value % 1) - alpha)
+    if d.hi <= Fraction(1, 2):
+        return d
+    if d.lo >= Fraction(1, 2):
+        return RatInterval(1 - d.hi, 1 - d.lo)
+    return RatInterval(min(d.lo, 1 - d.hi), Fraction(1, 2))
+
+
+def test_circle_distance_for_any_alpha():
+    # 1/10 - 21/10 = -2 is an integer: the distance is 0, not -1
+    assert S.circle_distance(Fraction(1, 10), RatInterval(Fraction(21, 10))) == RatInterval(0)
+    rng = random.Random(36)
+    for _ in range(2000):
+        den = rng.randrange(1, 40)
+        lo = rng.randrange(den)
+        alpha = RatInterval(Fraction(lo, den), Fraction(rng.randrange(lo, den), den))
+        value = Fraction(rng.randrange(-3 * den, 3 * den), den)
+        expected = circle_distance_unit_alpha(value, alpha)
+        for shift in (-3, -1, 0, 1, 2):
+            assert S.circle_distance(value, alpha + shift) == expected, (value, alpha, shift)
+
+
 def test_compare_stage_one_single_value():
     cf = cf_increasing()
     rep = S.compare_with_rotation(S.build_tower(cf, 1), cf, grid=100,
