@@ -158,12 +158,12 @@ class OrderedBratteliDiagram:
 
 def validate_diagram(spec: dict) -> OrderedBratteliDiagram:
     """Build a diagram from the JSON interchange dict, or raise a coded error."""
-    try:
-        levels = spec["levels"]
-        raw_edges = spec["edges"]
-        raw_orders = spec.get("orders", {})
-    except (KeyError, TypeError) as exc:
-        raise BadInput(f"malformed diagram spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise BadInput(f"a diagram must be a JSON object, not a {type(spec).__name__}")
+    for key in ("levels", "edges"):
+        if key not in spec:
+            raise BadInput(f'a diagram needs a "{key}" key')
+    levels, raw_edges, raw_orders = spec["levels"], spec["edges"], spec.get("orders", {})
     if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
         raise BadInput("levels must be a list of vertex lists")
     if not isinstance(raw_edges, list) or not all(

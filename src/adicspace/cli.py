@@ -11,8 +11,12 @@ for --explicit or --greedy.
 A report is computed and checked in full, then written in chunks: the bytes of
 json.dumps with sorted keys and a two-space indent, and a newline.  Every
 LaurentPoly of a report, a walk law's masses too, is put in the body as itself;
-only its text is made while it is written, after its coefficients are checked.
+only its text is made while it is written, after its coefficients are checked,
+and a polynomial whose terms share one coefficient is written as one join of
+its key strings per run.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
+``main(argv)`` builds its argument parser once per process: the parser
+depends on nothing in argv.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     items, str-to-str dict entries or (str, str) tuples is joined in one go;
     any other batch goes item by item.  A LaurentPoly formats its own item
     text (:meth:`LaurentPoly.json_items`) in sorted runs of at most
-    ``_BATCH`` items, and each run is written as one batch as soon as it is
-    made, so the strings are freed as they are written.
+    ``_BATCH`` items, each already joined (one join of its keys when all
+    its terms share one coefficient), and each run is written as soon as it
+    is made, so its text is freed as it is written.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -136,7 +141,7 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         for batch in batches:
             try:
                 if is_poly:
-                    parts = batch
+                    parts = (batch,)  # one run of items, joined by json_items
                 elif is_dict:
                     # itemgetter of one key gives the value itself, not a 1-tuple
                     values = itemgetter(*batch)(obj) if len(batch) > 1 else (obj[batch[0]],)
@@ -459,8 +464,14 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first call of the process."""
+    return build_parser()
+
+
 def _dispatch(argv) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if not getattr(args, "command", None):

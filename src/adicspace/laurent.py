@@ -38,8 +38,9 @@ exponent -> ``Fraction`` or ``RatInterval``, and ``items``/``coeff`` give
 coefficients the same way.  Iteration and :meth:`LaurentPoly.to_json`, the
 library's JSON view, are ordered by exponent.  A report's text of a
 polynomial is made by one method, :meth:`LaurentPoly.json_items`, ordered by
-exponent string as ``json.dumps(sort_keys=True)`` orders keys.  Either way
-every derived report is deterministic.
+exponent string as ``json.dumps(sort_keys=True)`` orders keys, in joined runs;
+when every term has one coefficient, a run is one join of its key strings.
+Either way every derived report is deterministic.
 """
 
 from __future__ import annotations
@@ -258,25 +259,37 @@ class LaurentPoly:
         return widest
 
     def json_items(self, indent: str, batch: int):
-        """The items of ``json.dumps(self.to_json(), sort_keys=True, indent=2)``, in lists.
+        """The items of ``json.dumps(self.to_json(), sort_keys=True, indent=2)``, in joined runs.
 
-        ``indent`` is the newline and indentation before each item.  Each term
-        is formatted once, as '"e": text', with one text per distinct
-        numerator.  A key is '-' and digits, which all sort above '"', so items
-        sorted as strings come in the key order of ``sort_keys``.  The lists
-        are the runs of :func:`_key_groups` (one run when there are at most
-        ``batch`` terms), each sorted ascending and yielded as soon as it is
-        made: none is empty, none holds more than ``batch`` items, and the zero
-        polynomial yields none.  A reader that writes each list before it asks
-        for the next holds the strings of two runs at most.
+        ``indent`` is the newline and indentation before each item.  A key is
+        '-' and digits, which all sort above '"', so sorting the items
+        '"e": text' as strings, or sorting the key strings, gives the key
+        order of ``sort_keys``.  Each run of :func:`_key_groups` (one run when
+        there are at most ``batch`` terms) is yielded as soon as it is made,
+        as the text of its items in that order joined by "," + ``indent``:
+        none is empty, none holds more than ``batch`` items, and the zero
+        polynomial yields none.  When every term has one and the same
+        rational coefficient, a run is one join of its sorted key strings
+        around that coefficient's text; otherwise each item is formatted
+        once, with one text per distinct numerator.  A reader that writes
+        each run before it asks for the next holds the strings of two runs
+        at most.
         """
-        pair = indent + "  "
+        pair, sep = indent + "  ", "," + indent
         den, nums, lo, hi = self._den, self._nums, self._lo, self._hi
         lo_den, hi_den = self._lo_den, self._hi_den
         # fraction_text is digits, '-' and '/': quoting it is its JSON string
         text = {n: f'"{fraction_text(n, den)}"' for n in set(nums.values())}
         keys = sorted(itertools.chain(nums, lo)) if lo else sorted(nums)
-        for group in _key_groups(keys, batch) if len(keys) > batch else [keys] if keys else ():
+        groups = _key_groups(keys, batch) if len(keys) > batch else [keys] if keys else ()
+        if not lo and len(text) == 1:
+            (t,) = text.values()
+            tail = f'": {t}'
+            glue = tail + sep + '"'
+            for group in groups:
+                yield '"' + glue.join(sorted(map(str, group))) + tail
+            return
+        for group in groups:
             if lo:
                 items = [f'"{e}": {text[nums[e]]}' if e in nums else
                          f'"{e}": [{pair}"{fraction_text(lo[e], lo_den)}",'
@@ -286,7 +299,7 @@ class LaurentPoly:
                 items = [f'"{e}": {t}' for e, t in
                          zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
             items.sort()
-            yield items
+            yield sep.join(items)
 
     @staticmethod
     def from_json(data: Mapping[str, object]) -> "LaurentPoly":

@@ -308,6 +308,40 @@ def test_python_dash_m_runs_the_cli_from_a_checkout(capsys):
     assert (proc.returncode, proc.stdout) == (code, out.encode()) == (0, out.encode())
 
 
+def test_main_builds_one_parser_per_process_and_writes_what_a_fresh_process_writes(
+        tmp_path, capsys):
+    report_file = tmp_path / "report.json"
+    report = ["matrices", "--preset", "odometer", "--depth", "4", "--product", "0..4"]
+    argvs = [report,
+             ["walk", "--preset", "odometer", "--trials", "x"],  # usage error, exit 2
+             ["validate", str(tmp_path / "missing.json")],  # module error, exit 1
+             ["label", "--preset", "morse", "--depth", "4", "--out", str(report_file)],
+             report]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err, report_file.read_text() if "--out" in argv else None
+
+    cli._parser.cache_clear()
+    try:
+        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+            runs = [in_process(argv) for argv in argvs]
+        assert built.call_count == 1
+    finally:
+        cli._parser.cache_clear()
+    assert [run[0] for run in runs] == [0, 2, 1, 0, 0]
+    for argv, run in zip(argvs, runs):
+        report_file.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "adicspace", *argv], capture_output=True,
+                              text=True)
+        written = report_file.read_text() if "--out" in argv else None
+        assert (proc.returncode, proc.stdout, proc.stderr, written) == run, argv
+
+
 def test_rational_flags_take_a_negative_value_with_or_without_equals(capsys):
     stack = ["stack", "--cf", "2,3,4", "--stage", "2"]
     for flag, extra, error in (("--map", [], "PointOutsideTower"),
@@ -657,6 +691,19 @@ def test_validate_rejects_malformed_orders(tmp_path, capsys):
         assert json.loads(out)["error"]["code"] == "BadInput"
 
 
+def test_a_diagram_that_is_not_an_object_or_lacks_a_key_is_named_in_words(tmp_path, capsys):
+    for spec, message in (([1], "a diagram must be a JSON object, not a list"),
+                          (None, "a diagram must be a JSON object, not a NoneType"),
+                          ("x", "a diagram must be a JSON object, not a str"),
+                          (3, "a diagram must be a JSON object, not a int"),
+                          ({"edges": []}, 'a diagram needs a "levels" key')):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "validate", str(bad))
+        assert (code, err) == (1, ""), spec
+        assert json.loads(out) == {"error": {"code": "BadInput", "message": message}}, spec
+
+
 def test_validate_rejects_malformed_levels_and_edges(tmp_path, capsys):
     for spec in ({"levels": 5, "edges": []}, {"levels": [["r"]], "edges": 5},
                  {"levels": [["r"]], "edges": [5]}):
@@ -898,12 +945,8 @@ def test_writing_a_product_peaks_below_its_json_dicts():
     assert direct < dicts, (direct, dicts)
 
 
-def test_writing_a_polynomial_holds_one_group_of_items_at_once():
-    # 8,192 items of exponents 1xxxx and 2xxxx in groups of at most 64 keys; a 200-digit
-    # denominator makes every item string long, so the items are most of what is written
-    size, den = 4096, 10 ** 200
-    poly = LaurentPoly._from_ints({f * 10 ** 4 + i: 1 + i % 2 for f in (1, 2)
-                                   for i in range(size)}, den)
+def written_peak_and_size(poly):
+    """The tracemalloc peak of writing ``poly`` in runs of at most 64 items, and its text length."""
     chunks = []
     _write_json(poly, chunks.append)
     text = sum(map(len, chunks))
@@ -915,7 +958,25 @@ def test_writing_a_polynomial_holds_one_group_of_items_at_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, text
+
+
+# 8,192 items of exponents 1xxxx and 2xxxx in groups of at most 64 keys; a 200-digit
+# denominator makes every item string long, so the items are most of what is written
+WIDE_KEYS, WIDE_DEN = [f * 10 ** 4 + i for f in (1, 2) for i in range(4096)], 10 ** 200
+
+
+def test_writing_a_polynomial_holds_one_group_of_items_at_once():
+    poly = LaurentPoly._from_ints({e: 1 + e % 2 for e in WIDE_KEYS}, WIDE_DEN)
+    peak, text = written_peak_and_size(poly)
     # about 0.1 when one group of 64 items is held at a time, over 0.5 for a first-digit group
+    assert peak < text / 4, (peak, text)
+
+
+def test_writing_a_one_coefficient_polynomial_frees_each_joined_run():
+    # every term is 1/10^200: each run is one join of its keys around that one text
+    poly = LaurentPoly._from_ints(dict.fromkeys(WIDE_KEYS, 1), WIDE_DEN)
+    peak, text = written_peak_and_size(poly)
     assert peak < text / 4, (peak, text)
 
 
@@ -1125,12 +1186,13 @@ def test_write_json_matches_json_dumps_at_full_batches(n):
     texts = ["a", "\u00e9\x00\u2028\U0001d11e", '"\\/']
     poly = LaurentPoly({e - n // 2: Fraction(1, 1 + e % 7) if e % 3 else RatInterval(-e, 1)
                         for e in range(n)})
-    assert poly.num_terms() == n
+    one_coeff = LaurentPoly({e - n // 2: Fraction(-1, 3) for e in range(n)})
+    assert poly.num_terms() == one_coeff.num_terms() == n
     obj = {"strs": [texts[i % 3] for i in range(n)],
            "pairs": [(texts[i % 3], str(i)) for i in range(n)],
            "map": {str(i): texts[i % 3] for i in range(n)},
            "mixed": [*map(str, range(n)), 1, [], {}, ("a", "b")],
-           "poly": [[poly, LaurentPoly.zero()]]}
+           "poly": [[poly, LaurentPoly.zero(), one_coeff]]}
     assert _json_dumps_mismatch(obj) is None
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -504,12 +505,19 @@ def mixed_poly(n):
 
 @pytest.mark.parametrize("batch", [8, 4096])
 def test_json_items_are_ascending_nonempty_runs_of_the_key_order(batch):
-    wide = {e: Fraction(e % 7 - 3, 4) for e in [*range(-130, 131), *range(10 ** 20 - 50, 10 ** 20 + 50)]}
+    keys = [*range(-130, 131), *range(10 ** 20 - 50, 10 ** 20 + 50)]
+    wide = {e: Fraction(e % 7 - 3, 4) for e in keys}
     wide.update((-e, RatInterval(Fraction(e % 5, 3), Fraction(e % 5 + 1, 3)))
                 for e in range(10 ** 20 - 40, 10 ** 20 + 40, 3))
-    polys = [LaurentPoly.zero(), *map(mixed_poly, (1, batch - 1, batch, batch + 1)), LaurentPoly(wide)]
+    # one coefficient text: joined run by run, unless an interval term is in the polynomial
+    one_coeff = {e: Fraction(1, 3) for e in keys}
+    one_interval = {**one_coeff, -10 ** 20: RatInterval(Fraction(1, 3), Fraction(1, 2))}
+    polys = [LaurentPoly.zero(), *map(mixed_poly, (1, batch - 1, batch, batch + 1)),
+             *map(LaurentPoly, (wide, one_coeff, one_interval))]
     for p in polys:
-        runs = list(p.json_items("\n  ", batch))
+        # items are joined by ',' and the indent; an interval item's own ',' is
+        # followed by a deeper indent, not by the '"' of the next key
+        runs = [re.split(r',\n  (?=")', chunk) for chunk in p.json_items("\n  ", batch)]
         assert all(0 < len(run) <= batch and run == sorted(run) for run in runs)
         assert [item.split('"')[1] for run in runs for item in run] == sorted(map(str, p.support()))
         if p.is_zero():
