@@ -32,26 +32,35 @@ so its last threshold is exactly 2^64 and no draw passes the last outcome.
 The choice is made for the whole block at once, with no bisect and no
 per-trial work: for a threshold 1 <= t <= 2^64, bit 64 of u + (2^64 - t) is
 set exactly when u >= t, and the sum stays below 2^65, inside its lane.  One
-shift and mask per distinct threshold of the level thus give a 0/1 lane mask
-ge[t].  The block's state is one 0/1 mask per vertex, the lanes of the trials
-at it, and one int of positions.  Outcome k of vertex v takes the lanes of v
-with ge[t_(k-1)] set and ge[t_k] clear; these masks nest, so the difference
-never borrows across lanes.  Those lanes move by the outcome's displacement
-and join the mask of its target vertex.  At the end of a block each lane
-holds position * K + vertex, which is unpacked once and counted with one
-``Counter``; only the distinct keys are decoded.  Memory is bounded by the
-block times the vertices and thresholds of one level, not by the trial count
-or the depth.
+add, shift and mask per distinct threshold of the level thus give a 0/1 lane
+mask ge[t].  The block's state is one 0/1 mask per vertex, the lanes of the
+trials at it, and one int of positions.  Outcome k of vertex v takes the
+lanes of v with ge[t_(k-1)] set and ge[t_k] clear; these masks nest, so with
+``here`` the lanes of v not yet taken, rest = here & ge[t_k] are the lanes
+past outcome k and here ^ rest its own, and the last outcome takes ``here``
+as it is.  Those lanes join the mask of the outcome's target vertex and, for
+each set bit i of its displacement, the mask bits[i]; the lanes of distinct
+outcomes are disjoint, so or-ing them in is adding them, and the positions
+gain sum_i bits[i] << i, one add per displacement bit of the level.  The
+finalizer's last xor-shift u = y ^ (y >> 31) changes bits 0..32 of y only,
+so on a level whose thresholds are all multiples of 2^33 (every preset's)
+y >= t exactly when u >= t, and the step compares y.  At the end of a block
+each lane holds position * K + vertex, which is unpacked once and counted
+with one ``Counter``; only the distinct keys are decoded.  Memory is bounded
+by the block times the vertices, displacement bits and thresholds of one
+level, not by the trial count or the depth.
 
-A step thus costs a few whole-block operations per outcome of every occupied
-vertex of its level, where a per-trial bisect costs about one lookup per
-trial.  The lane choice wins on levels with few vertices and outcomes (the
+A step thus costs one mixing round, an add, shift and mask per distinct
+threshold, and a few bitwise operations per outcome of every occupied vertex
+of its level, where a per-trial bisect costs about one lookup per trial.
+The lane choice wins on levels with few vertices and outcomes (the
 odometer, Morse and circulant:4 presets have at most 4 vertices and 8
-outcomes a level) and loses on wide ones: from about 16 outcomes a level a
-per-trial bisect is as fast, and circulant:32 (64 outcomes) is about twice
-as slow.  A wide level also holds one block-sized int per vertex and two per
-distinct threshold: the ``tracemalloc`` peak of a circulant:1000 walk is
-about 88 MiB, as its root has 1,000 thresholds.
+outcomes a level) and loses on wide ones: the two are about even from 32 to
+64 outcomes a level, where circulant:32 (64 outcomes) is about 1.2 times as
+slow as the bisect.  A wide level also holds one block-sized int per vertex,
+two per distinct threshold and one per displacement bit: the ``tracemalloc``
+peak of a circulant:1000 walk is about 97 MiB, as its root has 1,000
+thresholds.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ from .laurent import LaurentPoly, l1_distance
 _MASK = (1 << 64) - 1
 _TOP = 1 << 64
 _BLOCK = 2048  # trials sampled together, one per lane
+_FINE = (1 << 33) - 1  # the bits that the finalizer's last xor-shift can change
 
 
 def _mix64(z: int) -> int:
@@ -78,6 +88,11 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _set_bits(d: int) -> Tuple[int, ...]:
+    """The indices of the set bits of d >= 0, lowest first."""
+    return tuple(i for i in range(d.bit_length()) if d >> i & 1)
 
 
 def _pack(values, width: int = 2) -> int:
@@ -92,17 +107,22 @@ def _unpack(z: int, lanes: int, width: int = 2) -> array:
     return array("Q", z.to_bytes(8 * width * lanes, sys.byteorder))[0::width]
 
 
-def _mix_lanes(z: int, mask: int) -> int:
-    """``_mix64`` of each lane of z; ``mask`` holds _MASK in each lane.
+def _premix_lanes(z: int, mask: int) -> int:
+    """``_mix64`` of each lane of z short of its last xor-shift; ``mask`` holds _MASK in each lane.
 
     Lanes are at least two words wide.  A shift carries a neighbour lane's
     bits only into bits 64 and up of a lane, and the mask clears them before
     the multiply, whose product is then below 2^128.  Bits 64 and up of each
-    lane of the result are left uncleared.
+    lane of the result are clear.
     """
     z &= mask
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """``_mix64`` of each lane of z; bits 64 and up of each lane are left uncleared."""
+    z = _premix_lanes(z, mask)
     return z ^ (z >> 31)
 
 
@@ -173,15 +193,22 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
 
     Each step law must be exact positive rationals summing to 1, or it is a
     ``BadInput`` naming its level and vertex (enclosures would widen verdicts).
+    A seed outside 0..2^64-1, which the generator would read modulo 2^64, is a
+    ``BadInput`` too.
     """
     if trials < 1:
         raise BadInput("trials must be >= 1")
+    if not 0 <= seed <= _MASK:
+        raise BadInput(f"seed {seed} outside 0..2^64-1")
     start = start or WalkState(0, 0, 0)
     _check_start(space, start, n)
-    # tables[lvl - start.level]: the step laws of level lvl as (laws, cuts, k(lvl + 1)).
-    # laws[v] lists the outcomes of vertex v as (threshold, displacement - lo, vertex), the
-    # threshold ceil(cum * 2^64) of the exact cumulative probability; lo is the level's least
-    # displacement and cuts its distinct thresholds below 2^64.
+    # tables[lvl - start.level]: the step laws of level lvl as
+    # (laws, cuts, coarse, nbits, k(lvl + 1)).  laws[v] lists the outcomes of vertex v as
+    # (threshold, set bits of displacement - lo, vertex), the threshold ceil(cum * 2^64) of the
+    # exact cumulative probability, up to the first outcome whose threshold is 2^64: that one
+    # takes the threshold None, and no draw reaches those after it.  lo is the level's least
+    # displacement, nbits the bit length of its largest displacement - lo, cuts its distinct
+    # thresholds below 2^64, and coarse tells whether each cut is a multiple of 2^33.
     tables, offset, span = [], start.position, 0
     for lvl in range(start.level, n):
         laws = []
@@ -198,12 +225,14 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
                     law.append((-((-acc.numerator << 64) // acc.denominator), b, j))
             if acc != 1:
                 raise BadInput(f"the step law of level {lvl} vertex {v} sums to {acc}, not 1")
-            laws.append(law)
+            laws.append(law[:next(k for k, (t, _, _) in enumerate(law) if t == _TOP) + 1])
         moves = [b for law in laws for _, b, _ in law]
         lo = min(moves)
         offset, span = offset + lo, span + max(moves) - lo
-        tables.append(([[(t, b - lo, j) for t, b, j in law] for law in laws],
-                       {t for law in laws for t, _, _ in law} - {_TOP},
+        cuts = {t for law in laws for t, _, _ in law} - {_TOP}
+        tables.append(([[(t if t < _TOP else None, _set_bits(b - lo), j) for t, b, j in law]
+                        for law in laws],
+                       cuts, not any(t & _FINE for t in cuts), (max(moves) - lo).bit_length(),
                        space.dims[lvl + 1]))
     # A trial ends at key = (position - offset) * K + vertex, below (span + 1) * K: one
     # 64-bit word on every walk short of 2^64 positions, more words past that.
@@ -226,22 +255,40 @@ def simulate(space: DimensionSpace, n: int, trials: int, seed: int,
         at = [0] * space.dims[start.level]  # at[v]: 1 in the lanes of the trials now at v
         at[start.vertex] = one
         pos = 0  # each lane: the trial's displacement less the lo of the levels so far
-        for step, (laws, cuts, k_next) in enumerate(tables):
-            u = _mix_lanes(z + step * one, mask) & mask
-            lift = {t: lift[t] if t in lift else (_TOP - t) * one for t in cuts}
-            # ge[t]: 1 in the lanes where u >= t, which is bit 64 of u + 2^64 - t
-            ge = {t: (u + lift[t]) >> 64 & one for t in cuts}
+        for laws, cuts, coarse, nbits, k_next in tables:
+            if cuts:
+                # u: each lane's draw, or on a coarse level the y before the finalizer's last
+                # xor-shift u = y ^ (y >> 31); that changes bits 0..32 only, so y >= t exactly
+                # when u >= t for a multiple t of 2^33
+                u = _premix_lanes(z, mask)
+                if not coarse:
+                    u = (u ^ (u >> 31)) & mask
+                lift = {t: lift[t] if t in lift else (_TOP - t) * one for t in cuts}
+                # ge[t]: 1 in the lanes where u >= t, which is bit 64 of u + 2^64 - t
+                ge = {t: (u + lift[t]) >> 64 & one for t in cuts}
+            z += one  # the step counter
             nxt = [0] * k_next
+            # bits[i]: 1 in the lanes whose displacement has bit i set; the outcomes' lanes
+            # are disjoint, so or-ing them in is adding them
+            bits = [0] * nbits
             for here, law in zip(at, laws):
                 if not here:
                     continue
-                for t, b, j in law:
-                    rest = here & ge.get(t, 0)  # the lanes past this outcome; none past 2^64
-                    sel = here - rest  # rest lies inside here, so no lane borrows
-                    here = rest
-                    if b:
-                        pos += sel * b
-                    nxt[j] |= sel
+                for t, set_bits, j in law:
+                    if t is None:  # the last outcome takes the lanes left
+                        sel = here
+                    else:
+                        rest = here & ge[t]  # the lanes past this outcome
+                        sel, here = here ^ rest, rest  # rest lies inside here
+                    if sel:
+                        for i in set_bits:
+                            m = bits[i]
+                            bits[i] = m | sel if m else sel
+                        m = nxt[j]
+                        nxt[j] = m | sel if m else sel
+            for i, m in enumerate(bits):
+                if m:
+                    pos += m << i if i else m  # a shift by 0 would copy m
             at = nxt
         key = pos * K + sum(j * m for j, m in enumerate(at) if j and m)
         if key_words == 1:

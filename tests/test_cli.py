@@ -1086,6 +1086,39 @@ def test_walk_report_bytes_across_sampler_blocks_are_pinned(capsys):
             == "63183a35ba20e97eb244212d9f39b4e89d955dc4ec134417526ac66fb5c56a42")
 
 
+
+# stdout sha256 of the walk benchmark's three reports at 100,000 trials (49 sampler
+# blocks), recorded while each step subtracted and multiplied per outcome
+BENCHMARK_WALK_PINS = {
+    ("odometer", "6"): "e863c08c7d6ab1c7c30be14e7adb31b222ac90ffb2cbdaf77549b3e98ed0a809",
+    ("morse", "6"): "0b6fbe77aa2bcaca6b8670cf535ceeb13719b721f97e30012736a873c82bf164",
+    ("circulant:4", "5"): "f2509b0caaa68ec20b9b85019f25448178cc5b3eaa68434bc3230eedb34cf4ce",
+}
+
+
+@pytest.mark.parametrize("preset, depth", sorted(BENCHMARK_WALK_PINS))
+def test_walk_report_bytes_at_benchmark_scale_are_pinned(capsys, preset, depth):
+    code, out, _ = run_cli(capsys, "walk", "--preset", preset, "--depth", depth, "--exact",
+                           "--trials", "100000", "--seed", "12345")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCHMARK_WALK_PINS[preset, depth]
+
+
+def test_walk_refuses_a_seed_outside_64_bits(capsys):
+    # -1 and 2^64 - 1 (and 0 and 2^64) once wrote the same report
+    argv = ("walk", "--preset", "odometer", "--depth", "3", "--trials", "5", "--seed")
+    for seed in ("-1", str(1 << 64)):
+        code, out, _ = run_cli(capsys, *argv, seed)
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "BadInput",
+                                            "message": f"seed {seed} outside 0..2^64-1"}
+    reports = []
+    for seed in ("0", str((1 << 64) - 1)):
+        code, out, _ = run_cli(capsys, *argv, seed)
+        assert code == 0
+        reports.append(json.loads(out)["empirical"])
+    assert reports[0] != reports[1] and all(r["trials"] == 5 for r in reports)
+
 def test_closed_stdout_exits_1_without_traceback():
     # a report and an error report, each with stdout block-buffered and unbuffered
     buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -2,6 +2,7 @@ import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -511,6 +512,28 @@ def test_lane_mask_is_the_scalar_comparison_lane_by_lane(values, t):
     assert list(W._unpack(ge, lanes)) == [int(u >= t) for u in values]
 
 
+COARSE_CUTS = st.one_of(st.sampled_from([1 << 33, 1 << 63, W._MASK ^ W._FINE]),
+                        st.integers(1, (1 << 31) - 1).map(lambda c: c << 33))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WORDS, min_size=1, max_size=9), COARSE_CUTS, st.integers(-(1 << 34), 1 << 34))
+@example([0, W._MASK], 1 << 33, -1)
+@example([1, 2], W._MASK ^ W._FINE, 0)
+def test_a_coarse_cut_reads_the_draw_before_the_last_xor_shift(values, t, near):
+    # u = y ^ (y >> 31) changes bits 0..32 of y only, so y >= t exactly when u >= t
+    # for every multiple t of 2^33: lane by lane, as simulate reads it ...
+    lanes = len(values)
+    one = W._pack([1] * lanes)
+    y = W._premix_lanes(W._pack(values), one * W._MASK)
+    ge = (y + ((1 << 64) - t) * one) >> 64 & one
+    assert list(W._unpack(ge, lanes)) == [int(W._mix64(v) >= t) for v in values]
+    assert list(W._unpack(y >> 64, lanes)) == [0] * lanes  # bits 64 and up of each lane clear
+    # ... and on a word y within 2^34 of the cut, where a random draw seldom falls
+    w = (t + near) & W._MASK
+    assert (w >= t) == ((w ^ (w >> 31)) >= t)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(WORDS, min_size=1, max_size=9), st.integers(0, 70))
 @example([W._MASK, W._MASK - 2, 0], 5)  # z + step passes 2^64 in two lanes and must wrap
@@ -594,3 +617,104 @@ def test_simulate_matches_the_clamped_reference_on_negative_displacements():
     got = W.simulate(sp, 2, 500, seed=9, start=W.WalkState(4, 0, 0))
     assert got == clamped_simulate(sp, 2, 500, 9, W.WalkState(4, 0, 0))
     assert min(got.masses[0].support()) == 4 - 8
+
+
+def chain(*steps):
+    """A hand-built walk with one vertex a level, the step law of level n being ``steps[n]``."""
+    return DimensionSpace(tuple(LaurentMatrix([[LaurentPoly(t)]]) for t in steps),
+                          (1,) * (len(steps) + 1))
+
+
+TINY = Fraction(1, 1 << 70)
+
+
+@pytest.mark.parametrize("steps, coarse", [
+    # a cut at 2^33 exactly, the least coarse one
+    (({0: Fraction(1, 1 << 31), 5: 1 - Fraction(1, 1 << 31)},) * 3, [True] * 3),
+    # a cut at 2^32: the draw needs its last xor-shift
+    (({0: Fraction(1, 1 << 32), 3: 1 - Fraction(1, 1 << 32)},) * 3, [False] * 3),
+    # coarse and fine levels in turn
+    (({0: HALF, 1: HALF}, {0: Fraction(1, 3), 2: Fraction(2, 3)}) * 3, [True, False] * 3),
+    # the first cut rounds up to 2^64, so no draw passes the first outcome
+    (({0: 1 - TINY, 1: TINY}, {0: HALF, 1: HALF}), [True, True]),
+], ids=["cut-at-2^33", "cut-at-2^32", "coarse-then-fine", "first-cut-at-2^64"])
+def test_simulate_matches_the_clamped_reference_on_coarse_and_fine_cuts(steps, coarse):
+    sp = chain(*steps)
+    cuts = [{-((-c.numerator << 64) // c.denominator) for c in accumulate(law.values())} - {1 << 64}
+            for law in steps]
+    assert [not any(t & W._FINE for t in c) for c in cuts] == coarse
+    for trials, seed in ((1, 0), (W._BLOCK + 3, 41), (500, W._MASK)):
+        got = W.simulate(sp, len(steps), trials, seed)
+        assert got == clamped_simulate(sp, len(steps), trials, seed)
+        assert got.total_mass() == trials
+
+
+@pytest.mark.parametrize("seed", [0, 12345, W._MASK])
+def test_a_fine_cut_between_a_draw_and_its_value_before_the_last_xor_shift(seed):
+    # trial 0's first draw u and the y before its last xor-shift, with a fine cut between them
+    z = W._mix64(W._mix64(seed ^ 0x9E3779B97F4A7C15))
+    u = W._mix64(z)
+    y = W._unpack(W._premix_lanes(W._pack([z]), W._pack([W._MASK])), 1)[0]
+    assert y ^ (y >> 31) == u != y
+    t = max(u, y)
+    assert t & W._FINE
+    p = Fraction(t, 1 << 64)  # its threshold is t itself
+    sp = chain({0: p, 1: 1 - p})
+    got = W.simulate(sp, 1, 1, seed)
+    assert got == clamped_simulate(sp, 1, 1, seed)
+    assert got.masses[0] == LaurentPoly._from_ints({int(u >= t): 1})
+    assert W.simulate(sp, 1, 300, seed) == clamped_simulate(sp, 1, 300, seed)
+
+def all_joined(k: int, depth: int) -> B.OrderedBratteliDiagram:
+    """k vertices a level, every vertex joined to every vertex of the next, p = 1/k each.
+
+    The edges into a vertex are ordered by their source, so the label of the edge from
+    vertex i into level n + 1 is i * k^(n - 1): several set bits for most i.
+    """
+    levels = [["root"]] + [[f"v{n}_{i}" for i in range(k)] for n in range(1, depth + 1)]
+    edges = [[B.Edge(f"e0_{i}", 0, 0, i, Fraction(1, k)) for i in range(k)]]
+    orders = {(1, i): [f"e0_{i}"] for i in range(k)}
+    for n in range(1, depth):
+        edges.append([B.Edge(f"e{n}_{i}_{j}", n, i, j, Fraction(1, k))
+                      for i in range(k) for j in range(k)])
+        orders.update({(n + 1, j): [f"e{n}_{i}_{j}" for i in range(k)] for j in range(k)})
+    return B.OrderedBratteliDiagram(levels, edges, orders)
+
+
+def test_simulate_matches_the_clamped_reference_on_a_wide_level_with_multi_bit_displacements():
+    sp = build_matrices(all_joined(8, 4))
+    assert sp.dims == (1, 8, 8, 8, 8)
+    moves = {b for m in sp.matrices for row in m.entries for f in row for b in f.support()}
+    assert max(bin(b).count("1") for b in moves) == 3 and max(moves) == 7 * 64
+    for trials, seed, start in ((W._BLOCK + 9, 5, W.WalkState(0, 0, 0)),
+                                (300, 6, W.WalkState(-2, 5, 2))):
+        got = W.simulate(sp, 4, trials, seed, start=start)
+        assert got == clamped_simulate(sp, 4, trials, seed, start)
+        assert got.total_mass() == trials
+
+
+def test_simulate_memory_on_a_wide_level_is_bounded_by_the_block():
+    import tracemalloc
+
+    sp = build_matrices(all_joined(16, 2))  # a level of 16 vertices and 256 outcomes
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            W.simulate(sp, 2, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * W._BLOCK), peak(16 * W._BLOCK)
+    assert large <= small + 64 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_simulate_refuses_a_seed_outside_64_bits(seed):
+    # the generator reads the seed modulo 2^64, so -1 would replay 2^64 - 1
+    sp = build_matrices(B.odometer_diagram(3))
+    with pytest.raises(BadInput, match=rf"^seed {seed} outside 0\.\.2\^64-1$"):
+        W.simulate(sp, 3, 5, seed)
+    for ok in (0, W._MASK):
+        assert W.simulate(sp, 3, 50, ok) == clamped_simulate(sp, 3, 50, ok)
