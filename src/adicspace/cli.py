@@ -13,7 +13,8 @@ json.dumps with sorted keys and a two-space indent, and a newline.  Every
 LaurentPoly of a report, a walk law's masses too, is put in the body as itself;
 only its text is made while it is written, after its coefficients are checked,
 and a polynomial whose terms share one coefficient is written as one join of
-its key strings per run.
+its key strings per run.  A `stack` report puts its tower there as itself too:
+its levels are written in runs, from one text per slot boundary.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 ``main(argv)`` builds its argument parser once per process: the parser
 depends on nothing in argv.
@@ -37,7 +38,7 @@ from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
 from .errors import (DEFAULT_BUDGET, AdicspaceError, BadInput, UsageError, check_digits,
                      check_text_digits)
 from .intervals import exact_sum
-from .laurent import LaurentPoly, coeff_to_json, parse_rational
+from .laurent import LaurentPoly, coeff_to_json, parse_integer, parse_rational
 
 PRESETS = {
     "odometer": lambda depth: bratteli.odometer_diagram(depth),
@@ -108,17 +109,17 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     """Passes ``obj`` to ``write`` in chunks.
 
     Joined, the chunks are json.dumps(obj) with sorted keys and indent 2,
-    where a LaurentPoly stands for its ``to_json()`` dict.  Only dict (str
-    keys), list, tuple, str, int, bool, None and LaurentPoly are written;
-    anything else is a TypeError.  ``indent`` is the newline and indentation
-    that close ``obj``.  Every container is written in batches of at most
-    ``_BATCH`` items, so no chunk grows with the report.  A batch of str
-    items, str-to-str dict entries or (str, str) tuples is joined in one go;
-    any other batch goes item by item.  A LaurentPoly formats its own item
-    text (:meth:`LaurentPoly.json_items`) in sorted runs of at most
-    ``_BATCH`` items, each already joined (one join of its keys when all
-    its terms share one coefficient), and each run is written as soon as it
-    is made, so its text is freed as it is written.
+    where a LaurentPoly stands for its ``to_json()`` dict and a Tower for
+    its ``intervals`` as a list of [lo, hi] string pairs.  Only dict (str
+    keys), list, tuple, str, int, bool, None, LaurentPoly and Tower are
+    written; anything else is a TypeError.  ``indent`` is the newline and
+    indentation that close ``obj``.  Every container is written in batches
+    of at most ``_BATCH`` items, so no chunk grows with the report.  A batch
+    of str items or str-to-str dict entries is joined in one go; any other
+    batch goes item by item.  A LaurentPoly or a Tower formats its own item
+    text (its ``json_items``) in runs of at most ``_BATCH`` items, each
+    already joined, and each run is written as soon as it is made, so its
+    text is freed as it is written.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -126,29 +127,26 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         write("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         write(int.__repr__(obj))
-    elif not isinstance(obj, (dict, list, tuple, LaurentPoly)):
+    elif not isinstance(obj, (dict, list, tuple, LaurentPoly, stacking.Tower)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     else:
-        is_poly = isinstance(obj, LaurentPoly)
-        is_dict = is_poly or isinstance(obj, dict)
+        has_runs = isinstance(obj, (LaurentPoly, stacking.Tower))
+        is_dict = isinstance(obj, (dict, LaurentPoly))
         inner = indent + "  "
         lead, sep = ("{" if is_dict else "[") + inner, "," + inner
-        if is_poly:
+        if has_runs:
             batches = obj.json_items(inner, _BATCH)
         else:
             items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
             batches = (items[i:i + _BATCH] for i in range(0, len(items), _BATCH))
         for batch in batches:
             try:
-                if is_poly:
+                if has_runs:
                     parts = (batch,)  # one run of items, joined by json_items
                 elif is_dict:
                     # itemgetter of one key gives the value itself, not a 1-tuple
                     values = itemgetter(*batch)(obj) if len(batch) > 1 else (obj[batch[0]],)
                     parts = [f"{_enc(k)}: {_enc(v)}" for k, v in zip(batch, values)]
-                elif all(type(x) is tuple and len(x) == 2 for x in batch):
-                    pair = inner + "  "
-                    parts = [f"[{pair}{_enc(a)},{pair}{_enc(b)}{inner}]" for a, b in batch]
                 else:
                     parts = [_enc(x) for x in batch]
             except TypeError:  # not all str: the batch goes item by item
@@ -261,7 +259,7 @@ def _parse_cf(args) -> rotation.CFExpansion:
             tokens = fh.read().replace(",", " ").split()
     else:
         tokens = args.cf.split(",")
-    return rotation.CFExpansion([int(check_text_digits("a partial quotient", t)) for t in tokens])
+    return rotation.CFExpansion([parse_integer("a partial quotient", t) for t in tokens])
 
 
 def cmd_rotation(args) -> int:
@@ -307,7 +305,7 @@ def cmd_stack(args) -> int:
         "height": tower.height,
         "width": str(tower.width),
         "total_space": str(tower.total_space),
-        "intervals": tower.interval_strings,
+        "intervals": tower,
     }
     if args.map is not None:
         x = parse_rational(args.map)

@@ -58,7 +58,16 @@ from .intervals import RatInterval, fraction_sum
 
 Coeff = Union[Fraction, int, RatInterval]
 
-_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+# ASCII digits only: int() and Fraction() also read "2_0" and the digits of other scripts
+_INTEGER_TEXT = re.compile(r"\s*[+-]?[0-9]+\s*")
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
+def parse_integer(what: str, text: str) -> int:
+    """``int(text)`` for a signed or unsigned decimal integer; anything else is a BadInput."""
+    if not _INTEGER_TEXT.fullmatch(text):
+        raise BadInput(f"{what} must be a decimal integer, not {text!r}")
+    return int(check_text_digits(what, text))
 
 
 def parse_rational(v) -> Fraction:

@@ -26,8 +26,9 @@ floor(x D) and the level whose start is that slot, and a translation mod 1
 is (starts[i+1] - starts[i] mod D) / D.  The rotation comparison walks no
 grid: of the G points g L / G, slot s holds the ceil((s+1) G / S) -
 ceil(s G / S) with s G <= g S < (s+1) G.  The ``Fraction`` views
-``intervals``, ``width`` and ``total_space``, and the report strings
-``interval_strings``, are derived once per tower on first use.
+``intervals``, ``width`` and ``total_space`` are derived once per tower on
+first use; a report writes the levels from the integers instead
+(:meth:`Tower.json_items`), in joined runs from one text per slot boundary.
 """
 
 from __future__ import annotations
@@ -75,11 +76,18 @@ class Tower:
         ends = [Fraction(s, self.denominator) for s in range(self.height + 1)]
         return tuple((ends[s], ends[s + 1]) for s in self.starts)
 
-    @cached_property
-    def interval_strings(self) -> Tuple[Tuple[str, str], ...]:
-        """``intervals`` as ``str(Fraction)`` pairs, written from the integers."""
-        ends = [fraction_text(s, self.denominator) for s in range(self.height + 1)]
-        return tuple((ends[s], ends[s + 1]) for s in self.starts)
+    def json_items(self, indent: str, batch: int):
+        """The items of ``json.dumps([[str(lo), str(hi)] for lo, hi in self.intervals], indent=2)``.
+
+        ``indent`` is the newline and indentation before each item.  From one
+        text per slot boundary, the levels are yielded in tower order in runs
+        of at most ``batch``, each run its items joined by "," + ``indent``.
+        """
+        pair, sep, den, starts = indent + "  ", "," + indent, self.denominator, self.starts
+        # fraction_text is digits and '/': quoting it is its JSON string
+        ends = [f'{pair}"{fraction_text(s, den)}"' for s in range(len(starts) + 1)]
+        for i in range(0, len(starts), batch):
+            yield sep.join([f"[{ends[s]},{ends[s + 1]}{indent}]" for s in starts[i:i + batch]])
 
 
 def _check_height(cf: CFExpansion, stage: int):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicspace import bratteli as B
-from adicspace import cli, errors
+from adicspace import cli, errors, rotation, stacking
 from adicspace.cli import _BATCH, _write_json, build_parser, main
 from adicspace.dimspace import build_matrices, partial_product
 from adicspace.intervals import RatInterval
@@ -191,6 +191,36 @@ def test_a_partial_quotient_too_long_to_read_is_refused_by_its_digits(tmp_path, 
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert_too_many_digits(out, err, "a partial quotient", 5000)
+
+
+def test_partial_quotients_are_ascii_decimal_integers(tmp_path, capsys):
+    path = tmp_path / "cf.txt"
+    path.write_text("2;3")
+    for source, token in ((["--cf", "2_0"], "2_0"), (["--cf", "\u0663"], "\u0663"),
+                          (["--cf", "2,"], ""), (["--cf-file", str(path)], "2;3")):
+        code, out, err = run_cli(capsys, "stack", *source, "--stage", "1")
+        assert code == 1 and err == "", source
+        assert json.loads(out)["error"] == {
+            "code": "BadInput",
+            "message": f"a partial quotient must be a decimal integer, not {token!r}"}, source
+    code, out, _ = run_cli(capsys, "stack", "--cf", "2, 3", "--stage", "2")
+    assert code == 0 and json.loads(out)["height"] == 6
+
+
+def test_rationals_are_read_in_ascii_digits_only(tmp_path, capsys):
+    # Fraction() reads "\u0660" as 0 and "\u0661/\u0662" as 1/2: both would run
+    code, out, err = run_cli(capsys, "stack", "--cf", "2,3", "--stage", "2", "--map", "\u0660")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "BadInput"
+    spec = B.diagram_to_json(B.morse_diagram(2))
+    path = tmp_path / "morse.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    spec["edges"][0][0]["p"] = "\u0661/\u0662"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["code"] == "BadInput"
 
 
 def test_a_rational_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
@@ -743,18 +773,36 @@ def test_norm_vector_refuses_json_nested_past_the_decoder(tmp_path, capsys):
 CF_STACK = ",".join(str(a) for a in range(2, 14))
 
 
+# stdout sha256 of stack reports: the first two recorded before towers were stored as
+# integer slots, the others (the benchmark's scale and a one-level tower) before towers
+# wrote their own intervals
+STACK_PINS = {
+    ("--cf", CF_STACK, "--stage", "5", "--compare", "--grid", "5000"):
+        "068e981776817c9b96f99f1e4c86cf3f33d7865178460a8ac3675a97676f5f0b",
+    ("--cf", CF_STACK, "--stage", "4", "--map", "1/3"):
+        "0d003d21c6bb51115c68b94d6972f8a5e267fbf3137989bd291785b6ae22abad",
+    ("--cf", CF_STACK, "--stage", "7", "--compare", "--grid", "100000"):
+        "ac39e9eb64ee3b68a86ca32821b3e0bab749353effa5c26dc52abd464bea6a06",
+    ("--cf", CF_STACK, "--stage", "6", "--map", "138044/486307"):
+        "9cb2edcd36c5cc6ea44effe88b254cc9d80c5520b8d5dddc374ece684ba1fb0b",
+    ("--cf", "1", "--stage", "1"):
+        "716eb3313aa031f1e04730f2cd3b231885d8139170cbd6aa95fe2379843f7217",
+}
+
+
 def test_stack_report_bytes_are_pinned(capsys):
-    # stdout sha256 recorded before towers were stored as integer slots
-    pins = {
-        ("--stage", "5", "--compare", "--grid", "5000"):
-            "068e981776817c9b96f99f1e4c86cf3f33d7865178460a8ac3675a97676f5f0b",
-        ("--stage", "4", "--map", "1/3"):
-            "0d003d21c6bb51115c68b94d6972f8a5e267fbf3137989bd291785b6ae22abad",
-    }
-    for flags, digest in pins.items():
-        code, out, _ = run_cli(capsys, "stack", "--cf", CF_STACK, *flags)
+    for flags, digest in STACK_PINS.items():
+        code, out, _ = run_cli(capsys, "stack", *flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
+
+
+def test_out_file_gets_the_stdout_bytes_of_each_pinned_stack_report(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    for flags, digest in STACK_PINS.items():
+        code, printed, _ = run_cli(capsys, "stack", *flags, "--out", str(target))
+        assert code == 0 and printed == ""
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest, flags
 
 
 def non_dyadic_spec(depth):
@@ -978,6 +1026,26 @@ def test_writing_a_one_coefficient_polynomial_frees_each_joined_run():
     poly = LaurentPoly._from_ints(dict.fromkeys(WIDE_KEYS, 1), WIDE_DEN)
     peak, text = written_peak_and_size(poly)
     assert peak < text / 4, (peak, text)
+
+
+def test_writing_a_tower_holds_its_boundary_texts_and_two_batches_of_items():
+    t = stacking.build_tower(rotation.CFExpansion(range(2, 14)), 7)
+    assert t.height > 10 * _BATCH
+    indent = "\n  "
+    ends = [f'{indent}  "{Fraction(s, t.denominator)}"' for s in range(t.height + 1)]
+    items = [f"[{ends[s]},{ends[s + 1]}{indent}]" for s in t.starts[:_BATCH]]
+    ends_size = sys.getsizeof(ends) + sum(map(sys.getsizeof, ends))
+    batch_size = sys.getsizeof(items) + sum(map(sys.getsizeof, items))
+    del items
+    tracemalloc.start()
+    try:
+        _write_json(t, lambda chunk: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a batch's items while they are joined, then its run and the run before it; the item
+    # strings of every level at once (about 5 MB more here) would pass the bound by far
+    assert peak < ends_size + 2 * batch_size + 64 * 1024, (peak, ends_size, batch_size)
 
 
 def test_too_long_labels_are_refused_before_labeling(capsys):

@@ -1,7 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicspace import rotation as R
 from adicspace import stacking as S
@@ -349,7 +352,26 @@ def test_integer_slots_tile_the_space():
         assert t.width == Fraction(1, t.denominator)
         assert all(lo == s * t.width and hi == lo + t.width
                    for s, (lo, hi) in zip(t.starts, t.intervals))
-        assert t.interval_strings == tuple((str(lo), str(hi)) for lo, hi in t.intervals)
+        (run,) = t.json_items("\n  ", t.height)
+        assert "[\n  " + run + "\n]" == json.dumps(interval_texts(t), indent=2)
+
+
+def interval_texts(t):
+    return [[str(lo), str(hi)] for lo, hi in t.intervals]
+
+
+@given(st.lists(st.integers(1, 9), min_size=6, max_size=6), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_json_items_join_to_the_json_of_the_intervals(terms, stage):
+    cf = R.CFExpansion(terms)
+    t = S.build_tower(cf, stage)
+    want = json.dumps(interval_texts(t), indent=2)
+    for batch in sorted({1, t.height - 1, t.height, t.height + 1} - {0}):
+        runs = list(t.json_items("\n  ", batch))
+        # each run is whole items, in tower order: at most batch of them, and one more "]" each
+        assert [run.count("\n  ]") for run in runs] == [
+            min(batch, t.height - i) for i in range(0, t.height, batch)], batch
+        assert "[\n  " + ",\n  ".join(runs) + "\n]" == want, batch
 
 
 def test_locate_and_map_match_linear_scan():
