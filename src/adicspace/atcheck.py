@@ -151,7 +151,7 @@ def approximation_error(a: LaurentMatrix, cand: RankOneCandidate) -> Union[Fract
 
     A ``Fraction``, or a ``RatInterval`` enclosing it when an entry holds an
     interval.  Each entry's distance is :func:`laurent.l1_distance`, so the
-    difference a_ij - c_i r_j is never formed.
+    difference a_ij - c_i r_j is formed only where one of them holds an interval.
     """
     if a.rows != len(cand.column) or a.cols != len(cand.row):
         raise DimensionMismatch("candidate shape does not match the matrix")

@@ -8,13 +8,17 @@ its first N (default all).  `matrices`, `walk` and `at` size their builds
 against --budget B (default 2**20); reports depend only on argv and files.
 `at` reads its column masses at x = 1 and builds the circulant product only
 for --explicit or --greedy.
+Every integer in argv (a flag's value, the K of circulant:K, both ends of
+--product a..b) is read in the ASCII grammar of `laurent.parse_integer`;
+other text, "1_0" and "٢" too, is a usage error.
 A report is computed and checked in full, then written in chunks: the bytes of
-json.dumps with sorted keys and a two-space indent, and a newline.  Every
-LaurentPoly of a report, a walk law's masses too, is put in the body as itself;
-only its text is made while it is written, after its coefficients are checked,
-and a polynomial whose terms share one coefficient is written as one join of
-its key strings per run.  A `stack` report puts its tower there as itself too:
-its levels are written in runs, from one text per slot boundary.
+json.dumps with sorted keys and a two-space indent, and a newline.  A dict,
+list or tuple of the body is written item by item.  Every LaurentPoly of a
+report, a walk law's masses too, is put in the body as itself; only its text
+is made while it is written, after its coefficients are checked, in runs of
+joined items, and a polynomial whose terms share one coefficient is written as
+one join of its key strings per run.  A `stack` report puts its tower there as
+itself too: its levels are written in runs, from one text per slot boundary.
 Module errors exit 1 with {"error": {"code", "message"}}; usage errors exit 2.
 ``main(argv)`` builds its argument parser once per process: the parser
 depends on nothing in argv.
@@ -31,7 +35,6 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _enc
-from operator import itemgetter
 
 from . import __version__
 from . import atcheck, bratteli, dimspace, labeling, rotation, stacking, walk
@@ -44,6 +47,19 @@ PRESETS = {
     "odometer": lambda depth: bratteli.odometer_diagram(depth),
     "morse": lambda depth: bratteli.morse_diagram(depth),
 }
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, read in :func:`laurent.parse_integer`'s grammar.
+
+    Any other text, "2_0" and "٢" too, or one with too many digits to read,
+    is an ``ArgumentTypeError``: a usage error that argparse reports as
+    "invalid int value", naming the flag.
+    """
+    try:
+        return parse_integer("an integer flag", text)
+    except AdicspaceError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _depth(args, default: int) -> int:
@@ -65,8 +81,8 @@ def _load_diagram(args) -> tuple:
         kind, colon, size = name.partition(":")
         if kind == "circulant":
             try:
-                k = int(size) if colon else 4
-            except ValueError:
+                k = _integer(size) if colon else 4
+            except argparse.ArgumentTypeError:
                 raise UsageError(f"preset {name!r} needs an integer size, as in circulant:4") from None
             d = bratteli.circulant_diagram(k, depth)
         elif name in PRESETS:
@@ -102,7 +118,7 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-_BATCH = 4096  # container items per joined chunk, so no chunk grows with the report
+_BATCH = 4096  # polynomial terms or tower levels per joined run, so no chunk grows with the report
 
 
 def _write_json(obj, write, indent: str = "\n") -> None:
@@ -113,13 +129,11 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     its ``intervals`` as a list of [lo, hi] string pairs.  Only dict (str
     keys), list, tuple, str, int, bool, None, LaurentPoly and Tower are
     written; anything else is a TypeError.  ``indent`` is the newline and
-    indentation that close ``obj``.  Every container is written in batches
-    of at most ``_BATCH`` items, so no chunk grows with the report.  A batch
-    of str items or str-to-str dict entries is joined in one go; any other
-    batch goes item by item.  A LaurentPoly or a Tower formats its own item
-    text (its ``json_items``) in runs of at most ``_BATCH`` items, each
-    already joined, and each run is written as soon as it is made, so its
-    text is freed as it is written.
+    indentation that close ``obj``.  A dict, list or tuple is written item
+    by item.  A LaurentPoly or a Tower formats its own item text (its
+    ``json_items``) in runs of at most ``_BATCH`` items, each already
+    joined, and each run is written as soon as it is made, so no chunk
+    grows with the report and its text is freed as it is written.
     """
     if isinstance(obj, str):
         write(_enc(obj))
@@ -130,38 +144,25 @@ def _write_json(obj, write, indent: str = "\n") -> None:
     elif not isinstance(obj, (dict, list, tuple, LaurentPoly, stacking.Tower)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     else:
-        has_runs = isinstance(obj, (LaurentPoly, stacking.Tower))
-        is_dict = isinstance(obj, (dict, LaurentPoly))
         inner = indent + "  "
-        lead, sep = ("{" if is_dict else "[") + inner, "," + inner
-        if has_runs:
-            batches = obj.json_items(inner, _BATCH)
-        else:
-            items = sorted(obj) if is_dict else obj  # a dict's keys: no list of item tuples
-            batches = (items[i:i + _BATCH] for i in range(0, len(items), _BATCH))
-        for batch in batches:
-            try:
-                if has_runs:
-                    parts = (batch,)  # one run of items, joined by json_items
-                elif is_dict:
-                    # itemgetter of one key gives the value itself, not a 1-tuple
-                    values = itemgetter(*batch)(obj) if len(batch) > 1 else (obj[batch[0]],)
-                    parts = [f"{_enc(k)}: {_enc(v)}" for k, v in zip(batch, values)]
-                else:
-                    parts = [_enc(x) for x in batch]
-            except TypeError:  # not all str: the batch goes item by item
-                for x in batch:
-                    write(lead)
-                    lead = sep
-                    if is_dict:
-                        write(_enc(x) + ": ")
-                        x = obj[x]
-                    _write_json(x, write, inner)
-            else:
-                write(lead + sep.join(parts))
+        opener = "{" if isinstance(obj, (dict, LaurentPoly)) else "["
+        lead, sep = opener + inner, "," + inner
+        if isinstance(obj, (LaurentPoly, stacking.Tower)):
+            for run in obj.json_items(inner, _BATCH):
+                write(lead + run)
                 lead = sep
-        close = "}" if is_dict else "]"
-        write(indent + close if lead == sep else lead[0] + close)  # empty: lead is the opener
+        elif isinstance(obj, dict):
+            for key in sorted(obj):
+                write(lead + _enc(key) + ": ")
+                lead = sep
+                _write_json(obj[key], write, inner)
+        else:
+            for x in obj:
+                write(lead)
+                lead = sep
+                _write_json(x, write, inner)
+        close = "}" if opener == "{" else "]"
+        write(indent + close if lead == sep else opener + close)
 
 
 def _report(args, body: dict, payload: bytes) -> int:
@@ -217,8 +218,8 @@ def cmd_matrices(args) -> int:
     body = {"matrices": _writable("the matrices", [m.entries for m in space.matrices])}
     if args.product:
         try:
-            lo, hi = (int(x) for x in args.product.split(".."))
-        except ValueError as exc:
+            lo, hi = (_integer(x) for x in args.product.split(".."))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad --product range {args.product!r}") from exc
         matrix = dimspace.partial_product(space, lo, hi, args.budget).entries
         body["product"] = {"range": [lo, hi], "matrix": _writable("the product", matrix)}
@@ -388,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         if diagram:
             p.add_argument("diagram", nargs="?", help="diagram JSON file")
             p.add_argument("--preset", help="odometer | morse | circulant:K")
-            p.add_argument("--depth", type=int, help="use the first N levels (default: preset 8, file all)")
+            p.add_argument("--depth", type=_integer,
+                           help="use the first N levels (default: preset 8, file all)")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET,
                            help="cap on each derived build: its terms, monomials or sweep "
                                 "pairs (default %(default)s)")
         p.add_argument("--out", help="write the report to FILE instead of stdout")
@@ -407,13 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True)
     p.add_argument("--product", help="partial product range a..b")
     p.add_argument("--norm", help="vector JSON file for a horizon norm")
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=_integer)
     p.set_defaults(fn=cmd_matrices)
 
     p = sub.add_parser("walk", help="random-walk distributions")
     common(p, budget=True)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
+    p.add_argument("--trials", type=_integer, default=0)
+    p.add_argument("--seed", type=_integer, default=0, help="simulation seed")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(fn=cmd_walk)
 
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cf", help="comma-separated partial quotients")
     p.add_argument("--cf-file", help="file with partial quotients")
     p.add_argument("--rule", help="growth rule, e.g. linear:c=1")
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=_integer)
     p.add_argument("--matrices", action="store_true")
     p.add_argument("--polys", action="store_true")
     p.add_argument("--gaps", action="store_true")
@@ -432,20 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, diagram=False)
     p.add_argument("--cf", help="comma-separated partial quotients")
     p.add_argument("--cf-file", help="file with partial quotients")
-    p.add_argument("--stage", type=int, required=True)
+    p.add_argument("--stage", type=_integer, required=True)
     p.add_argument("--map", help="map one rational point")
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--grid", type=int, default=10000)
+    p.add_argument("--grid", type=_integer, default=10000)
     p.add_argument("--tolerance", default="1/10")
     p.set_defaults(fn=cmd_stack)
 
     p = sub.add_parser("at", help="circulant products and rank-one errors")
     common(p, diagram=False, budget=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--k", type=_integer, default=4)
+    p.add_argument("--M", type=_integer, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     p.add_argument("--explicit", action="store_true")
-    p.add_argument("--greedy", type=int, default=0)
+    p.add_argument("--greedy", type=_integer, default=0)
     p.set_defaults(fn=cmd_at)
 
     return ap

@@ -28,8 +28,9 @@ of it.  A product with an interval in it and no negative endpoint is two
 more, one per endpoint, a rational being its own point interval; any other
 goes term by term through ``RatInterval``.
 Every new polynomial goes through one canonicaliser, :func:`_fill`.  The l1
-distance of two polynomials, :func:`l1_distance`, is summed from their maps
-without forming the difference.
+distance of two rational polynomials, :func:`l1_distance`, is summed from
+their maps without forming the difference; with an interval term it is the
+norm of the difference.
 
 Canonical form: zero coefficients are never stored (for an interval, zero
 means [0, 0]), so ``==`` on the maps is semantic equality; a point interval
@@ -191,8 +192,13 @@ class LaurentPoly:
                            fraction_sum([rational, (sum(self._hi.values()), self._hi_den)]))
 
     def one_norm(self):
-        """Sum of absolute values of the coefficients: the l1 distance to zero."""
-        return l1_distance(self, LaurentPoly.zero())
+        """Sum of absolute values of the coefficients; a RatInterval when a term is an interval."""
+        rational = (sum(map(abs, self._nums.values())), self._den)
+        if not self._lo:
+            return Fraction(*rational)
+        hi = self._hi
+        return _abs_sum(rational, [(n, hi[e]) for e, n in self._lo.items()],
+                        self._lo_den, self._hi_den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -299,14 +305,10 @@ class LaurentPoly:
                 yield '"' + glue.join(sorted(map(str, group))) + tail
             return
         for group in groups:
-            if lo:
-                items = [f'"{e}": {text[nums[e]]}' if e in nums else
-                         f'"{e}": [{pair}"{fraction_text(lo[e], lo_den)}",'
-                         f'{pair}"{fraction_text(hi[e], hi_den)}"{indent}]'
-                         for e in group]
-            else:
-                items = [f'"{e}": {t}' for e, t in
-                         zip(group, map(text.__getitem__, map(nums.__getitem__, group)))]
+            items = [f'"{e}": {text[nums[e]]}' if e in nums else
+                     f'"{e}": [{pair}"{fraction_text(lo[e], lo_den)}",'
+                     f'{pair}"{fraction_text(hi[e], hi_den)}"{indent}]'
+                     for e in group]
             items.sort()
             yield sep.join(items)
 
@@ -571,22 +573,18 @@ def _enclosures(lo: tuple, hi: tuple) -> list:
 
 
 def l1_distance(f: LaurentPoly, g: LaurentPoly):
-    """``(f - g).one_norm()`` in value and in type, without forming f - g.
+    """``(f - g).one_norm()``; for two rational polynomials, summed without forming f - g.
 
     Over lcm(f._den, g._den) it sums |n| over the larger numerator map once,
-    then corrects the sum at each exponent of the smaller one.  An exponent
-    where either side has an interval term is taken out of that sum, and its
-    difference [f.lo - g.hi, f.hi - g.lo] is formed as numerators over one
-    denominator per endpoint; a difference of [0, 0] is dropped, as
-    :func:`_fill` drops it, so the result is a ``RatInterval`` exactly when
-    f - g keeps an interval term.
+    then corrects the sum at each exponent of the smaller one.
     """
+    if f._lo or g._lo:
+        return (f - g).one_norm()
     d1, d2 = f._den, g._den
     den = d1 if d1 == d2 else lcm(d1, d2)
-    m1, m2 = den // d1, den // d2
-    big, small, m_big, m_small = f._nums, g._nums, m1, m2
+    big, small, m_big, m_small = f._nums, g._nums, den // d1, den // d2
     if len(big) < len(small):
-        big, small, m_big, m_small = small, big, m2, m1
+        big, small, m_big, m_small = small, big, m_small, m_big
     total = sum(map(abs, big.values())) * m_big
     get = big.get
     for e, n in small.items():
@@ -595,34 +593,7 @@ def l1_distance(f: LaurentPoly, g: LaurentPoly):
             total += abs(n) * m_small
         else:
             total += abs(b * m_big - n * m_small) - abs(b) * m_big
-    if not (f._lo or g._lo):
-        return Fraction(total, den)
-    exps = f._lo.keys() | g._lo.keys()
-    for e in exps:  # the rational sum above counted this exponent's one numerator
-        total -= abs(f._nums.get(e, 0) * m1 - g._nums.get(e, 0) * m2)
-    lo_den = lcm(f._lo_den, g._hi_den, d1, d2)
-    hi_den = lcm(f._hi_den, g._lo_den, d1, d2)
-    # g's hi over lo_den and its lo over hi_den: the ends that f's ends meet
-    diffs = [(fl - gh, fh - gl) for (fl, fh), (gl, gh)
-             in zip(_ends(f, exps, lo_den, hi_den), _ends(g, exps, hi_den, lo_den))]
-    ends = [d for d in diffs if d != (0, 0)]
-    return _abs_sum((total, den), ends, lo_den, hi_den) if ends else Fraction(total, den)
-
-
-def _ends(p: LaurentPoly, exps, lo_den: int, hi_den: int) -> list:
-    """p's (lo, hi) numerators over (lo_den, hi_den) at each of exps, (0, 0) where p has no term."""
-    lo, hi, nums = p._lo, p._hi, p._nums
-    to_lo, to_hi = lo_den // p._lo_den, hi_den // p._hi_den
-    n_to_lo, n_to_hi = lo_den // p._den, hi_den // p._den
-    out = []
-    for e in exps:
-        n = lo.get(e)
-        if n is None:
-            n = nums.get(e, 0)
-            out.append((n * n_to_lo, n * n_to_hi))
-        else:
-            out.append((n * to_lo, hi[e] * to_hi))
-    return out
+    return Fraction(total, den)
 
 
 def mat_mul(mb: LaurentMatrix, ma: LaurentMatrix) -> LaurentMatrix:

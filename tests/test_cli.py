@@ -223,6 +223,57 @@ def test_rationals_are_read_in_ascii_digits_only(tmp_path, capsys):
     assert json.loads(out)["error"]["code"] == "BadInput"
 
 
+class _Stop(Exception):
+    """Raised in place of a build, once its arguments are recorded."""
+
+
+# argv with {} for the integer text, and where the value the program took is found: the
+# parsed flag, or the argument of the build it is passed to
+INTEGER_FLAGS = {
+    "--depth": (["validate", "--preset", "odometer", "--depth", "{}"], "depth"),
+    "rotation --depth": (["rotation", "--cf", "2,3", "--depth", "{}"], "depth"),
+    "--stage": (["stack", "--cf", "2,3", "--stage", "{}"], "stage"),
+    "--grid": (["stack", "--cf", "2,3", "--stage", "1", "--grid", "{}"], "grid"),
+    "--budget": (["matrices", "--preset", "odometer", "--budget", "{}"], "budget"),
+    "--seed": (["walk", "--preset", "odometer", "--seed", "{}"], "seed"),
+    "--horizon": (["matrices", "--preset", "odometer", "--horizon", "{}"], "horizon"),
+    "--trials": (["walk", "--preset", "odometer", "--trials", "{}"], "trials"),
+    "--k": (["at", "--M", "1", "--N", "1", "--k", "{}"], "k"),
+    "--M": (["at", "--M", "{}", "--N", "1"], "M"),
+    "--N": (["at", "--M", "1", "--N", "{}"], "N"),
+    "--greedy": (["at", "--M", "1", "--N", "1", "--greedy", "{}"], "greedy"),
+    "circulant:K": (["validate", "--preset", "circulant:{}", "--depth", "2"],
+                    (B, "circulant_diagram", 0)),
+    "--product a..": (["matrices", "--preset", "odometer", "--depth", "3", "--product", "{}..3"],
+                      (cli.dimspace, "partial_product", 1)),
+    "--product ..b": (["matrices", "--preset", "odometer", "--depth", "3", "--product", "0..{}"],
+                      (cli.dimspace, "partial_product", 2)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FLAGS)
+def test_integer_flags_are_ascii_decimal_integers(name):
+    # int() reads "1_0" as 10 and "٢" as 2: both ran before this grammar
+    template, read = INTEGER_FLAGS[name]
+    for text in ("٢", "1_0"):
+        code, out, err = run_quietly([a.format(text) for a in template])
+        assert code == 2 and out == "", (name, text)
+        if isinstance(read, str):  # argparse names the flag
+            assert f"invalid int value: {text!r}" in err, (name, err)
+        else:
+            assert json.loads(err)["error"]["code"] == "UsageError", (name, err)
+    for text, value in (("-1", -1), ("3", 3)):
+        argv = [a.format(text) for a in template]
+        if isinstance(read, str):
+            assert getattr(build_parser().parse_args(argv), read) == value, name
+        else:
+            target, attr, index = read
+            with mock.patch.object(target, attr, side_effect=_Stop) as build, \
+                    pytest.raises(_Stop):
+                main(argv)
+            assert build.call_args.args[index] == value, name
+
+
 def test_a_rational_too_long_to_read_is_refused_by_its_digits(tmp_path, capsys):
     long_den = "1/" + "7" * 4301
     spec = non_dyadic_spec(2)
@@ -957,6 +1008,11 @@ def test_label_and_validate_report_bytes_are_pinned(capsys, tmp_path):
         code, out, _ = run_cli(capsys, command, "--preset", preset, "--depth", "6")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (command, preset)
+    # str-to-str tables past one run of _BATCH items: b holds 5,056 entries and wmax 2,561
+    code, out, _ = run_cli(capsys, "label", "--preset", "circulant:64", "--depth", "40")
+    assert code == 0 and len(json.loads(out)["b"]) > _BATCH
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "6ff799a1e8ff14fd31ff8dea1cb96ae0cd6ce4d411781827b263b03795b8dc2e")
     path = tmp_path / "non_dyadic.json"
     path.write_text(json.dumps(non_dyadic_spec(9)))
     code, out, _ = run_cli(capsys, "label", str(path))
@@ -1584,7 +1640,7 @@ def test_integer_flag_fuzz_table_follows_the_parser():
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     int_options = {(name, option) for name, p in commands.items() for a in p._actions
-                   if a.type is int for option in a.option_strings}
+                   if a.type is cli._integer for option in a.option_strings}
     assert set(INT_FLAG_COMMANDS) | set(INT_FLAG_EXCLUSIONS) == {o for _, o in int_options}
     assert not set(INT_FLAG_COMMANDS) & set(INT_FLAG_EXCLUSIONS)
     unfuzzed = sorted((name, option) for name, option in int_options
