@@ -145,7 +145,7 @@ def _write_json(obj, write, indent: str = "\n") -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     else:
         inner = indent + "  "
-        opener = "{" if isinstance(obj, (dict, LaurentPoly)) else "["
+        opener, close = "{}" if isinstance(obj, (dict, LaurentPoly)) else "[]"
         lead, sep = opener + inner, "," + inner
         if isinstance(obj, (LaurentPoly, stacking.Tower)):
             for run in obj.json_items(inner, _BATCH):
@@ -161,7 +161,6 @@ def _write_json(obj, write, indent: str = "\n") -> None:
                 write(lead)
                 lead = sep
                 _write_json(x, write, inner)
-        close = "}" if opener == "{" else "]"
         write(indent + close if lead == sep else opener + close)
 
 
